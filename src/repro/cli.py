@@ -633,10 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--core",
-        choices=["scalar", "vectorized"],
+        choices=["auto", "scalar", "vectorized"],
         default=None,
         help="engine core override for this run (default: SimConfig "
-        "default, or the REPRO_CORE environment variable)",
+        "default 'auto', or the REPRO_CORE environment variable); the "
+        "report names the core that actually ran",
     )
     bench.add_argument(
         "--bench-file",

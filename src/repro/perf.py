@@ -67,6 +67,8 @@ class PerfResult:
     num_flows: int
     completed_flows: int
     delivered_bytes: int
+    core_used: str = ""
+    """Which core ran; printed, but kept out of BENCH_engine.json."""
 
     @property
     def key(self) -> str:
@@ -74,7 +76,11 @@ class PerfResult:
         return f"{self.scenario}/t{self.num_tors}p{self.ports_per_tor}"
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "core_used"
+        }
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,7 @@ def run_scenario(
         num_flows=summary.num_flows,
         completed_flows=summary.num_completed,
         delivered_bytes=sim.tracker.delivered_bytes,
+        core_used=sim.core_used,
     )
 
 
@@ -319,8 +326,8 @@ def format_results(
 ) -> str:
     """Fixed-width report of a suite run, with vs-baseline speedups."""
     header = (
-        f"{'scenario':<10} {'fabric':<9} {'epochs':>8} {'stepped':>8} "
-        f"{'wall s':>8} {'epochs/s':>10} {'speedup':>8}"
+        f"{'scenario':<10} {'fabric':<9} {'core':<10} {'epochs':>8} "
+        f"{'stepped':>8} {'wall s':>8} {'epochs/s':>10} {'speedup':>8}"
     )
     lines = [header, "-" * len(header)]
     for result in results:
@@ -330,7 +337,7 @@ def format_results(
         )
         lines.append(
             f"{result.scenario:<10} {result.num_tors:>3}x{result.ports_per_tor:<5} "
-            f"{result.epochs:>8} {result.stepped_epochs:>8} "
+            f"{result.core_used:<10} {result.epochs:>8} {result.stepped_epochs:>8} "
             f"{result.wall_s:>8.3f} {result.epochs_per_sec:>10.0f} {speedup:>8}"
         )
     return "\n".join(lines)

@@ -76,6 +76,8 @@ class ScaleBenchResult:
     mice_fct_p99_ns: float | None
     mice_fct_mean_ns: float | None
     engine: str = "negotiator"
+    core_used: str = ""
+    """Which core ran; printed, but kept out of BENCH_scale.json."""
 
     @property
     def key(self) -> str:
@@ -97,7 +99,11 @@ class ScaleBenchResult:
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "core_used"
+        }
 
 
 def run_scale_bench(
@@ -193,6 +199,7 @@ def run_scale_bench(
         mice_fct_p99_ns=summary.mice_fct_p99_ns,
         mice_fct_mean_ns=summary.mice_fct_mean_ns,
         engine=engine,
+        core_used=sim.core_used,
     )
 
 
@@ -200,7 +207,7 @@ def format_result(result: ScaleBenchResult) -> str:
     """Human-readable report of one scale run."""
     residency = result.peak_live_flows / result.num_flows
     lines = [
-        f"streaming scale bench: {result.key}",
+        f"streaming scale bench: {result.key} ({result.core_used} core)",
         f"  flows      : {result.num_flows:,} x {result.flow_bytes} B "
         f"at load {result.load:g} "
         f"({'completed' if result.completed else 'TIME CAP HIT'})",

@@ -31,7 +31,10 @@ MICE_THRESHOLD_BYTES = 10 * KB
 """Flows strictly smaller than this are mice flows (paper, section 4.1)."""
 
 CORE_ENV_VAR = "REPRO_CORE"
-"""Environment override for :attr:`SimConfig.core` (scalar | vectorized)."""
+"""Environment override for :attr:`SimConfig.core` (auto | scalar | vectorized)."""
+
+CORES = ("auto", "scalar", "vectorized")
+"""Accepted values of :attr:`SimConfig.core` and ``REPRO_CORE``."""
 
 
 def transmit_ns(num_bytes: float, rate_gbps: float) -> float:
@@ -315,10 +318,13 @@ class SimConfig:
 
     ``core`` selects the engine implementation: ``"scalar"`` is the
     reference per-object core, ``"vectorized"`` the batched-numpy core
-    (DESIGN.md section 15).  Both produce bit-identical fixed-seed results;
-    the scalar core is retained as the differential-testing oracle.  The
-    ``REPRO_CORE`` environment variable overrides this field at simulator
-    construction (it reaches forked sweep workers, like ``REPRO_SCALE``).
+    (DESIGN.md section 15), and the default ``"auto"`` picks one per run
+    from the fabric size and the workload's arrival density (see
+    :func:`repro.sim.factory.resolve_core`).  All produce bit-identical
+    fixed-seed results; the scalar core is retained as the
+    differential-testing oracle.  The ``REPRO_CORE`` environment variable
+    overrides this field at simulator construction (it reaches forked
+    sweep workers, like ``REPRO_SCALE``).
     """
 
     num_tors: int = 128
@@ -333,12 +339,13 @@ class SimConfig:
     receiver_buffer_bytes: int | None = None
     idle_fast_forward: bool = True
     seed: int = 0
-    core: str = "scalar"
+    core: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.core not in ("scalar", "vectorized"):
+        if self.core not in CORES:
             raise ValueError(
-                f"core must be 'scalar' or 'vectorized', got {self.core!r}"
+                f"core must be one of {', '.join(map(repr, CORES))}, "
+                f"got {self.core!r}"
             )
         if self.num_tors < 2:
             raise ValueError("need at least two ToRs")
@@ -367,17 +374,19 @@ class SimConfig:
 
     @property
     def resolved_core(self) -> str:
-        """The engine core to construct, honoring the ``REPRO_CORE`` override.
+        """The requested core, honoring the ``REPRO_CORE`` override.
 
         Environment beats config so one variable switches a whole sweep
         (including forked workers) without touching every spec; an unknown
         value raises here rather than silently running the wrong core.
+        ``"auto"`` is returned as is: the engine factory settles it per
+        run (:func:`repro.sim.factory.resolve_core`).
         """
         core = os.environ.get(CORE_ENV_VAR) or self.core
-        if core not in ("scalar", "vectorized"):
+        if core not in CORES:
             raise ValueError(
                 f"{CORE_ENV_VAR}={core!r} is not a valid core "
-                "(choose 'scalar' or 'vectorized')"
+                f"(choose {', '.join(map(repr, CORES))})"
             )
         return core
 

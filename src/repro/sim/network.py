@@ -130,17 +130,11 @@ class NegotiaToRSimulator:
             self.tracker.register_all(self._source.flows)
 
         n = config.num_tors
-        self._queues: list[list[PiasDestQueue | None]] = [
-            [
-                PiasDestQueue(
-                    config.pias_thresholds, config.priority_queue_enabled
-                )
-                if dst != src
-                else None
-                for dst in range(n)
-            ]
-            for src in range(n)
-        ]
+        # Per-(src, dst) PIAS queues, created on a pair's first enqueue
+        # (:meth:`_queue_for`), so a sparse workload never pays for the
+        # n^2 - n pair space.  They are kept once created: the stateful
+        # variant reads each queue's monotonic enqueue counter.
+        self._queues: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._active_pairs: set[tuple[int, int]] = set()
         # Incremental accounting (DESIGN.md section 6): total backlog and the
         # set of pairs above the REQUEST threshold are updated at every
@@ -196,10 +190,19 @@ class NegotiaToRSimulator:
 
     def queue(self, src: int, dst: int) -> PiasDestQueue:
         """The per-destination queue of an ordered pair (for inspection)."""
-        q = self._queues[src][dst]
-        if q is None:
+        if src == dst:
             raise ValueError("no queue from a ToR to itself")
-        return q
+        return self._queue_for(src, dst)
+
+    def _queue_for(self, src: int, dst: int) -> PiasDestQueue:
+        """The pair's queue, created empty on first use."""
+        row = self._queues[src]
+        queue = row.get(dst)
+        if queue is None:
+            queue = row[dst] = PiasDestQueue(
+                self.config.pias_thresholds, self.config.priority_queue_enabled
+            )
+        return queue
 
     @property
     def total_queued_bytes(self) -> int:
@@ -460,7 +463,7 @@ class NegotiaToRSimulator:
             flow = source.pop()
             if register is not None:
                 register(flow)
-            queue = self._queues[flow.src][flow.dst]
+            queue = self._queue_for(flow.src, flow.dst)
             queue.enqueue_flow(flow)
             pair = (flow.src, flow.dst)
             self._active_pairs.add(pair)
@@ -712,7 +715,7 @@ class NegotiaToRSimulator:
             busy_tx.add((src, port))
             busy_rx.add((intermediate, port))
             queue = self._queues[src][dst]
-            relay_queue = self._queues[intermediate][dst]
+            relay_queue = self._queue_for(intermediate, dst)
             slots = min(
                 timing.scheduled_slots,
                 max(1, max_bytes // payload),

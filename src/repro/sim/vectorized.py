@@ -1,19 +1,23 @@
 """The vectorized NegotiaToR epoch engine (DESIGN.md section 15).
 
-A drop-in core for the common configuration — parallel network, base
-scheduler, no per-epoch recorders — that holds all per-(src, dst) queue
-state in batched numpy arrays and replaces the scalar engine's
-pair-at-a-time Python loops with whole-fabric array operations:
+A drop-in core for the common configuration — parallel network or
+thin-clos, base scheduler, no per-epoch recorders — that holds all
+per-(src, dst) queue state in batched numpy arrays and replaces the
+scalar engine's pair-at-a-time Python loops with whole-fabric array
+operations:
 
 * **Columnar queues** — each priority band keeps its *head* segment in
   three flat arrays (``bytes``, ``eligible_ns``, ``flow index``) indexed
   by ``band * n^2 + src * n + dst``; further segments wait in per-slot
   deques that exist only while a band holds two or more segments.
 * **Vectorized GRANT/ACCEPT** — round-robin ring pointers live in integer
-  arrays, candidate priority is the clockwise rank ``(index - pointer)
-  mod (n - 1)``, and one ``argsort`` per epoch reproduces every
-  destination's ``RoundRobinRing.deal`` while a ``minimum.at`` scatter
-  reproduces every source's ACCEPT pick.
+  arrays, candidate priority is the clockwise rank ``(position -
+  pointer) mod ring_length`` read from per-(tor, port) ring tables.  On
+  the parallel network one ``argsort`` per epoch reproduces every
+  destination's shared-ring ``RoundRobinRing.deal``; on thin-clos a
+  ``minimum.at`` scatter keyed by (dst, data port) reproduces every
+  per-port GRANT ring, and the same scatter keyed by (src, port)
+  reproduces every source's ACCEPT pick on both fabrics.
 * **Active sets** — every phase touches only the pairs with pending work
   (``numpy.flatnonzero`` over the pending-byte vector), so an epoch's
   cost scales with traffic, not with the n^2 pair space.
@@ -21,11 +25,12 @@ pair-at-a-time Python loops with whole-fabric array operations:
 The scalar :class:`~repro.sim.network.NegotiaToRSimulator` remains the
 differential-testing oracle: for any fixed seed this engine produces
 bit-identical per-flow completion times and materialized summaries (the
-golden suites and the hypothesis fuzz harness pin this).  Epochs with
-actual or detected link failures fall back to exact Python mirrors of
-the scalar GRANT/ACCEPT paths — correctness over speed on the rare
-failure epochs.  See DESIGN.md section 15 for the state layout and the
-equivalence argument.
+golden suites and the hypothesis fuzz harness pin this).  Parallel-network
+epochs with detected link failures fall back to an exact Python mirror of
+the scalar GRANT path — correctness over speed on the rare failure
+epochs; thin-clos GRANT only masks excluded ports out of its scatter.
+See DESIGN.md section 15 for the state layout and the equivalence
+argument.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import numpy as np
 
 from ..core.matching import Match
 from ..topology.parallel import ParallelNetwork
+from ..topology.thinclos import ThinClos
 from .config import EpochTiming, SimConfig
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow, FlowTracker
@@ -54,23 +60,24 @@ class VectorizedNegotiaToRSimulator:
 
     Construct through :func:`repro.sim.factory.make_negotiator` — the
     factory verifies the configuration is in this core's supported
-    envelope (parallel topology, base scheduler, no recorders or
-    receiver buffers) and falls back to the scalar engine otherwise.
+    envelope (parallel network or thin-clos, base scheduler, no recorders
+    or receiver buffers) and falls back to the scalar engine otherwise.
     """
 
     def __init__(
         self,
         config: SimConfig,
-        topology: ParallelNetwork,
+        topology: ParallelNetwork | ThinClos,
         flows: Iterable[Flow],
         failure_model: LinkFailureModel | None = None,
         failure_plan: FailurePlan | None = None,
         stream: bool = False,
         tracer=None,
     ) -> None:
-        if not isinstance(topology, ParallelNetwork):
+        if not isinstance(topology, (ParallelNetwork, ThinClos)):
             raise ValueError(
-                "the vectorized core only supports the parallel network"
+                "the vectorized core only supports the parallel network "
+                "and thin-clos"
             )
         if topology.num_tors != config.num_tors:
             raise ValueError("topology and config disagree on num_tors")
@@ -92,7 +99,10 @@ class VectorizedNegotiaToRSimulator:
         self._ports = ports
         self._m = n - 1
         self._n2 = n * n
-        self._rotate = topology.rotates_per_epoch
+        # The parallel network's destinations share one GRANT ring across
+        # their ports (Fig 3b); thin-clos keeps one per (dst, port) (Fig 3c).
+        self._shared_grant = isinstance(topology, ParallelNetwork)
+        self._rotate = self._shared_grant and topology.rotates_per_epoch
 
         # Per-slot predefined-phase offsets, as arrays for fancy indexing.
         # Times are computed with the scalar engine's exact operand
@@ -113,27 +123,54 @@ class VectorizedNegotiaToRSimulator:
             dtype=np.float64,
         )
 
-        # Ring-pointer replication: the scalar engine seeds Random(seed)
-        # and the matcher draws one randrange(n-1) per ring in a fixed
-        # order — grant rings for ToR 0..n-1, then accept rings in
-        # (tor, port) order.  Drawing in the same order lands the same
-        # pointers without building any ring objects.
-        rng = random.Random(config.seed)
-        self._gptr = np.array(
-            [rng.randrange(self._m) for _ in range(n)], dtype=np.int64
-        )
-        self._aptr = np.array(
-            [rng.randrange(self._m) for _ in range(n * ports)],
-            dtype=np.int64,
-        )
-        # IDX[t, x]: position of ToR x in ToR t's ring (all ToRs except t,
-        # ascending) — x minus one when x > t.  The diagonal is junk and
-        # always masked out.
+        # Ring tables.  Every ring of ToR t lists one W-ToR group (W =
+        # awgr_ports; the parallel network is a single group of n) in
+        # ascending id order, skipping t itself, so a member's position
+        # depends only on (t, member) and a ring's length only on whether
+        # its port reaches t's own group.  POS[t, x] is x's position in
+        # whichever ring of t holds it (the diagonal is junk and always
+        # masked out); RLEN[t * ports + p] is the length of t's port-p
+        # ring, GRANT and ACCEPT alike.
         ar = np.arange(n, dtype=np.int64)
-        self._idx = ar[None, :] - (ar[None, :] > ar[:, None])
-        # off[pid] = (dst - src) mod n, the pair's predefined-phase offset.
-        self._off = (ar[None, :] - ar[:, None]) % n
-        self._off = self._off.reshape(-1)
+        width = topology.awgr_ports
+        own_group = np.arange(ports) % (n // width) == 0
+        same_group = ar[:, None] // width == ar[None, :] // width
+        self._pos = ar[None, :] % width - (
+            same_group & (ar[None, :] > ar[:, None])
+        )
+        self._rlen = np.tile(width - own_group.astype(np.int64), n)
+
+        # Ring-pointer replication: the scalar engine seeds Random(seed)
+        # and the matcher draws one randrange(len) per ring in a fixed
+        # order — grant rings (per ToR on the parallel network, per
+        # (tor, port) on thin-clos), then accept rings in (tor, port)
+        # order.  Drawing in the same order lands the same pointers
+        # without building any ring objects.
+        rng = random.Random(config.seed)
+        rlen = self._rlen.tolist()
+        grant_lens = rlen[::ports] if self._shared_grant else rlen
+        self._gptr = np.array(
+            [rng.randrange(k) for k in grant_lens], dtype=np.int64
+        )
+        self._aptr = np.array([rng.randrange(k) for k in rlen], dtype=np.int64)
+
+        # Predefined (slot, port) of each flat pair id.  The parallel
+        # schedule rotates every epoch, so it is derived from the pair's
+        # offset (dst - src) mod n per epoch; thin-clos meets every pair at
+        # one fixed (slot, port) — its data port — read once from the
+        # topology's per-pair table.
+        self._off = self._pair_slot = self._pair_port = None
+        if self._shared_grant:
+            self._off = ((ar[None, :] - ar[:, None]) % n).reshape(-1)
+        else:
+            assign = topology.assignment_for_epoch(0)
+            table = [
+                assign(src, dst) if src != dst else (0, 0)
+                for src in range(n)
+                for dst in range(n)
+            ]
+            self._pair_slot = np.array([s for s, _ in table], dtype=np.int64)
+            self._pair_port = np.array([p for _, p in table], dtype=np.int64)
 
         self.failures = failure_model or LinkFailureModel(n, ports)
         self._failure_events = (
@@ -318,49 +355,47 @@ class VectorizedNegotiaToRSimulator:
         self.failures.tick_epoch()
         self._inject_arrivals(start_ns)
 
-        rot = epoch % self._m if self._rotate else 0
+        n = self._n
+        ports = self._ports
         any_failed = self.failures.any_failed
-        any_detected = self.failures.any_detected
-        eg_act = in_act = None
+        eg_act = in_act = detected = None
         if any_failed:
             eg_act, in_act = self._link_masks(self.failures.failed_link_keys)
+        if self.failures.any_detected:
+            detected = self._link_masks(self.failures.detected_link_keys)
 
         # REQUEST: binary demand above the piggyback threshold.
         req_pairs = np.flatnonzero(self._pend > self._threshold)
         num_requests = len(req_pairs)
         if any_failed and num_requests:
-            srcs = req_pairs // self._n
-            dsts = req_pairs % self._n
-            port = ((self._off[req_pairs] - 1 - rot) % self._m) % self._ports
+            _slot, port = self._predefined(req_pairs, epoch)
             ok = (
-                eg_act[srcs * self._ports + port]
-                & in_act[dsts * self._ports + port]
+                eg_act[(req_pairs // n) * ports + port]
+                & in_act[(req_pairs % n) * ports + port]
             )
             del_pairs = req_pairs[ok]
         else:
             del_pairs = req_pairs
-        ag_new = np.zeros((self._n, self._n), dtype=bool)
-        ag_new[del_pairs % self._n, del_pairs // self._n] = True
+        ag_new = np.zeros((n, n), dtype=bool)
+        ag_new[del_pairs % n, del_pairs // n] = True
 
         # GRANT over last epoch's delivered requests.
-        if any_detected:
-            g_src, g_dst, g_port, num_grants = self._grant_fallback()
+        if not self._shared_grant:
+            g_src, g_dst, g_port, num_grants = self._grant_per_port(detected)
+        elif detected is not None:
+            g_src, g_dst, g_port, num_grants = self._grant_fallback(detected)
         else:
             g_src, g_dst, g_port, num_grants = self._grant_vector()
 
         # Grants ride this epoch's predefined phase in the reverse
         # direction (dst -> src); lost when that link is actually down.
         if any_failed and len(g_src):
-            moff = (g_src - g_dst) % self._n
-            mport = ((moff - 1 - rot) % self._m) % self._ports
-            keep = (
-                eg_act[g_dst * self._ports + mport]
-                & in_act[g_src * self._ports + mport]
-            )
+            _slot, mport = self._predefined(g_dst * n + g_src, epoch)
+            keep = eg_act[g_dst * ports + mport] & in_act[g_src * ports + mport]
             g_src, g_dst, g_port = g_src[keep], g_dst[keep], g_port[keep]
 
         # ACCEPT over last epoch's surviving grants.
-        m_src, m_port, m_dst = self._accept_vector(any_detected)
+        m_src, m_port, m_dst = self._accept_vector(detected)
 
         grants_answered = self._grants_issued_last_epoch
         self._ag = ag_new
@@ -382,7 +417,7 @@ class VectorizedNegotiaToRSimulator:
             tracer.count("matches", len(m_src))
 
         if self.timing.piggyback_enabled:
-            self._run_piggyback(start_ns, rot, eg_act, in_act)
+            self._run_piggyback(start_ns, epoch, eg_act, in_act)
             if tracer is not None:
                 now = perf_counter()
                 tracer.add_span("piggyback", now - t_phase)
@@ -433,6 +468,14 @@ class VectorizedNegotiaToRSimulator:
             else:
                 eg[key >> 1] = False
         return eg, ing
+
+    def _predefined(self, pids: np.ndarray, epoch: int):
+        """(slot, port) arrays of each flat pair id's predefined meeting."""
+        if self._pair_slot is not None:
+            return self._pair_slot[pids], self._pair_port[pids]
+        rot = epoch % self._m if self._rotate else 0
+        index = (self._off[pids] - 1 - rot) % self._m
+        return index // self._ports, index % self._ports
 
     # ------------------------------------------------------------------
     # arrivals and flow storage
@@ -531,7 +574,8 @@ class VectorizedNegotiaToRSimulator:
     # ------------------------------------------------------------------
 
     def _grant_vector(self):
-        """All destinations' ``RoundRobinRing.deal`` in one argsort."""
+        """All destinations' ``RoundRobinRing.deal`` in one argsort
+        (parallel network: one shared ring of length n - 1 per dst)."""
         counts = self._ag.sum(axis=1)
         dact = np.flatnonzero(counts)
         ports = self._ports
@@ -539,25 +583,58 @@ class VectorizedNegotiaToRSimulator:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, 0
         m = self._m
-        rank = (self._idx[dact] - self._gptr[dact, None]) % m
+        rank = (self._pos[dact] - self._gptr[dact, None]) % m
         rank = np.where(self._ag[dact], rank, m)
         order = np.argsort(rank, axis=1, kind="stable")
         k = counts[dact]
         cols = np.arange(ports, dtype=np.int64)[None, :] % k[:, None]
         picks = np.take_along_axis(order, cols, axis=1)
-        self._gptr[dact] = (self._idx[dact, picks[:, ports - 1]] + 1) % m
+        self._gptr[dact] = (self._pos[dact, picks[:, ports - 1]] + 1) % m
         g_dst = np.repeat(dact, ports)
         g_src = picks.reshape(-1)
         g_port = np.tile(np.arange(ports, dtype=np.int64), len(dact))
         return g_src, g_dst, g_port, len(dact) * ports
 
-    def _grant_fallback(self):
-        """Exact scalar GRANT mirror for epochs with detected failures."""
+    def _grant_per_port(self, detected):
+        """Thin-clos GRANT: every (dst, port) ring's pick in one min-rank
+        scatter, the same shape as :meth:`_accept_vector`.
+
+        A request (src, dst) lands in exactly one ring — dst's ring for
+        the pair's data port — so the ring's ``pick`` over all of dst's
+        requests is the minimum clockwise rank within that (dst, port)
+        group.  On detected-failure epochs ``detected`` holds the
+        (egress, ingress) masks and requests on an excluded port are
+        dropped before the scatter, mirroring ``_grant_thinclos``.
+        """
+        n = self._n
+        ports = self._ports
+        dsts, srcs = np.nonzero(self._ag)
+        port = self._pair_port[srcs * n + dsts]
+        if detected is not None:
+            det_eg, det_in = detected
+            ok = det_in[dsts * ports + port] & det_eg[srcs * ports + port]
+            dsts, srcs, port = dsts[ok], srcs[ok], port[ok]
+        if not len(dsts):
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty, 0
+        key = dsts * ports + port
+        pos = self._pos[dsts, srcs]
+        rank = (pos - self._gptr[key]) % self._rlen[key]
+        best = np.full(n * ports, n, dtype=np.int64)
+        np.minimum.at(best, key, rank)
+        win = rank == best[key]
+        wkey = key[win]
+        self._gptr[wkey] = (pos[win] + 1) % self._rlen[wkey]
+        return srcs[win], dsts[win], port[win], len(wkey)
+
+    def _grant_fallback(self, detected):
+        """Exact scalar GRANT mirror for parallel-network epochs with
+        detected failures."""
         ports = self._ports
         m = self._m
-        idx = self._idx
+        pos = self._pos
         gptr = self._gptr
-        det_eg, det_in = self._link_masks(self.failures.detected_link_keys)
+        det_eg, det_in = detected
         out_src: list[int] = []
         out_dst: list[int] = []
         out_port: list[int] = []
@@ -570,7 +647,7 @@ class VectorizedNegotiaToRSimulator:
             ]
             if not usable_ports:
                 continue
-            row = idx[dst]
+            row = pos[dst]
             if all(
                 det_eg[s * ports + p] for s in cand for p in usable_ports
             ):
@@ -610,7 +687,7 @@ class VectorizedNegotiaToRSimulator:
             num_grants,
         )
 
-    def _accept_vector(self, any_detected: bool):
+    def _accept_vector(self, detected):
         """All sources' per-port ACCEPT picks via one min-rank scatter.
 
         Every grant row of a (src, port) group shares the group's
@@ -624,11 +701,8 @@ class VectorizedNegotiaToRSimulator:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty
         ports = self._ports
-        if any_detected:
-            det_eg, _det_in = self._link_masks(
-                self.failures.detected_link_keys
-            )
-            keep = det_eg[ga_src * ports + ga_port]
+        if detected is not None:
+            keep = detected[0][ga_src * ports + ga_port]
             ga_src, ga_dst, ga_port = (
                 ga_src[keep],
                 ga_dst[keep],
@@ -637,14 +711,15 @@ class VectorizedNegotiaToRSimulator:
             if not len(ga_src):
                 empty = np.zeros(0, dtype=np.int64)
                 return empty, empty, empty
-        m = self._m
         key = ga_src * ports + ga_port
-        rank = (self._idx[ga_src, ga_dst] - self._aptr[key]) % m
-        best = np.full(self._n * ports, m, dtype=np.int64)
+        pos = self._pos[ga_src, ga_dst]
+        rank = (pos - self._aptr[key]) % self._rlen[key]
+        best = np.full(self._n * ports, self._n, dtype=np.int64)
         np.minimum.at(best, key, rank)
         win = rank == best[key]
         m_src, m_port, m_dst = ga_src[win], ga_port[win], ga_dst[win]
-        self._aptr[key[win]] = (self._idx[m_src, m_dst] + 1) % m
+        wkey = key[win]
+        self._aptr[wkey] = (pos[win] + 1) % self._rlen[wkey]
         order = np.argsort(m_src * ports + m_port)
         return m_src[order], m_port[order], m_dst[order]
 
@@ -652,16 +727,14 @@ class VectorizedNegotiaToRSimulator:
     # predefined (piggyback) phase
     # ------------------------------------------------------------------
 
-    def _run_piggyback(self, start_ns, rot, eg_act, in_act) -> None:
+    def _run_piggyback(self, start_ns, epoch, eg_act, in_act) -> None:
         act = np.flatnonzero(self._pend)
         if not len(act):
             return
         n = self._n
         ports = self._ports
-        index = (self._off[act] - 1 - rot) % self._m
-        slot = index // ports
+        slot, port = self._predefined(act, epoch)
         if eg_act is not None:
-            port = index % ports
             ok = (
                 eg_act[(act // n) * ports + port]
                 & in_act[(act % n) * ports + port]

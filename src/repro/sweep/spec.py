@@ -280,8 +280,25 @@ class RunSpec:
 
     @property
     def content_hash(self) -> str:
-        """Stable SHA-256 hex digest of the canonical JSON form."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """Stable SHA-256 hex digest of the canonical JSON form.
+
+        Memoized per instance: a spec is frozen, and one sweep asks for
+        its hash many times (store lookups, dispatch, telemetry).  The
+        memo is a plain instance attribute — not a dataclass field — so
+        it never reaches ``__eq__``, ``to_dict`` or the canonical JSON;
+        :meth:`__getstate__` keeps it out of pickles, and ``replace()``
+        builds a new instance that hashes afresh.
+        """
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_content_hash", None)
+        return state
 
     @property
     def short_hash(self) -> str:

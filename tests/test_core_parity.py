@@ -5,7 +5,10 @@ performance switch — on a fixed seed the vectorized core produces
 bit-identical results to the scalar reference engine.  These tests
 enforce that promise with hypothesis-generated traces pushed through
 both cores of all three engines (negotiator, oblivious, rotor), with and
-without link failures, in materialized and streaming tracker modes.
+without link failures, in materialized and streaming tracker modes — the
+negotiator on both the parallel network and thin-clos.  The default
+``core="auto"`` is covered too: it must pick a core from observable
+inputs only and never warn.
 
 There are no exceptions: streaming-mode FCT accumulators fold each
 step's completions in canonical (completed_ns, fid) order (see
@@ -44,6 +47,15 @@ def _config(seed: int, core: str, *, fast_forward: bool = True) -> SimConfig:
         core=core,
         idle_fast_forward=fast_forward,
     )
+
+
+def _topology(fabric: str):
+    if fabric == "thinclos":
+        return ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
+    return ParallelNetwork(NUM_TORS, PORTS)
+
+
+fabrics = st.sampled_from(["parallel", "thinclos"])
 
 
 def _flows(draw_pairs: list[tuple[int, int, int, int]]) -> list[Flow]:
@@ -87,10 +99,15 @@ def _assert_summaries_identical(scalar_sim, vector_sim, *, stream: bool):
 
 
 class TestNegotiatorParity:
-    @given(pairs=flow_tuples, seed=st.integers(0, 2**16), ff=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_materialized_bit_identical(self, pairs, seed, ff):
-        topo = ParallelNetwork(NUM_TORS, PORTS)
+    @given(
+        pairs=flow_tuples,
+        seed=st.integers(0, 2**16),
+        ff=st.booleans(),
+        fabric=fabrics,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_materialized_bit_identical(self, pairs, seed, ff, fabric):
+        topo = _topology(fabric)
         s = NegotiaToRSimulator(
             _config(seed, "scalar", fast_forward=ff), topo, _flows(pairs)
         )
@@ -106,10 +123,13 @@ class TestNegotiatorParity:
         seed=st.integers(0, 2**16),
         ratio=st.sampled_from([0.1, 0.25]),
         repair=st.booleans(),
+        fabric=fabrics,
     )
-    @settings(max_examples=25, deadline=None)
-    def test_link_failures_bit_identical(self, pairs, seed, ratio, repair):
-        topo = ParallelNetwork(NUM_TORS, PORTS)
+    @settings(max_examples=40, deadline=None)
+    def test_link_failures_bit_identical(
+        self, pairs, seed, ratio, repair, fabric
+    ):
+        topo = _topology(fabric)
         plan, _ = random_failure_plan(
             NUM_TORS,
             PORTS,
@@ -135,10 +155,10 @@ class TestNegotiatorParity:
         v.run(2e6)
         _assert_summaries_identical(s, v, stream=False)
 
-    @given(pairs=flow_tuples, seed=st.integers(0, 2**16))
-    @settings(max_examples=25, deadline=None)
-    def test_streaming_bit_identical(self, pairs, seed):
-        topo = ParallelNetwork(NUM_TORS, PORTS)
+    @given(pairs=flow_tuples, seed=st.integers(0, 2**16), fabric=fabrics)
+    @settings(max_examples=40, deadline=None)
+    def test_streaming_bit_identical(self, pairs, seed, fabric):
+        topo = _topology(fabric)
         s = NegotiaToRSimulator(
             _config(seed, "scalar"), topo, iter(_flows(pairs)), stream=True
         )
@@ -148,6 +168,39 @@ class TestNegotiatorParity:
         assert s.run_until_complete(max_ns=1e12)
         assert v.run_until_complete(max_ns=1e12)
         _assert_summaries_identical(s, v, stream=True)
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_thinclos_detected_failure_epochs_bit_identical(self, repair):
+        """Thin-clos GRANT/ACCEPT on epochs with detected failures: a
+        steady backlog keeps every ring busy while links are excluded
+        (and, with repair, while they rejoin)."""
+        rng = random.Random(5)
+        pairs = [
+            (rng.randrange(NUM_TORS), rng.randrange(NUM_TORS - 1),
+             rng.randrange(5_000, 60_000), rng.randrange(0, 4_000))
+            for _ in range(120)
+        ]
+        topo = _topology("thinclos")
+        plan, _ = random_failure_plan(
+            NUM_TORS, PORTS, 0.25, 20_000.0,
+            150_000.0 if repair else None, random.Random(3),
+        )
+        sims = []
+        for cls, core in (
+            (NegotiaToRSimulator, "scalar"),
+            (VectorizedNegotiaToRSimulator, "vectorized"),
+        ):
+            sim = cls(
+                _config(9, core), topo, _flows(pairs),
+                failure_plan=FailurePlan(list(plan.events)),
+            )
+            detected_epochs = 0
+            while sim.now_ns < 400_000.0:
+                sim.step_epoch()
+                detected_epochs += sim.failures.any_detected
+            assert detected_epochs > 0
+            sims.append(sim)
+        _assert_summaries_identical(*sims, stream=False)
 
     def test_tracer_window_counters_sum_identically(self):
         from repro.telemetry import EngineTracer, MemorySink
@@ -238,8 +291,10 @@ class TestFactoryDispatch:
         assert isinstance(sim, VectorizedNegotiaToRSimulator)
 
     def test_scalar_core_selected_by_default(self, monkeypatch):
+        """The default core is "auto", which keeps small fabrics scalar."""
         monkeypatch.delenv("REPRO_CORE", raising=False)
-        config = _config(0, "scalar")
+        config = SimConfig(num_tors=NUM_TORS, ports_per_tor=PORTS)
+        assert config.core == "auto"
         topo = ParallelNetwork(NUM_TORS, PORTS)
         sim = make_negotiator(config, topo, [Flow(0, 0, 1, 100, 0.0)])
         assert isinstance(sim, NegotiaToRSimulator)
@@ -252,10 +307,11 @@ class TestFactoryDispatch:
         sim = make_negotiator(config, topo, [Flow(0, 0, 1, 100, 0.0)])
         assert isinstance(sim, VectorizedNegotiaToRSimulator)
 
-    def test_fallback_outside_envelope_warns_loudly(self):
+    def test_fallback_outside_envelope_warns_loudly(self, monkeypatch):
         """Explicitly requested vectorized on an ineligible config must not
         silently run the scalar engine: a RuntimeWarning names the failed
         envelope condition, and the fallback itself still happens."""
+        monkeypatch.delenv("REPRO_CORE", raising=False)
         topo = ParallelNetwork(NUM_TORS, PORTS)
         config = _config(0, "vectorized")
         buffered = replace(config, receiver_buffer_bytes=10_000)
@@ -264,33 +320,42 @@ class TestFactoryDispatch:
             sim = make_negotiator(buffered, topo, [Flow(0, 0, 1, 100, 0.0)])
         assert isinstance(sim, NegotiaToRSimulator)
         assert sim.core_used == "scalar"
-        assert not vectorized_core_eligible(
+        assert vectorized_core_eligible(
             config, ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
         )
         assert not vectorized_core_eligible(
             config, topo, record_pair_bandwidth=True
         )
 
-    def test_fallback_warning_names_first_failed_condition(self):
+    def test_fallback_warning_names_first_failed_condition(self, monkeypatch):
         from repro.sim.factory import vectorized_core_ineligibility
+        from repro.sim.metrics import MatchRatioRecorder
+
+        monkeypatch.delenv("REPRO_CORE", raising=False)
 
         config = _config(0, "vectorized")
         thin = ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
-        with pytest.warns(RuntimeWarning, match="not the parallel network"):
-            make_negotiator(config, thin, [Flow(0, 0, 1, 100, 0.0)])
-        assert vectorized_core_ineligibility(config, thin) is not None
+        with pytest.warns(RuntimeWarning, match="match-ratio recorder"):
+            make_negotiator(
+                config, thin, [Flow(0, 0, 1, 100, 0.0)],
+                match_recorder=MatchRatioRecorder(),
+            )
         assert (
             vectorized_core_ineligibility(
-                config, ParallelNetwork(NUM_TORS, PORTS)
+                config, thin, match_recorder=MatchRatioRecorder()
             )
-            is None
+            is not None
         )
+        for topo in (thin, ParallelNetwork(NUM_TORS, PORTS)):
+            assert vectorized_core_ineligibility(config, topo) is None
 
     def test_default_scalar_path_stays_silent(self, recwarn, monkeypatch):
-        """The implicit default (core='scalar') is not a fallback; no
+        """The implicit default (core='auto') is not a fallback; no
         warning may fire even on a config outside the vectorized envelope."""
         monkeypatch.delenv("REPRO_CORE", raising=False)
-        config = replace(_config(0, "scalar"), receiver_buffer_bytes=10_000)
+        config = SimConfig(
+            num_tors=NUM_TORS, ports_per_tor=PORTS, receiver_buffer_bytes=10_000
+        )
         topo = ParallelNetwork(NUM_TORS, PORTS)
         sim = make_negotiator(config, topo, [Flow(0, 0, 1, 100, 0.0)])
         assert isinstance(sim, NegotiaToRSimulator)
@@ -308,6 +373,132 @@ class TestFactoryDispatch:
         assert not [
             w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
         ]
+
+
+def _paper_flows(scenario: str, load: float, *, stream=False, **params):
+    """A paper-scale (128x8) workload built the way sweep specs build it."""
+    from repro.experiments import SCALES
+    from repro.sweep import scenarios
+
+    entry = scenarios.get(scenario)
+    resolved = entry.resolve_params(params)
+    build = entry.build_iter if stream else entry.build_list
+    return build(
+        SCALES["paper"], load, 20_000.0, random.Random(0), **resolved
+    )
+
+
+def _paper(fabric: str, **overrides):
+    from repro.experiments import SCALES
+    from repro.experiments.common import make_topology, sim_config
+
+    scale = SCALES["paper"]
+    return sim_config(scale, **overrides), make_topology(scale, fabric)
+
+
+class TestAutoCore:
+    """``core="auto"`` reads only envelope, num_tors and arrival density."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+
+    @pytest.mark.parametrize("fabric", ["parallel", "thinclos"])
+    def test_dense_paper_poisson_resolves_vectorized(self, fabric, recwarn):
+        config, topo = _paper(fabric)
+        assert config.core == "auto"
+        sim = make_negotiator(config, topo, _paper_flows("poisson", 0.9))
+        assert sim.core_used == "vectorized"
+        assert not [
+            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
+        ]
+
+    def test_sparse_stream_resolves_scalar_and_keeps_every_flow(self, recwarn):
+        """The streaming density probe peeks a bounded prefix and chains
+        it back: the engine still sees every flow, in order."""
+        from repro.sim.factory import AUTO_PREFIX_FLOWS, resolve_core
+
+        config, topo = _paper("parallel")
+        count = AUTO_PREFIX_FLOWS + 500
+        flows = _paper_flows(
+            "heavy-poisson", 0.005, stream=True,
+            trace="hadoop", num_flows=count,
+        )
+        core, chained = resolve_core(config, topo, flows, stream=True)
+        assert core == "scalar"
+        expected = _paper_flows(
+            "heavy-poisson", 0.005, stream=True,
+            trace="hadoop", num_flows=count,
+        )
+        assert [f.fid for f in chained] == [f.fid for f in expected]
+        sim = make_negotiator(
+            config, topo,
+            _paper_flows(
+                "heavy-poisson", 0.005, stream=True,
+                trace="hadoop", num_flows=count,
+            ),
+            stream=True,
+        )
+        assert sim.core_used == "scalar"
+        assert not [
+            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
+        ]
+
+    def test_micro_scale_resolves_scalar(self, recwarn):
+        from repro.sim.factory import resolve_core
+
+        config = SimConfig(num_tors=NUM_TORS, ports_per_tor=PORTS)
+        flows = [
+            Flow(i, s, d, 5_000, 0.0)
+            for i, (s, d) in enumerate(
+                (s, d) for s in range(NUM_TORS) for d in range(NUM_TORS)
+                if s != d
+            )
+        ]
+        for fabric in ("parallel", "thinclos"):
+            core, _ = resolve_core(config, _topology(fabric), flows)
+            assert core == "scalar"
+        assert not recwarn.list
+
+    def test_out_of_envelope_resolves_scalar_silently(self, recwarn):
+        config, topo = _paper("thinclos", receiver_buffer_bytes=100_000)
+        sim = make_negotiator(config, topo, _paper_flows("poisson", 0.9))
+        assert sim.core_used == "scalar"
+        assert not [
+            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
+        ]
+
+    def test_explicit_core_and_env_win(self, monkeypatch):
+        from repro.sim.factory import resolve_core
+
+        dense = _paper_flows("poisson", 0.9)
+        config, topo = _paper("thinclos", core="scalar")
+        assert resolve_core(config, topo, dense)[0] == "scalar"
+        sparse = [Flow(0, 0, 1, 100, 0.0)]
+        config, topo = _paper("thinclos", core="vectorized")
+        assert resolve_core(config, topo, sparse)[0] == "vectorized"
+        monkeypatch.setenv("REPRO_CORE", "scalar")
+        config, topo = _paper("parallel")
+        assert resolve_core(config, topo, dense)[0] == "scalar"
+        monkeypatch.setenv("REPRO_CORE", "auto")
+        config, topo = _paper("parallel", core="scalar")
+        assert resolve_core(config, topo, dense)[0] == "vectorized"
+
+    def test_vectorized_on_thinclos_no_longer_warns(self, recwarn):
+        config = _config(0, "vectorized")
+        thin = _topology("thinclos")
+        sim = make_negotiator(config, thin, [Flow(0, 0, 1, 100, 0.0)])
+        assert isinstance(sim, VectorizedNegotiaToRSimulator)
+        assert not [
+            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
+        ]
+
+    def test_bad_core_values_raise(self, monkeypatch):
+        with pytest.raises(ValueError, match="core must be one of"):
+            SimConfig(core="fast")
+        monkeypatch.setenv("REPRO_CORE", "fast")
+        with pytest.raises(ValueError, match="not a valid core"):
+            SimConfig().resolved_core
 
 
 class TestRunLoopControl:

@@ -64,6 +64,17 @@ class TestConstruction:
             sim.queue(3, 3)
         assert sim.queue(0, 1).is_empty  # not injected until first epoch
 
+    def test_queues_are_created_on_first_enqueue(self):
+        sim = make_sim([flow(src=2, dst=5, size=5_000)])
+        assert not any(sim._queues)
+        sim.step_epoch()
+        assert [sorted(row) for row in sim._queues] == [
+            [], [], [5], [], [], [], [], []
+        ]
+        queue = sim.queue(2, 5)
+        sim.step_epoch()
+        assert sim.queue(2, 5) is queue  # kept once created
+
 
 class TestPiggybackPath:
     """Mice data rides the predefined phase without any scheduling."""

@@ -109,6 +109,27 @@ class TestBenchFile:
 
 
 class TestBenchCli:
+    def test_auto_core_reports_the_core_that_ran(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """--core auto is accepted; the report names the core that ran,
+        while the bench file keeps its historical keys."""
+        monkeypatch.delenv("REPRO_CORE", raising=False)
+        bench_file = str(tmp_path / "BENCH.json")
+        code = main([
+            "bench",
+            "--scenario", "sparse",
+            "--fabric", "8x2",
+            "--core", "auto",
+            "--bench-file", bench_file,
+            "--update-baseline",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "core" in out and "scalar" in out
+        stored = BenchFile.load(bench_file).entries["sparse/t8p2"]["baseline"]
+        assert "core_used" not in stored
+
     def test_bench_command_runs_and_records(self, tmp_path, capsys):
         bench_file = str(tmp_path / "BENCH.json")
         code = main([

@@ -36,6 +36,16 @@ from repro.sweep import (
 SHORT_NS = 150_000.0
 
 
+def tiny_core() -> str:
+    """The core a tiny-scale negotiator spec runs on.
+
+    ``"auto"`` keeps fabrics below ``AUTO_MIN_TORS`` on the scalar core,
+    so only an explicit ``REPRO_CORE`` moves a tiny spec elsewhere.
+    """
+    core = SimConfig().resolved_core
+    return "scalar" if core == "auto" else core
+
+
 def tiny_spec(**overrides) -> RunSpec:
     base = dict(
         scale="tiny", load=0.25, seed=2024, duration_ns=SHORT_NS
@@ -68,6 +78,55 @@ def _hash_in_subprocess(spec_dict: dict) -> str:
 class TestSpecHash:
     def test_equal_specs_hash_equal(self):
         assert tiny_spec().content_hash == tiny_spec().content_hash
+
+    def test_hash_is_memoized_per_instance(self, monkeypatch):
+        spec = tiny_spec()
+        first = spec.content_hash
+        calls = []
+        monkeypatch.setattr(
+            RunSpec, "canonical_json",
+            lambda self: calls.append(self) or "changed",
+        )
+        assert spec.content_hash == first
+        assert not calls
+
+    def test_hash_stays_a_plain_property(self):
+        # Tracing hooks wrap ``property.fget``; a cached_property would
+        # bypass them.
+        assert isinstance(RunSpec.__dict__["content_hash"], property)
+
+    def test_memo_stays_out_of_equality(self):
+        hashed, fresh = tiny_spec(), tiny_spec()
+        hashed.content_hash
+        assert hashed == fresh
+        assert hash(hashed) == hash(fresh)
+
+    def test_memo_stays_out_of_serialized_forms(self):
+        spec = tiny_spec()
+        before = (spec.to_dict(), spec.canonical_json())
+        digest = spec.content_hash
+        assert (spec.to_dict(), spec.canonical_json()) == before
+        assert digest not in json.dumps(spec.to_dict())
+
+    def test_memo_stays_out_of_pickles(self):
+        import pickle
+
+        spec = tiny_spec()
+        digest = spec.content_hash
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_content_hash" not in clone.__dict__
+        assert clone == spec
+        assert clone.content_hash == digest
+
+    def test_replace_and_with_params_hash_afresh(self):
+        from dataclasses import replace
+
+        spec = tiny_spec()
+        spec.content_hash
+        for changed in (replace(spec, seed=7), spec.with_params(seed=7)):
+            assert "_content_hash" not in changed.__dict__
+            assert changed.content_hash == tiny_spec(seed=7).content_hash
+            assert changed.content_hash != spec.content_hash
 
     def test_any_field_change_changes_hash(self):
         base = tiny_spec()
@@ -304,7 +363,7 @@ class TestExecuteSpec:
 
         spec = tiny_spec()
         summary = execute_spec(spec).to_dict()
-        assert summary["extra"].pop("core_used") == SimConfig().resolved_core
+        assert summary["extra"].pop("core_used") == tiny_core()
         flows = workload_for(TINY, 0.25, duration_ns=SHORT_NS)
         reference = run_negotiator(
             TINY, "parallel", flows, duration_ns=SHORT_NS
@@ -453,7 +512,7 @@ class TestExecuteSpec:
         """Observability only: the executor surfaces which core ran in
         RunSummary.extra, never inside the engine's own summary()."""
         summary = execute_spec(tiny_spec())
-        assert summary.extra["core_used"] == SimConfig().resolved_core
+        assert summary.extra["core_used"] == tiny_core()
         adaptive = execute_spec(
             tiny_spec(system="adaptive", topology="thinclos")
         )
@@ -488,7 +547,7 @@ class TestExecuteSpec:
 
         spec = tiny_spec(epoch_params={"piggyback": False})
         summary = execute_spec(spec).to_dict()
-        assert summary["extra"].pop("core_used") == SimConfig().resolved_core
+        assert summary["extra"].pop("core_used") == tiny_core()
         slots = make_topology(TINY, "parallel").predefined_slots
         epoch = epoch_config_without_piggyback(EpochConfig(), 100.0, slots)
         flows = workload_for(TINY, 0.25, duration_ns=SHORT_NS)
@@ -561,7 +620,7 @@ class TestResultStore:
         newer.extra["marker"] = 1
         store.put(spec, newer)
         assert store.get(spec).extra == {
-            "core_used": SimConfig().resolved_core, "marker": 1
+            "core_used": tiny_core(), "marker": 1
         }
         assert store.compact() == 1
         assert len(store.rows()) == 1
