@@ -59,7 +59,6 @@ from time import perf_counter
 from ..topology.base import FlatTopology
 from .config import AdaptiveConfig, SimConfig, transmit_ns
 from .failures import FailurePlan, LinkFailureModel
-from .factory import resolve_core
 from .flows import Flow, FlowTracker
 from .metrics import BandwidthRecorder, RunSummary
 from .queues import PiasDestQueue
@@ -115,7 +114,6 @@ class AdaptiveSimulator:
         )
         self._next_failure_event = 0
 
-        core, flows = resolve_core(config, topology, flows, stream=stream)
         self._stream = stream
         if stream:
             self.tracker = FlowTracker(
@@ -143,7 +141,7 @@ class AdaptiveSimulator:
         self.bandwidth = bandwidth_recorder
         self._tracer = tracer
         self._slice = 0
-        self._vectorized = core == "vectorized"
+        self._vectorized = config.resolved_core == "vectorized"
         self._ff_enabled = self._vectorized and config.idle_fast_forward
         self._slices_fast_forwarded = 0
 

@@ -148,10 +148,11 @@ def resolve_core(
     vectorized core only when the configuration is eligible
     (``ineligible`` is None), the fabric has at least
     :data:`AUTO_MIN_TORS` ToRs, and :func:`arrival_density` reaches
-    :data:`AUTO_MIN_PAIRS_PER_TOR` pairs per epoch per ToR.  Returns the core and the flows to
-    hand the engine (see :func:`arrival_density` for why they may be a
-    new object).  The baselines call this for their internal switch with
-    their own envelope, which is every configuration.
+    :data:`AUTO_MIN_PAIRS_PER_TOR` pairs per epoch per ToR.  Returns the
+    core and the flows to hand the engine (see :func:`arrival_density`
+    for why they may be a new object).  The thresholds hold for the
+    NegotiaToR engine only; the baselines do not call this (their
+    measured crossover runs the other way, DESIGN.md section 15).
     """
     core = config.resolved_core
     if core != "auto":

@@ -35,7 +35,6 @@ from time import perf_counter
 
 from ..topology.base import FlatTopology
 from .config import SimConfig, transmit_ns
-from .factory import resolve_core
 from .flows import Flow, FlowTracker
 from .metrics import BandwidthRecorder, RunSummary
 from .queues import PiasDestQueue
@@ -76,7 +75,6 @@ class ObliviousSimulator:
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
 
-        core, flows = resolve_core(config, topology, flows, stream=stream)
         self._stream = stream
         if stream:
             self.tracker = FlowTracker(
@@ -109,7 +107,7 @@ class ObliviousSimulator:
         # are exact — a skipped ToR provably sends nothing, and a skipped
         # slot provably changes no state (oblivious fabrics have no failure
         # model and draw randomness only at injection).
-        self._vectorized = core == "vectorized"
+        self._vectorized = config.resolved_core == "vectorized"
         self._ff_enabled = self._vectorized and config.idle_fast_forward
         self._slots_fast_forwarded = 0
 

@@ -52,7 +52,6 @@ from time import perf_counter
 from ..topology.base import FlatTopology
 from .config import RotorConfig, SimConfig, transmit_ns
 from .failures import FailurePlan, LinkFailureModel
-from .factory import resolve_core
 from .flows import Flow, FlowTracker
 from .metrics import BandwidthRecorder, RunSummary
 from .queues import PiasDestQueue
@@ -103,7 +102,6 @@ class RotorSimulator:
         )
         self._next_failure_event = 0
 
-        core, flows = resolve_core(config, topology, flows, stream=stream)
         self._stream = stream
         if stream:
             self.tracker = FlowTracker(
@@ -139,7 +137,7 @@ class RotorSimulator:
         # Vectorized core (DESIGN.md section 15): active-set iteration over
         # ToRs with pending bytes and whole-slice fast-forward while the
         # fabric is empty and failure detection is in steady state.
-        self._vectorized = core == "vectorized"
+        self._vectorized = config.resolved_core == "vectorized"
         self._ff_enabled = self._vectorized and config.idle_fast_forward
         self._slices_fast_forwarded = 0
 

@@ -595,6 +595,24 @@ class VectorizedNegotiaToRSimulator:
         g_port = np.tile(np.arange(ports, dtype=np.int64), len(dact))
         return g_src, g_dst, g_port, len(dact) * ports
 
+    def _ring_scatter(self, key, pos, ptr):
+        """Every (tor, port) ring's pick among its candidates at once.
+
+        ``key`` is each candidate's ring (``tor * ports + port``), ``pos``
+        its position in that ring, and ``ptr`` the rings' pointer table.
+        Candidates of one ring have distinct positions, so the minimum
+        clockwise rank identifies the scalar ``pick`` exactly.  Returns
+        the winner mask and advances each winning ring's pointer past
+        its pick.
+        """
+        rlen = self._rlen[key]
+        rank = (pos - ptr[key]) % rlen
+        best = np.full(self._n * self._ports, self._n, dtype=np.int64)
+        np.minimum.at(best, key, rank)
+        win = rank == best[key]
+        ptr[key[win]] = (pos[win] + 1) % rlen[win]
+        return win
+
     def _grant_per_port(self, detected):
         """Thin-clos GRANT: every (dst, port) ring's pick in one min-rank
         scatter, the same shape as :meth:`_accept_vector`.
@@ -617,15 +635,11 @@ class VectorizedNegotiaToRSimulator:
         if not len(dsts):
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, 0
-        key = dsts * ports + port
-        pos = self._pos[dsts, srcs]
-        rank = (pos - self._gptr[key]) % self._rlen[key]
-        best = np.full(n * ports, n, dtype=np.int64)
-        np.minimum.at(best, key, rank)
-        win = rank == best[key]
-        wkey = key[win]
-        self._gptr[wkey] = (pos[win] + 1) % self._rlen[wkey]
-        return srcs[win], dsts[win], port[win], len(wkey)
+        win = self._ring_scatter(
+            dsts * ports + port, self._pos[dsts, srcs], self._gptr
+        )
+        g_src = srcs[win]
+        return g_src, dsts[win], port[win], len(g_src)
 
     def _grant_fallback(self, detected):
         """Exact scalar GRANT mirror for parallel-network epochs with
@@ -711,15 +725,10 @@ class VectorizedNegotiaToRSimulator:
             if not len(ga_src):
                 empty = np.zeros(0, dtype=np.int64)
                 return empty, empty, empty
-        key = ga_src * ports + ga_port
-        pos = self._pos[ga_src, ga_dst]
-        rank = (pos - self._aptr[key]) % self._rlen[key]
-        best = np.full(self._n * ports, self._n, dtype=np.int64)
-        np.minimum.at(best, key, rank)
-        win = rank == best[key]
+        win = self._ring_scatter(
+            ga_src * ports + ga_port, self._pos[ga_src, ga_dst], self._aptr
+        )
         m_src, m_port, m_dst = ga_src[win], ga_port[win], ga_dst[win]
-        wkey = key[win]
-        self._aptr[wkey] = (pos[win] + 1) % self._rlen[wkey]
         order = np.argsort(m_src * ports + m_port)
         return m_src[order], m_port[order], m_dst[order]
 

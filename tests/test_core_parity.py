@@ -8,7 +8,7 @@ both cores of all three engines (negotiator, oblivious, rotor), with and
 without link failures, in materialized and streaming tracker modes — the
 negotiator on both the parallel network and thin-clos.  The default
 ``core="auto"`` is covered too: it must pick a core from observable
-inputs only and never warn.
+inputs only, never warn, and leave the baselines on the scalar core.
 
 There are no exceptions: streaming-mode FCT accumulators fold each
 step's completions in canonical (completed_ns, fid) order (see
@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Flow, ObliviousSimulator, SimConfig, ThinClos
+from repro.sim.adaptive import AdaptiveSimulator
 from repro.sim.factory import make_negotiator, vectorized_core_eligible
 from repro.sim.failures import FailurePlan, random_failure_plan
 from repro.sim.network import NegotiaToRSimulator
@@ -55,6 +56,8 @@ def _topology(fabric: str):
     return ParallelNetwork(NUM_TORS, PORTS)
 
 
+# Sampled per example, so each fuzz test's max_examples is twice the
+# example budget it means to give each fabric.
 fabrics = st.sampled_from(["parallel", "thinclos"])
 
 
@@ -105,7 +108,7 @@ class TestNegotiatorParity:
         ff=st.booleans(),
         fabric=fabrics,
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_materialized_bit_identical(self, pairs, seed, ff, fabric):
         topo = _topology(fabric)
         s = NegotiaToRSimulator(
@@ -125,7 +128,7 @@ class TestNegotiatorParity:
         repair=st.booleans(),
         fabric=fabrics,
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_link_failures_bit_identical(
         self, pairs, seed, ratio, repair, fabric
     ):
@@ -156,7 +159,7 @@ class TestNegotiatorParity:
         _assert_summaries_identical(s, v, stream=False)
 
     @given(pairs=flow_tuples, seed=st.integers(0, 2**16), fabric=fabrics)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_streaming_bit_identical(self, pairs, seed, fabric):
         topo = _topology(fabric)
         s = NegotiaToRSimulator(
@@ -467,6 +470,19 @@ class TestAutoCore:
         assert not [
             w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
         ]
+
+    @pytest.mark.parametrize(
+        "engine", [ObliviousSimulator, RotorSimulator, AdaptiveSimulator]
+    )
+    def test_baselines_keep_auto_on_scalar(self, engine, monkeypatch):
+        """The density rule was measured on the negotiator; the baselines'
+        switch turns on only when asked for explicitly."""
+        config, topo = _paper("thinclos")
+        sim = engine(config, topo, _paper_flows("poisson", 0.9))
+        assert sim.core_used == "scalar"
+        monkeypatch.setenv("REPRO_CORE", "vectorized")
+        sim = engine(config, topo, _paper_flows("poisson", 0.9))
+        assert sim.core_used == "vectorized"
 
     def test_explicit_core_and_env_win(self, monkeypatch):
         from repro.sim.factory import resolve_core
