@@ -72,9 +72,13 @@ class SelectiveRelaySimulator(NegotiaToRSimulator):
         self._candidate_rotation = 0
         self.relay_stats = {"requests": 0, "grants": 0, "executed_bytes": 0}
 
-    def _subclass_state_idle(self) -> bool:
+    def is_idle(self) -> bool:
         """Block idle fast-forward while relay messages are in flight."""
-        return not self._relay_requests and not self._relay_grants
+        return (
+            super().is_idle()
+            and not self._relay_requests
+            and not self._relay_grants
+        )
 
     # ------------------------------------------------------------------
     # the three-step relay pipeline

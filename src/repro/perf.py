@@ -235,8 +235,8 @@ def run_scenario(
         sim.run(duration_ns)
     if tracer is not None:
         tracer.finish(int(sim.now_ns))
-    simulated = sim.epoch
-    skipped = getattr(sim, "fast_forwarded_epochs", 0)
+    simulated = sim.steps
+    skipped = sim.fast_forwarded_steps
     summary = sim.summary(duration_ns)
     return PerfResult(
         scenario=scenario.name,

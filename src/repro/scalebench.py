@@ -172,7 +172,7 @@ def run_scale_bench(
         )
     with Stopwatch() as watch:
         completed = sim.run_until_complete(max_ns=4.0 * span_ns)
-    steps = sim.epoch if engine == "negotiator" else sim.slices
+    steps = sim.steps
     tracker = sim.tracker
     summary = sim.summary()
     wall = watch.elapsed_s

@@ -59,13 +59,13 @@ from time import perf_counter
 from ..topology.base import FlatTopology
 from .config import AdaptiveConfig, SimConfig, transmit_ns
 from .failures import FailurePlan, LinkFailureModel
-from .flows import Flow, FlowTracker
-from .metrics import BandwidthRecorder, RunSummary
+from .flows import Flow
+from .kernel import StepKernel
+from .metrics import BandwidthRecorder
 from .queues import PiasDestQueue
-from .source import MaterializedFlowSource, StreamingFlowSource
 
 
-class AdaptiveSimulator:
+class AdaptiveSimulator(StepKernel):
     """Slice-driven demand-aware fabric over a finite set of flows.
 
     ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
@@ -105,28 +105,17 @@ class AdaptiveSimulator:
         self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-
-        self.failures = failure_model or LinkFailureModel(
-            config.num_tors, config.ports_per_tor
+        vectorized = config.resolved_core == "vectorized"
+        super().__init__(
+            config,
+            flows,
+            step_ns=self.slice_ns,
+            stream=stream,
+            vectorized=vectorized,
+            fast_forward=vectorized and config.idle_fast_forward,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
         )
-        self._failure_events = (
-            failure_plan.sorted_events() if failure_plan is not None else []
-        )
-        self._next_failure_event = 0
-
-        self._stream = stream
-        if stream:
-            self.tracker = FlowTracker(
-                config.num_tors,
-                retain_flows=False,
-                mice_threshold_bytes=config.mice_threshold_bytes,
-                reservoir_seed=config.seed,
-            )
-            self._source = StreamingFlowSource(flows)
-        else:
-            self.tracker = FlowTracker(config.num_tors)
-            self._source = MaterializedFlowSource(flows)
-            self.tracker.register_all(self._source.flows)
 
         n = config.num_tors
         if config.priority_queue_enabled:
@@ -140,10 +129,6 @@ class AdaptiveSimulator:
         self._direct_pending = [0] * n
         self.bandwidth = bandwidth_recorder
         self._tracer = tracer
-        self._slice = 0
-        self._vectorized = config.resolved_core == "vectorized"
-        self._ff_enabled = self._vectorized and config.idle_fast_forward
-        self._slices_fast_forwarded = 0
 
         # Demand estimation and the circuit schedule.
         self._est = [[0.0] * n for _ in range(n)]
@@ -182,20 +167,8 @@ class AdaptiveSimulator:
     # public accessors
     # ------------------------------------------------------------------
 
-    @property
-    def now_ns(self) -> float:
-        """Start time of the next slice."""
-        return self._slice * self.slice_ns
-
-    @property
-    def slices(self) -> int:
-        """Number of slices simulated so far."""
-        return self._slice
-
-    @property
-    def core_used(self) -> str:
-        """Which engine core this instance runs (internal switch)."""
-        return "vectorized" if self._vectorized else "scalar"
+    slices = StepKernel.steps
+    fast_forwarded_slices = StepKernel.fast_forwarded_steps
 
     @property
     def total_queued_bytes(self) -> int:
@@ -242,94 +215,35 @@ class AdaptiveSimulator:
         return (port - cycle) % ports < self.adaptive.residual_ports
 
     # ------------------------------------------------------------------
-    # run loops
+    # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
-    def run(self, duration_ns: float) -> None:
-        """Simulate whole slices until ``duration_ns`` is covered.
+    run = StepKernel.run
+    run_until_complete = StepKernel.run_until_complete
+    summary = StepKernel.summary
 
-        Loop control is an exact integer slice budget (see the rotor
-        engine): the float duration converts once via :meth:`_slice_ceil`,
-        so long horizons cannot accumulate float drift.
+    def is_idle(self) -> bool:
+        """An empty fabric that has never observed demand.
+
+        Stricter than the rotor's condition: with no demand ever seen,
+        every skipped recompute folds a zero window onto a zero estimate
+        and leaves the (empty) schedule untouched, so skipping it is
+        exact.  Once any arrival lands, the EWMA carries state between
+        recomputes and slices are always stepped.
         """
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        target_slice = self._slice_ceil(duration_ns)
-        while self._slice < target_slice:
-            self._maybe_fast_forward(target_slice)
-            if self._slice >= target_slice:
-                break
-            self.step_slice()
+        return not self._demand_seen and not any(self._direct_pending)
 
-    def run_until_complete(self, max_ns: float) -> bool:
-        """Simulate until every flow completes (or ``max_ns``)."""
-        if max_ns <= 0:
-            raise ValueError("max_ns must be positive")
-        limit_slice = self._slice_ceil(max_ns)
-        while (
-            self._source.next_arrival_ns is not None
-            or not self.tracker.all_complete
-        ):
-            if self._slice >= limit_slice:
-                return False
-            self._maybe_fast_forward(limit_slice)
-            if self._slice >= limit_slice:
-                return False
-            self.step_slice()
-        return True
-
-    @property
-    def fast_forwarded_slices(self) -> int:
-        """Idle slices the run loops skipped without stepping them."""
-        return self._slices_fast_forwarded
-
-    def _slice_ceil(self, time_ns: float) -> int:
-        """Smallest slice index whose start time is at or after ``time_ns``."""
-        slice_ns = self.slice_ns
-        index = math.ceil(time_ns / slice_ns)
-        while index > 0 and (index - 1) * slice_ns >= time_ns:
-            index -= 1
-        while index * slice_ns < time_ns:
-            index += 1
-        return index
-
-    def _maybe_fast_forward(self, limit_slice: int) -> None:
-        """Jump ``_slice`` over slices in which provably nothing happens.
-
-        Stricter than the rotor's condition: beyond an empty fabric and
-        quiescent failure detection, no demand may ever have been observed
-        — then every skipped recompute folds a zero window onto a zero
-        estimate and leaves the (empty) schedule untouched, so skipping
-        it is exact.  Once any arrival lands, the EWMA carries state
-        between recomputes and slices are always stepped.
-        """
-        if not self._ff_enabled or not self.failures.is_quiescent:
-            return
-        if self._demand_seen or any(self._direct_pending):
-            return
-        target = limit_slice
-        arrival = self._source.next_arrival_ns
-        if arrival is not None:
-            target = min(target, self._slice_ceil(arrival))
-        events = self._failure_events
-        if self._next_failure_event < len(events):
-            target = min(
-                target,
-                self._slice_ceil(events[self._next_failure_event].time_ns),
-            )
-        if target > self._slice:
-            skipped = target - self._slice
-            self._slices_fast_forwarded += skipped
-            # Preserve counter totals: each skipped slice would have
-            # counted one "slices" tick, and each skipped recompute
-            # boundary one identity recompute.
-            period = self.adaptive.recompute_slices
-            first = self._slice + (-self._slice % period)
-            if first < target:
-                self._recomputes += 1 + (target - 1 - first) // period
-            self._slice = target
-            if self._tracer is not None:
-                self._tracer.count("slices", skipped)
+    def on_skip(self, n: int) -> None:
+        # Preserve counter totals: each skipped slice would have counted
+        # one "slices" tick, and each skipped recompute boundary one
+        # identity recompute.
+        period = self.adaptive.recompute_slices
+        first = self._step + (-self._step % period)
+        target = self._step + n
+        if first < target:
+            self._recomputes += 1 + (target - 1 - first) // period
+        if self._tracer is not None:
+            self._tracer.count("slices", n)
 
     # ------------------------------------------------------------------
     # one slice
@@ -337,13 +251,12 @@ class AdaptiveSimulator:
 
     def step_slice(self) -> None:
         """Simulate one slice across all ToRs and ports."""
-        slice_index = self._slice
+        slice_index = self._step
         start_ns = self.now_ns
         tracer = self._tracer
         if tracer is not None:
             t_inject = perf_counter()
-        self._apply_failure_events(start_ns)
-        self.failures.tick_epoch()
+        self._apply_failures(start_ns)
         self._inject_arrivals(start_ns)
         self._apply_role_transitions(slice_index // self.cycle_slots)
         if tracer is not None:
@@ -409,7 +322,7 @@ class AdaptiveSimulator:
                     )
                     tracer.count(key, sent)
         self.tracker.flush_completions()
-        self._slice += 1
+        self._step += 1
         if tracer is not None:
             tracer.count("slices")
             if tracer.gauge_due(int(self.now_ns)):
@@ -423,6 +336,8 @@ class AdaptiveSimulator:
                         if peer is not None
                     ),
                 )
+
+    step = step_slice
 
     def _port_assignment(
         self,
@@ -588,27 +503,19 @@ class AdaptiveSimulator:
     # arrivals
     # ------------------------------------------------------------------
 
-    def _inject_arrivals(self, before_ns: float) -> None:
-        source = self._source
-        arrival = source.next_arrival_ns
-        register = self.tracker.register if self._stream else None
-        while arrival is not None and arrival <= before_ns:
-            flow = source.pop()
-            if register is not None:
-                register(flow)
-            queue = self._direct[flow.src].get(flow.dst)
-            if queue is None:
-                queue = PiasDestQueue(
-                    self._band_limits, enabled=bool(self._band_limits)
-                )
-                self._direct[flow.src][flow.dst] = queue
-            queue.enqueue_flow(flow)
-            self._direct_pending[flow.src] += flow.size_bytes
-            # The demand observation the next recompute folds in.
-            self._window[flow.src][flow.dst] += flow.size_bytes
-            self._window_bytes += flow.size_bytes
-            self._demand_seen = True
-            arrival = source.next_arrival_ns
+    def _enqueue(self, flow: Flow) -> None:
+        queue = self._direct[flow.src].get(flow.dst)
+        if queue is None:
+            queue = PiasDestQueue(
+                self._band_limits, enabled=bool(self._band_limits)
+            )
+            self._direct[flow.src][flow.dst] = queue
+        queue.enqueue_flow(flow)
+        self._direct_pending[flow.src] += flow.size_bytes
+        # The demand observation the next recompute folds in.
+        self._window[flow.src][flow.dst] += flow.size_bytes
+        self._window_bytes += flow.size_bytes
+        self._demand_seen = True
 
     # ------------------------------------------------------------------
     # serving
@@ -641,39 +548,3 @@ class AdaptiveSimulator:
         )
         self._direct_pending[tor] -= sent
         return used
-
-    # ------------------------------------------------------------------
-    # failures
-    # ------------------------------------------------------------------
-
-    def _apply_failure_events(self, now_ns: float) -> None:
-        events = self._failure_events
-        while (
-            self._next_failure_event < len(events)
-            and events[self._next_failure_event].time_ns <= now_ns
-        ):
-            self.failures.apply(events[self._next_failure_event])
-            self._next_failure_event += 1
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def summary(self, duration_ns: float | None = None) -> RunSummary:
-        """Headline metrics over ``duration_ns`` (default: simulated time)."""
-        duration = duration_ns if duration_ns is not None else self.now_ns
-        mice_p99, mice_mean = self.tracker.mice_fct_summary(
-            self.config.mice_threshold_bytes
-        )
-        return RunSummary(
-            duration_ns=duration,
-            epoch_ns=None,
-            num_flows=self._source.popped,
-            num_completed=self.tracker.num_completed,
-            goodput_normalized=self.tracker.goodput_normalized(
-                duration, self.config.host_aggregate_gbps
-            ),
-            goodput_gbps=self.tracker.goodput_gbps(duration),
-            mice_fct_p99_ns=mice_p99,
-            mice_fct_mean_ns=mice_mean,
-        )

@@ -19,20 +19,20 @@ All transmissions are one-hop; conflict-freedom is guaranteed by the matching
 
 Two hot-path mechanisms keep large sweeps tractable (DESIGN.md sections 6-7):
 queue backlog and request-readiness are maintained as running counters
-updated on enqueue/drain rather than re-summed per epoch, and the run loops
-fast-forward over epochs in which provably nothing can happen.  Both are
-exact: a fixed seed produces bit-identical results with them on or off.
+updated on enqueue/drain rather than re-summed per epoch, and the kernel's
+run loops (:mod:`repro.sim.kernel`) fast-forward over epochs in which
+provably nothing can happen.  Both are exact: a fixed seed produces
+bit-identical results with them on or off.
 
-Traffic enters through a flow source (DESIGN.md section 11): the default
-materialized source holds the whole workload sorted in memory, while
-``stream=True`` pulls arrivals lazily from an arrival-ordered iterator and
-pairs with a bounded-memory tracker, so million-flow traces run at
-O(flows in flight) residency.
+Traffic enters through the kernel's flow source (DESIGN.md section 11):
+the default materialized source holds the whole workload sorted in memory,
+while ``stream=True`` pulls arrivals lazily from an arrival-ordered
+iterator and pairs with a bounded-memory tracker, so million-flow traces
+run at O(flows in flight) residency.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Iterable
 from time import perf_counter
@@ -43,14 +43,14 @@ from ..topology.base import FlatTopology
 from .buffers import ReceiverBuffer
 from .config import EpochTiming, SimConfig
 from .failures import FailurePlan, LinkFailureModel
-from .flows import Flow, FlowTracker
-from .metrics import BandwidthRecorder, MatchRatioRecorder, RunSummary
+from .flows import Flow
+from .kernel import StepKernel
+from .metrics import BandwidthRecorder, MatchRatioRecorder
 from .observability import EpochStats, EpochStatsRecorder
 from .queues import PiasDestQueue
-from .source import MaterializedFlowSource, StreamingFlowSource
 
 
-class NegotiaToRSimulator:
+class NegotiaToRSimulator(StepKernel):
     """Simulates a NegotiaToR fabric over a finite set of flows."""
 
     def __init__(
@@ -76,7 +76,17 @@ class NegotiaToRSimulator:
         self.timing = EpochTiming.derive(
             config.epoch, config.uplink_gbps, topology.predefined_slots
         )
-        self._epoch_ns = self.timing.epoch_ns
+        super().__init__(
+            config,
+            flows,
+            step_ns=self.timing.epoch_ns,
+            stream=stream,
+            vectorized=False,
+            fast_forward=config.idle_fast_forward,
+            epoch_clock=True,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
+        )
         # Per-slot start/end offsets from epoch start, fixed for the whole
         # run; the predefined-phase loop adds the epoch start per pair
         # (keeping the original operand grouping, so times stay bit-exact)
@@ -95,13 +105,6 @@ class NegotiaToRSimulator:
                 NegotiaToRMatcher(topology, self._rng)
             )
         self.scheduler = scheduler
-        self.failures = failure_model or LinkFailureModel(
-            config.num_tors, config.ports_per_tor
-        )
-        self._failure_events = (
-            failure_plan.sorted_events() if failure_plan is not None else []
-        )
-        self._next_failure_event = 0
         self.match_recorder = match_recorder
         self.bandwidth = bandwidth_recorder
         self._record_pairs = record_pair_bandwidth
@@ -110,24 +113,6 @@ class NegotiaToRSimulator:
         # ``is not None`` check so the traced and untraced engines step
         # through identical simulation state.
         self._tracer = tracer
-
-        # Streaming mode (DESIGN.md section 11): arrivals are pulled from an
-        # iterator on demand and the tracker folds completions into online
-        # accumulators instead of retaining Flow objects, so memory stays
-        # O(flows in flight) however long the trace is.
-        self._stream = stream
-        if stream:
-            self.tracker = FlowTracker(
-                config.num_tors,
-                retain_flows=False,
-                mice_threshold_bytes=config.mice_threshold_bytes,
-                reservoir_seed=config.seed,
-            )
-            self._source = StreamingFlowSource(flows)
-        else:
-            self.tracker = FlowTracker(config.num_tors)
-            self._source = MaterializedFlowSource(flows)
-            self.tracker.register_all(self._source.flows)
 
         n = config.num_tors
         # Per-(src, dst) PIAS queues, created on a pair's first enqueue
@@ -142,8 +127,6 @@ class NegotiaToRSimulator:
         self._queued_bytes = 0
         self._request_threshold = config.epoch.request_threshold_bytes
         self._request_ready: set[tuple[int, int]] = set()
-        self._ff_enabled = config.idle_fast_forward
-        self._epochs_fast_forwarded = 0
         # Base-scheduler requests are always binary (payload None): skip the
         # per-pair request_payload hook unless a variant overrides it.
         self._binary_requests = (
@@ -163,26 +146,13 @@ class NegotiaToRSimulator:
             self._rx_buffers = None
         self._stats: EpochStatsRecorder | None = None
         self._phase_bytes = [0, 0]  # piggybacked, scheduled (per epoch)
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # public accessors
     # ------------------------------------------------------------------
 
-    @property
-    def epoch(self) -> int:
-        """Index of the next epoch to simulate."""
-        return self._epoch
-
-    @property
-    def now_ns(self) -> float:
-        """Start time of the next epoch."""
-        return self._epoch * self._epoch_ns
-
-    @property
-    def core_used(self) -> str:
-        """Which engine core this instance runs."""
-        return "scalar"
+    epoch = StepKernel.steps
+    fast_forwarded_epochs = StepKernel.fast_forwarded_steps
 
     def attach_stats_recorder(self, recorder: EpochStatsRecorder) -> None:
         """Record per-epoch scheduler statistics into ``recorder``."""
@@ -209,134 +179,25 @@ class NegotiaToRSimulator:
         """Bytes currently waiting in all per-destination queues."""
         return self._queued_bytes
 
-    @property
-    def fast_forwarded_epochs(self) -> int:
-        """Idle epochs the run loops skipped without stepping them."""
-        return self._epochs_fast_forwarded
-
     # ------------------------------------------------------------------
-    # run loops
+    # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
-    def run(self, duration_ns: float) -> None:
-        """Simulate whole epochs until ``duration_ns`` is covered.
+    run = StepKernel.run
+    run_until_complete = StepKernel.run_until_complete
+    summary = StepKernel.summary
 
-        Loop control is an exact *integer* epoch budget: the float duration
-        is converted once (via :meth:`_epoch_ceil`, which is exact against
-        the engine's own ``epoch * epoch_ns`` arithmetic) and the loop
-        compares integer epoch counters, so hour-long horizons cannot
-        accumulate float drift in the stepping decision.
+    def is_idle(self) -> bool:
+        """No queued data, a drained scheduling pipeline, no stats recorder.
+
+        Schedulers without an ``is_idle`` property are never skipped, and a
+        stats recorder observes every epoch by contract.
         """
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        target_epoch = self._epoch_ceil(duration_ns)
-        while self._epoch < target_epoch:
-            self._maybe_fast_forward(duration_ns)
-            if self._epoch >= target_epoch:
-                break
-            self.step_epoch()
-
-    def run_until_complete(self, max_ns: float) -> bool:
-        """Simulate until every flow completes (or ``max_ns``).
-
-        Returns True when all flows completed.  In streaming mode the
-        source must also be exhausted — flows the engine has not pulled yet
-        are still outstanding work.  Like :meth:`run`, the cutoff is held
-        as an integer epoch budget.
-        """
-        if max_ns <= 0:
-            raise ValueError("max_ns must be positive")
-        limit_epoch = self._epoch_ceil(max_ns)
-        while (
-            self._source.next_arrival_ns is not None
-            or not self.tracker.all_complete
-        ):
-            if self._epoch >= limit_epoch:
-                return False
-            self._maybe_fast_forward(max_ns)
-            if self._epoch >= limit_epoch:
-                return False
-            self.step_epoch()
-        return True
-
-    # ------------------------------------------------------------------
-    # idle-epoch fast-forward (DESIGN.md section 7)
-    # ------------------------------------------------------------------
-
-    def _maybe_fast_forward(self, limit_ns: float) -> None:
-        """Jump ``_epoch`` over epochs in which provably nothing happens.
-
-        Requires the engine to be fully idle: no queued data, a drained
-        scheduling pipeline, failure detection in steady state, and no
-        subclass-held in-flight state.  The jump lands on the earliest epoch
-        that an arrival, a failure/repair event, or the run limit can touch,
-        so every skipped epoch would have been an exact no-op.
-        """
-        if (
-            not self._ff_enabled
-            or self._active_pairs
-            or self._stats is not None
-            or not self.failures.is_quiescent
-            or not getattr(self.scheduler, "is_idle", False)
-            or not self._subclass_state_idle()
-        ):
-            return
-        target = self._next_interesting_epoch(self._epoch_ceil(limit_ns))
-        if target > self._epoch:
-            self._epochs_fast_forwarded += target - self._epoch
-            self._epoch = target
-
-    def _subclass_state_idle(self) -> bool:
-        """Hook for engine subclasses holding their own in-flight state.
-
-        Fast-forward is only legal when this returns True; the selective
-        relay overrides it while relay requests or grants are pending.
-        """
-        return True
-
-    def _epoch_ceil(self, time_ns: float) -> int:
-        """Smallest epoch index whose start time is at or after ``time_ns``.
-
-        The while-loops absorb float rounding in the division so the result
-        is exact against the engine's own ``epoch * epoch_ns`` arithmetic.
-        """
-        epoch_ns = self.timing.epoch_ns
-        epoch = math.ceil(time_ns / epoch_ns)
-        while epoch > 0 and (epoch - 1) * epoch_ns >= time_ns:
-            epoch -= 1
-        while epoch * epoch_ns < time_ns:
-            epoch += 1
-        return epoch
-
-    def _next_interesting_epoch(self, limit_epoch: int) -> int:
-        """First epoch at which a pending arrival or failure event matters.
-
-        A skipped epoch must not even *enqueue* an arrival: engine
-        subclasses (the selective relay) act on newly active pairs right
-        after the mid-epoch injection, so the jump stops at the first epoch
-        whose injection bound (its end time) reaches the next arrival — see
-        DESIGN.md section 7.  A failure event fires at the first epoch
-        whose start is at or after its timestamp.
-        """
-        epoch_ns = self.timing.epoch_ns
-        target = limit_epoch
-        arrival = self._source.next_arrival_ns
-        if arrival is not None:
-            # Keep every epoch whose injection bound reaches the arrival.
-            # The bound must be the exact float expression step_epoch uses —
-            # (epoch * epoch_ns) + epoch_ns — because for non-dyadic epoch
-            # lengths it can differ by 1 ulp from (epoch + 1) * epoch_ns,
-            # and a mismatch would skip an epoch the stepped run injects in.
-            epoch = int(arrival // epoch_ns)
-            while epoch > 0 and (epoch - 1) * epoch_ns + epoch_ns >= arrival:
-                epoch -= 1
-            target = min(target, epoch)
-        events = self._failure_events
-        if self._next_failure_event < len(events):
-            target = min(
-                target, self._epoch_ceil(events[self._next_failure_event].time_ns)
-            )
-        return max(target, self._epoch)
+        return (
+            not self._active_pairs
+            and self._stats is None
+            and getattr(self.scheduler, "is_idle", False)
+        )
 
     # ------------------------------------------------------------------
     # one epoch
@@ -344,15 +205,14 @@ class NegotiaToRSimulator:
 
     def step_epoch(self) -> list[Match]:
         """Simulate one full epoch; returns the matching it used."""
-        epoch = self._epoch
+        epoch = self._step
         start_ns = self.now_ns
         timing = self.timing
         tracer = self._tracer
         if tracer is not None:
             t_phase = perf_counter()
 
-        self._apply_failure_events(start_ns)
-        self.failures.tick_epoch()
+        self._apply_failures(start_ns)
 
         # Arrivals before the epoch are visible to the REQUEST decision.
         self._inject_arrivals(start_ns)
@@ -426,7 +286,7 @@ class NegotiaToRSimulator:
                 )
             )
         self.tracker.flush_completions()
-        self._epoch += 1
+        self._step += 1
         if tracer is not None and tracer.gauge_due(int(self.now_ns)):
             tracer.sample(
                 int(self.now_ns),
@@ -435,42 +295,20 @@ class NegotiaToRSimulator:
             )
         return matches
 
+    step = step_epoch
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _apply_failure_events(self, now_ns: float) -> None:
-        events = self._failure_events
-        while (
-            self._next_failure_event < len(events)
-            and events[self._next_failure_event].time_ns <= now_ns
-        ):
-            self.failures.apply(events[self._next_failure_event])
-            self._next_failure_event += 1
-
-    def _inject_arrivals(self, before_ns: float) -> None:
-        # Inclusive bound: a flow arriving exactly at an epoch boundary is
-        # visible to that epoch's REQUEST decision.
-        source = self._source
-        arrival = source.next_arrival_ns
-        if arrival is None or arrival > before_ns:
-            return
-        threshold = self._request_threshold
-        # Streaming flows are only known to the tracker once they enter the
-        # fabric; materialized flows were all registered at construction.
-        register = self.tracker.register if self._stream else None
-        while arrival is not None and arrival <= before_ns:
-            flow = source.pop()
-            if register is not None:
-                register(flow)
-            queue = self._queue_for(flow.src, flow.dst)
-            queue.enqueue_flow(flow)
-            pair = (flow.src, flow.dst)
-            self._active_pairs.add(pair)
-            self._queued_bytes += flow.size_bytes
-            if queue.pending_bytes > threshold:
-                self._request_ready.add(pair)
-            arrival = source.next_arrival_ns
+    def _enqueue(self, flow: Flow) -> None:
+        pair = (flow.src, flow.dst)
+        queue = self._queue_for(flow.src, flow.dst)
+        queue.enqueue_flow(flow)
+        self._active_pairs.add(pair)
+        self._queued_bytes += flow.size_bytes
+        if queue.pending_bytes > self._request_threshold:
+            self._request_ready.add(pair)
 
     def _compute_requests(self, now_ns: float) -> dict[int, dict[int, object]]:
         """REQUEST step: binary demand above the piggyback threshold.
@@ -768,34 +606,3 @@ class NegotiaToRSimulator:
         recorder.record(("rx", dst), num_bytes, time_ns)
         if self._record_pairs:
             recorder.record(("pair", src, dst), num_bytes, time_ns)
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def summary(self, duration_ns: float | None = None) -> RunSummary:
-        """Headline metrics over ``duration_ns`` (default: simulated time).
-
-        Works in both tracker modes: ``num_flows`` counts the flows that
-        entered the fabric (equal to the trace size once the run has
-        covered every arrival) in *both* modes, so a streaming re-run of a
-        materialized workload matches field by field, and in streaming mode
-        the mice FCT stats come from the online accumulators (see
-        :meth:`FlowTracker.mice_fct_summary`).
-        """
-        duration = duration_ns if duration_ns is not None else self.now_ns
-        mice_p99, mice_mean = self.tracker.mice_fct_summary(
-            self.config.mice_threshold_bytes
-        )
-        return RunSummary(
-            duration_ns=duration,
-            epoch_ns=self.timing.epoch_ns,
-            num_flows=self._source.popped,
-            num_completed=self.tracker.num_completed,
-            goodput_normalized=self.tracker.goodput_normalized(
-                duration, self.config.host_aggregate_gbps
-            ),
-            goodput_gbps=self.tracker.goodput_gbps(duration),
-            mice_fct_p99_ns=mice_p99,
-            mice_fct_mean_ns=mice_mean,
-        )

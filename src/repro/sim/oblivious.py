@@ -35,13 +35,13 @@ from time import perf_counter
 
 from ..topology.base import FlatTopology
 from .config import SimConfig, transmit_ns
-from .flows import Flow, FlowTracker
-from .metrics import BandwidthRecorder, RunSummary
+from .flows import Flow
+from .kernel import StepKernel
+from .metrics import BandwidthRecorder
 from .queues import PiasDestQueue
-from .source import MaterializedFlowSource, StreamingFlowSource
 
 
-class ObliviousSimulator:
+class ObliviousSimulator(StepKernel):
     """Slot-driven rotor + VLB simulator over a finite set of flows.
 
     ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
@@ -74,20 +74,20 @@ class ObliviousSimulator:
         )
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-
-        self._stream = stream
-        if stream:
-            self.tracker = FlowTracker(
-                config.num_tors,
-                retain_flows=False,
-                mice_threshold_bytes=config.mice_threshold_bytes,
-                reservoir_seed=config.seed,
-            )
-            self._source = StreamingFlowSource(flows)
-        else:
-            self.tracker = FlowTracker(config.num_tors)
-            self._source = MaterializedFlowSource(flows)
-            self.tracker.register_all(self._source.flows)
+        # Vectorized core (DESIGN.md section 15): skip ToRs with no staged
+        # or relayed bytes inside a slot, and jump whole idle slots.  Both
+        # are exact — a skipped ToR provably sends nothing, and a skipped
+        # slot provably changes no state (oblivious fabrics never fail a
+        # link and draw randomness only at injection).
+        vectorized = config.resolved_core == "vectorized"
+        super().__init__(
+            config,
+            flows,
+            step_ns=self.slot_ns,
+            stream=stream,
+            vectorized=vectorized,
+            fast_forward=vectorized and config.idle_fast_forward,
+        )
 
         n = config.num_tors
         # Per (source, intermediate) VLB stage queues with PIAS bands: a
@@ -101,15 +101,6 @@ class ObliviousSimulator:
         # Observational telemetry hooks (DESIGN.md section 14); None keeps
         # the slot loop branch-free beyond one check.
         self._tracer = tracer
-        self._slot = 0
-        # Vectorized core (DESIGN.md section 15): skip ToRs with no staged
-        # or relayed bytes inside a slot, and jump whole idle slots.  Both
-        # are exact — a skipped ToR provably sends nothing, and a skipped
-        # slot provably changes no state (oblivious fabrics have no failure
-        # model and draw randomness only at injection).
-        self._vectorized = config.resolved_core == "vectorized"
-        self._ff_enabled = self._vectorized and config.idle_fast_forward
-        self._slots_fast_forwarded = 0
 
         if config.priority_queue_enabled:
             self._band_limits = tuple(config.pias_thresholds)
@@ -119,16 +110,6 @@ class ObliviousSimulator:
     # ------------------------------------------------------------------
     # public accessors
     # ------------------------------------------------------------------
-
-    @property
-    def now_ns(self) -> float:
-        """Start time of the next slot."""
-        return self._slot * self.slot_ns
-
-    @property
-    def core_used(self) -> str:
-        """Which engine core this instance runs (internal switch)."""
-        return "vectorized" if self._vectorized else "scalar"
 
     @property
     def total_queued_bytes(self) -> int:
@@ -143,93 +124,26 @@ class ObliviousSimulator:
         """Fresh bytes currently staged at one source ToR."""
         return self._stage_pending[tor]
 
-    @property
-    def fast_forwarded_slots(self) -> int:
-        """Idle slots the run loops skipped without stepping them."""
-        return self._slots_fast_forwarded
+    fast_forwarded_slots = StepKernel.fast_forwarded_steps
 
     # ------------------------------------------------------------------
-    # run loops
+    # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
-    def run(self, duration_ns: float) -> None:
-        """Simulate slots until ``duration_ns`` is covered.
+    run = StepKernel.run
+    run_until_complete = StepKernel.run_until_complete
+    summary = StepKernel.summary
 
-        Loop control is an exact integer slot budget: the float duration is
-        converted once via :meth:`_slot_ceil` (exact against the engine's
-        own ``slot * slot_ns`` arithmetic), so long horizons cannot
-        accumulate float drift in the stepping decision.
-        """
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        target_slot = self._slot_ceil(duration_ns)
-        while self._slot < target_slot:
-            self._maybe_fast_forward(target_slot)
-            if self._slot >= target_slot:
-                break
-            self.step_slot()
+    def is_idle(self) -> bool:
+        """The fabric holds no staged or relayed bytes."""
+        return not any(self._stage_pending) and not any(self._relay_pending)
 
-    def run_until_complete(self, max_ns: float) -> bool:
-        """Simulate until every flow completes (or ``max_ns``).
-
-        In streaming mode the source must also be exhausted — flows the
-        engine has not pulled yet are still outstanding work.
-        """
-        if max_ns <= 0:
-            raise ValueError("max_ns must be positive")
-        limit_slot = self._slot_ceil(max_ns)
-        while (
-            self._source.next_arrival_ns is not None
-            or not self.tracker.all_complete
-        ):
-            if self._slot >= limit_slot:
-                return False
-            self._maybe_fast_forward(limit_slot)
-            if self._slot >= limit_slot:
-                return False
-            self.step_slot()
-        return True
-
-    def _slot_ceil(self, time_ns: float) -> int:
-        """Smallest slot index whose start time is at or after ``time_ns``.
-
-        The while-loops absorb float rounding in the division so the result
-        is exact against the engine's own ``slot * slot_ns`` arithmetic.
-        """
-        slot_ns = self.slot_ns
-        slot = math.ceil(time_ns / slot_ns)
-        while slot > 0 and (slot - 1) * slot_ns >= time_ns:
-            slot -= 1
-        while slot * slot_ns < time_ns:
-            slot += 1
-        return slot
-
-    def _maybe_fast_forward(self, limit_slot: int) -> None:
-        """Jump ``_slot`` over slots in which provably nothing happens.
-
-        Legal only when the fabric holds no bytes at all: an empty slot
-        injects nothing (the next arrival is still in the future), serves
-        nothing, and draws no randomness.  The jump lands on the first slot
-        whose start time reaches the next arrival (that slot injects it),
-        or the run limit.
-        """
-        if not self._ff_enabled:
-            return
-        if any(self._stage_pending) or any(self._relay_pending):
-            return
-        arrival = self._source.next_arrival_ns
-        target = limit_slot
-        if arrival is not None:
-            target = min(target, self._slot_ceil(arrival))
-        if target > self._slot:
-            skipped = target - self._slot
-            self._slots_fast_forwarded += skipped
-            self._slot = target
-            if self._tracer is not None:
-                # Keep counter *totals* identical to a stepped run: every
-                # skipped slot would have counted exactly one "slots" tick
-                # and served zero cells.
-                self._tracer.count("slots", skipped)
+    def on_skip(self, n: int) -> None:
+        # Keep counter *totals* identical to a stepped run: every skipped
+        # slot would have counted exactly one "slots" tick and served zero
+        # cells.
+        if self._tracer is not None:
+            self._tracer.count("slots", n)
 
     # ------------------------------------------------------------------
     # one slot
@@ -237,7 +151,7 @@ class ObliviousSimulator:
 
     def step_slot(self) -> None:
         """Simulate one rotor timeslot across all ToRs and ports."""
-        slot = self._slot
+        slot = self._step
         start_ns = self.now_ns
         tracer = self._tracer
         if tracer is not None:
@@ -310,7 +224,7 @@ class ObliviousSimulator:
                     if staged:
                         tracer.count("direct_cells")
         self.tracker.flush_completions()
-        self._slot += 1
+        self._step += 1
         if tracer is not None:
             tracer.count("slots")
             if tracer.gauge_due(int(self.now_ns)):
@@ -320,20 +234,11 @@ class ObliviousSimulator:
                     relay_bytes=sum(self._relay_pending),
                 )
 
+    step = step_slot
+
     # ------------------------------------------------------------------
     # VLB spreading
     # ------------------------------------------------------------------
-
-    def _inject_arrivals(self, before_ns: float) -> None:
-        source = self._source
-        arrival = source.next_arrival_ns
-        register = self.tracker.register if self._stream else None
-        while arrival is not None and arrival <= before_ns:
-            flow = source.pop()
-            if register is not None:
-                register(flow)
-            self._spread_flow(flow)
-            arrival = source.next_arrival_ns
 
     def _band_chunks(self, size_bytes: int):
         """Split a flow's bytes into (band, bytes) per the PIAS thresholds."""
@@ -351,7 +256,7 @@ class ObliviousSimulator:
             chunks.append((len(self._band_limits), tail))
         return chunks
 
-    def _spread_flow(self, flow: Flow) -> None:
+    def _enqueue(self, flow: Flow) -> None:
         """Assign the flow's cells to uniformly random intermediates.
 
         Each payload-sized cell draws an intermediate; consecutive cells of
@@ -439,33 +344,3 @@ class ObliviousSimulator:
         if self.bandwidth is not None:
             self.bandwidth.record(("relay", peer), num_bytes, deliver_ns)
         return True
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def summary(self, duration_ns: float | None = None) -> RunSummary:
-        """Headline metrics over ``duration_ns`` (default: simulated time).
-
-        ``num_flows`` counts flows *injected into the fabric* in both
-        tracker modes — a flow arriving inside the run's final partial
-        slot is never injected (the rotor injects at slot start), and
-        before this was unified the materialized mode counted it while
-        the streaming mode did not.
-        """
-        duration = duration_ns if duration_ns is not None else self.now_ns
-        mice_p99, mice_mean = self.tracker.mice_fct_summary(
-            self.config.mice_threshold_bytes
-        )
-        return RunSummary(
-            duration_ns=duration,
-            epoch_ns=None,
-            num_flows=self._source.popped,
-            num_completed=self.tracker.num_completed,
-            goodput_normalized=self.tracker.goodput_normalized(
-                duration, self.config.host_aggregate_gbps
-            ),
-            goodput_gbps=self.tracker.goodput_gbps(duration),
-            mice_fct_p99_ns=mice_p99,
-            mice_fct_mean_ns=mice_mean,
-        )

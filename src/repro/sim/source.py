@@ -1,8 +1,10 @@
 """Flow sources: how arrivals enter a simulator.
 
-Both engines consume arrivals through one tiny interface — an attribute
-``next_arrival_ns`` (``None`` when exhausted, kept plain for the per-epoch
-hot-path check) and a ``pop()`` method — with two implementations:
+Every engine consumes arrivals through the kernel
+(:class:`~repro.sim.kernel.StepKernel`) from one tiny interface — an
+attribute ``next_arrival_ns`` (``None`` when exhausted, kept plain for the
+per-step hot-path check) and a ``pop()`` method — with two
+implementations:
 
 * :class:`MaterializedFlowSource` holds the whole workload sorted in memory,
   exactly like the engines always did.  It is the default and the mode every

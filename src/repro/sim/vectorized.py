@@ -48,14 +48,13 @@ from ..topology.parallel import ParallelNetwork
 from ..topology.thinclos import ThinClos
 from .config import EpochTiming, SimConfig
 from .failures import FailurePlan, LinkFailureModel
-from .flows import Flow, FlowTracker
-from .metrics import RunSummary
-from .source import MaterializedFlowSource, StreamingFlowSource
+from .flows import Flow
+from .kernel import StepKernel
 
 _INF = float("inf")
 
 
-class VectorizedNegotiaToRSimulator:
+class VectorizedNegotiaToRSimulator(StepKernel):
     """Array-based NegotiaToR engine, bit-identical to the scalar core.
 
     Construct through :func:`repro.sim.factory.make_negotiator` — the
@@ -92,7 +91,17 @@ class VectorizedNegotiaToRSimulator:
         self.timing = EpochTiming.derive(
             config.epoch, config.uplink_gbps, topology.predefined_slots
         )
-        self._epoch_ns = self.timing.epoch_ns
+        super().__init__(
+            config,
+            flows,
+            step_ns=self.timing.epoch_ns,
+            stream=stream,
+            vectorized=True,
+            fast_forward=config.idle_fast_forward,
+            epoch_clock=True,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
+        )
         n = config.num_tors
         ports = config.ports_per_tor
         self._n = n
@@ -172,26 +181,6 @@ class VectorizedNegotiaToRSimulator:
             self._pair_slot = np.array([s for s, _ in table], dtype=np.int64)
             self._pair_port = np.array([p for _, p in table], dtype=np.int64)
 
-        self.failures = failure_model or LinkFailureModel(n, ports)
-        self._failure_events = (
-            failure_plan.sorted_events() if failure_plan is not None else []
-        )
-        self._next_failure_event = 0
-
-        self._stream = stream
-        if stream:
-            self.tracker = FlowTracker(
-                n,
-                retain_flows=False,
-                mice_threshold_bytes=config.mice_threshold_bytes,
-                reservoir_seed=config.seed,
-            )
-            self._source = StreamingFlowSource(flows)
-        else:
-            self.tracker = FlowTracker(n)
-            self._source = MaterializedFlowSource(flows)
-            self.tracker.register_all(self._source.flows)
-
         if config.priority_queue_enabled:
             self._thresholds = tuple(config.pias_thresholds)
         else:
@@ -224,115 +213,36 @@ class VectorizedNegotiaToRSimulator:
         self._ga_dst = empty
         self._ga_port = empty
         self._grants_issued_last_epoch = 0
-
-        self._ff_enabled = config.idle_fast_forward
-        self._epochs_fast_forwarded = 0
         self._tracer = tracer
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # public accessors (scalar-engine API subset)
     # ------------------------------------------------------------------
 
-    @property
-    def epoch(self) -> int:
-        """Index of the next epoch to simulate."""
-        return self._epoch
-
-    @property
-    def now_ns(self) -> float:
-        """Start time of the next epoch."""
-        return self._epoch * self._epoch_ns
-
-    @property
-    def core_used(self) -> str:
-        """Which engine core this instance runs."""
-        return "vectorized"
+    epoch = StepKernel.steps
+    fast_forwarded_epochs = StepKernel.fast_forwarded_steps
 
     @property
     def total_queued_bytes(self) -> int:
         """Bytes currently waiting in all per-destination queues."""
         return self._queued
 
-    @property
-    def fast_forwarded_epochs(self) -> int:
-        """Idle epochs the run loops skipped without stepping them."""
-        return self._epochs_fast_forwarded
-
     # ------------------------------------------------------------------
-    # run loops (mirrors of the scalar engine's integer epoch budgets)
+    # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
-    def run(self, duration_ns: float) -> None:
-        """Simulate whole epochs until ``duration_ns`` is covered."""
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        target_epoch = self._epoch_ceil(duration_ns)
-        while self._epoch < target_epoch:
-            self._maybe_fast_forward(duration_ns)
-            if self._epoch >= target_epoch:
-                break
-            self.step_epoch()
+    run = StepKernel.run
+    run_until_complete = StepKernel.run_until_complete
+    summary = StepKernel.summary
 
-    def run_until_complete(self, max_ns: float) -> bool:
-        """Simulate until every flow completes (or ``max_ns``)."""
-        if max_ns <= 0:
-            raise ValueError("max_ns must be positive")
-        limit_epoch = self._epoch_ceil(max_ns)
-        while (
-            self._source.next_arrival_ns is not None
-            or not self.tracker.all_complete
-        ):
-            if self._epoch >= limit_epoch:
-                return False
-            self._maybe_fast_forward(max_ns)
-            if self._epoch >= limit_epoch:
-                return False
-            self.step_epoch()
-        return True
-
-    def _maybe_fast_forward(self, limit_ns: float) -> None:
-        if (
-            not self._ff_enabled
-            or self._queued
-            or not self.failures.is_quiescent
+    def is_idle(self) -> bool:
+        """No queued data and an empty three-epoch pipeline."""
+        return not (
+            self._queued
             or self._ag_count
             or len(self._ga_src)
             or self._grants_issued_last_epoch
-        ):
-            return
-        target = self._next_interesting_epoch(self._epoch_ceil(limit_ns))
-        if target > self._epoch:
-            self._epochs_fast_forwarded += target - self._epoch
-            self._epoch = target
-
-    def _epoch_ceil(self, time_ns: float) -> int:
-        epoch_ns = self._epoch_ns
-        epoch = math.ceil(time_ns / epoch_ns)
-        while epoch > 0 and (epoch - 1) * epoch_ns >= time_ns:
-            epoch -= 1
-        while epoch * epoch_ns < time_ns:
-            epoch += 1
-        return epoch
-
-    def _next_interesting_epoch(self, limit_epoch: int) -> int:
-        # Exact mirror of the scalar engine's jump-target computation,
-        # including the 1-ulp-careful arrival bound (DESIGN.md section 7).
-        epoch_ns = self._epoch_ns
-        target = limit_epoch
-        arrival = self._source.next_arrival_ns
-        if arrival is not None:
-            epoch = int(arrival // epoch_ns)
-            while epoch > 0 and (epoch - 1) * epoch_ns + epoch_ns >= arrival:
-                epoch -= 1
-            target = min(target, epoch)
-        events = self._failure_events
-        if self._next_failure_event < len(events):
-            target = min(
-                target,
-                self._epoch_ceil(events[self._next_failure_event].time_ns),
-            )
-        return max(target, self._epoch)
+        )
 
     # ------------------------------------------------------------------
     # one epoch
@@ -345,14 +255,13 @@ class VectorizedNegotiaToRSimulator:
         the scalar engine's list order follows its dict iteration instead.
         The *set* of matches and all queue/tracker state are identical.
         """
-        epoch = self._epoch
-        start_ns = epoch * self._epoch_ns
+        epoch = self._step
+        start_ns = epoch * self._step_ns
         tracer = self._tracer
         if tracer is not None:
             t_phase = perf_counter()
 
-        self._apply_failure_events(start_ns)
-        self.failures.tick_epoch()
+        self._apply_failures(start_ns)
         self._inject_arrivals(start_ns)
 
         n = self._n
@@ -404,7 +313,7 @@ class VectorizedNegotiaToRSimulator:
         self._grants_issued_last_epoch = num_grants
 
         # Arrivals inside the epoch become eligible at their arrival time.
-        self._inject_arrivals(start_ns + self._epoch_ns)
+        self._inject_arrivals(start_ns + self._step_ns)
 
         if tracer is not None:
             now = perf_counter()
@@ -433,7 +342,7 @@ class VectorizedNegotiaToRSimulator:
             tracer.add_span("drain", perf_counter() - t_phase)
 
         self.tracker.flush_completions()
-        self._epoch += 1
+        self._step += 1
         if tracer is not None and tracer.gauge_due(int(self.now_ns)):
             tracer.sample(
                 int(self.now_ns),
@@ -445,18 +354,11 @@ class VectorizedNegotiaToRSimulator:
             for s, p, d in zip(m_src, m_port, m_dst)
         ]
 
+    step = step_epoch
+
     # ------------------------------------------------------------------
     # failures
     # ------------------------------------------------------------------
-
-    def _apply_failure_events(self, now_ns: float) -> None:
-        events = self._failure_events
-        while (
-            self._next_failure_event < len(events)
-            and events[self._next_failure_event].time_ns <= now_ns
-        ):
-            self.failures.apply(events[self._next_failure_event])
-            self._next_failure_event += 1
 
     def _link_masks(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(egress-ok, ingress-ok) bool arrays over flat (tor, port)."""
@@ -481,36 +383,24 @@ class VectorizedNegotiaToRSimulator:
     # arrivals and flow storage
     # ------------------------------------------------------------------
 
-    def _inject_arrivals(self, before_ns: float) -> None:
-        source = self._source
-        arrival = source.next_arrival_ns
-        if arrival is None or arrival > before_ns:
-            return
-        register = self.tracker.register if self._stream else None
-        n = self._n
-        last_band = self._bands - 1
-        while arrival is not None and arrival <= before_ns:
-            flow = source.pop()
-            if register is not None:
-                register(flow)
-            fidx = self._alloc_flow(flow)
-            pid = flow.src * n + flow.dst
-            size = flow.size_bytes
-            when = flow.arrival_ns
-            offset = 0
-            for band, threshold in enumerate(self._thresholds):
-                span = min(size, threshold) - offset
-                if span > 0:
-                    self._enqueue_segment(band, pid, fidx, span, when)
-                    offset += span
-                if offset >= size:
-                    break
-            tail = size - offset
-            if tail > 0:
-                self._enqueue_segment(last_band, pid, fidx, tail, when)
-            self._pend[pid] += size
-            self._queued += size
-            arrival = source.next_arrival_ns
+    def _enqueue(self, flow: Flow) -> None:
+        fidx = self._alloc_flow(flow)
+        pid = flow.src * self._n + flow.dst
+        size = flow.size_bytes
+        when = flow.arrival_ns
+        offset = 0
+        for band, threshold in enumerate(self._thresholds):
+            span = min(size, threshold) - offset
+            if span > 0:
+                self._enqueue_segment(band, pid, fidx, span, when)
+                offset += span
+            if offset >= size:
+                break
+        tail = size - offset
+        if tail > 0:
+            self._enqueue_segment(self._bands - 1, pid, fidx, tail, when)
+        self._pend[pid] += size
+        self._queued += size
 
     def _alloc_flow(self, flow: Flow) -> int:
         if self._free:
@@ -943,26 +833,3 @@ class VectorizedNegotiaToRSimulator:
             self._pend[pid] -= sent
             self._queued -= sent
             self.tracker.credit_delivered(pid % self._n, sent)
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def summary(self, duration_ns: float | None = None) -> RunSummary:
-        """Headline metrics over ``duration_ns`` (default: simulated time)."""
-        duration = duration_ns if duration_ns is not None else self.now_ns
-        mice_p99, mice_mean = self.tracker.mice_fct_summary(
-            self.config.mice_threshold_bytes
-        )
-        return RunSummary(
-            duration_ns=duration,
-            epoch_ns=self.timing.epoch_ns,
-            num_flows=self._source.popped,
-            num_completed=self.tracker.num_completed,
-            goodput_normalized=self.tracker.goodput_normalized(
-                duration, self.config.host_aggregate_gbps
-            ),
-            goodput_gbps=self.tracker.goodput_gbps(duration),
-            mice_fct_p99_ns=mice_p99,
-            mice_fct_mean_ns=mice_mean,
-        )

@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import time
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 
@@ -373,6 +374,29 @@ class ShardedJsonlBackend(ResultStoreBackend):
         return problems
 
 
+_BUSY_TIMEOUT_S = 30.0
+"""How long a SQLite store waits for another process's lock."""
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch the store to WAL mode, waiting out concurrent openers.
+
+    Changing the journal mode of a fresh file takes a lock that SQLite
+    does not wait for through the busy timeout: when several processes
+    open one new store at once, the losers fail within milliseconds with
+    "database is locked".  Retry until the busy timeout has passed.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.005)
+
+
 class SqliteBackend(ResultStoreBackend):
     """One row per spec hash in a WAL-mode SQLite file.
 
@@ -396,10 +420,14 @@ class SqliteBackend(ResultStoreBackend):
             conn = sqlite3.connect(
                 self.path,
                 isolation_level=None,  # autocommit; explicit BEGIN when needed
-                timeout=30.0,
+                timeout=_BUSY_TIMEOUT_S,
                 check_same_thread=False,
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            try:
+                _enable_wal(conn)
+            except BaseException:
+                conn.close()
+                raise
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
             conn.execute(

@@ -5,10 +5,10 @@
 spec's seed, build the configured simulator, run, summarize, and compute
 any requested ``collect`` metrics into ``summary.extra``.
 
-:class:`SweepRunner` maps that over many specs, optionally across a
-``ProcessPoolExecutor`` (``jobs > 1``) and optionally against a
-:class:`~repro.sweep.store.ResultStore` (``resume=True`` skips specs whose
-hash already has a stored summary).  Because a spec fully determines its
+:class:`SweepRunner` maps that over many specs, optionally across the
+pipe-based :class:`~repro.sweep.resilience.WorkerPool` (``jobs > 1``)
+and optionally against a :class:`~repro.sweep.store.ResultStore`
+(``resume=True`` skips specs whose hash already has a stored summary).  Because a spec fully determines its
 run and workers share no mutable state, the parallel fan-out is
 bit-identical to the serial loop — the determinism regression in
 tests/test_sweep.py asserts exactly that.

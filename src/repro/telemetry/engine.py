@@ -1,7 +1,7 @@
 """Engine-side tracing: phase spans, counters, and cadenced gauges.
 
 One :class:`EngineTracer` is attached per simulator run (the ``tracer=``
-constructor parameter on the three engines).  The engines call three
+constructor parameter on the five engines).  The engines call three
 cheap methods from their stepping loops:
 
 * :meth:`EngineTracer.add_span` — accumulate wall-time into a named

@@ -56,25 +56,27 @@ def rss_bytes() -> int | None:
 def progress_snapshot() -> dict:
     """Best-effort progress read of the active simulator.
 
-    Returns ``sim_ns`` / ``epochs`` / ``flows_completed`` keys, any of
-    which may be None: the three engines expose different accessors and
-    the probe races with the stepping loop, so every read is wrapped.
+    Returns ``sim_ns`` / ``epochs`` / ``flows_completed`` keys.  Every
+    engine reads its clock through the kernel (:mod:`repro.sim.kernel`):
+    ``sim_ns`` is the start of the next step, truncated to whole ns, and
+    ``epochs`` the kernel's step count — epochs, slots or slices, skipped
+    ones included.  A key stays None when the registered object lacks the
+    accessor; the probe races with the stepping loop, so every read is
+    wrapped.
     """
     with _active_lock:
         sim = _active_simulator
     snapshot: dict = {"sim_ns": None, "epochs": None, "flows_completed": None}
     if sim is None:
         return snapshot
-    for key, attribute in (
-        ("sim_ns", "now_ns"),
-        ("epochs", "epoch"),
-    ):
-        try:
-            value = getattr(sim, attribute)
-            if isinstance(value, int):
-                snapshot[key] = value
-        except Exception:
-            pass
+    try:
+        snapshot["sim_ns"] = int(sim.now_ns)
+    except Exception:
+        pass
+    try:
+        snapshot["epochs"] = int(sim.steps)
+    except Exception:
+        pass
     try:
         tracker = sim.tracker
         completed = tracker.num_completed

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sqlite3
 import time
 from pathlib import Path
 
@@ -502,6 +503,50 @@ def test_two_concurrent_workers_execute_each_spec_exactly_once(
     store = ResultStore(store_path)
     assert store.content_digest() == golden
     assert store.verify().ok
+
+
+FRESH_OPEN_ROUNDS = 120
+
+
+def _fresh_store_opener(root: str, barrier, results) -> None:
+    """Open one new SQLite store per round, in lockstep with the peers."""
+    failures = []
+    for round_index in range(FRESH_OPEN_ROUNDS):
+        barrier.wait(timeout=60)
+        backend = SqliteBackend(Path(root) / f"fresh-{round_index}.db")
+        try:
+            backend.append_line(f"hash-{os.getpid()}", "{}")
+        except sqlite3.OperationalError as exc:
+            failures.append(f"round {round_index}: {exc}")
+        finally:
+            backend.close()
+    results.put(failures)
+
+
+def test_concurrent_first_opens_of_a_fresh_sqlite_store_all_succeed(tmp_path):
+    """Several processes opening one new store at the same instant must
+    wait for each other's WAL set-up instead of failing "database is
+    locked" (the start-up race lease-mode workers hit)."""
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(3)
+    results = ctx.Queue()
+    openers = [
+        ctx.Process(
+            target=_fresh_store_opener, args=(str(tmp_path), barrier, results)
+        )
+        for _ in range(3)
+    ]
+    for opener in openers:
+        opener.start()
+    failures = [f for _ in openers for f in results.get(timeout=60)]
+    for opener in openers:
+        opener.join(timeout=60)
+        assert opener.exitcode == 0
+    assert failures == []
+    for round_index in range(FRESH_OPEN_ROUNDS):
+        backend = SqliteBackend(tmp_path / f"fresh-{round_index}.db")
+        assert len(list(backend.iter_lines())) == 3
+        backend.close()
 
 
 def test_worker_killed_mid_lease_is_taken_over(tmp_path):

@@ -4,9 +4,9 @@ DESIGN.md section 15 promises that ``SimConfig.core`` is a pure
 performance switch — on a fixed seed the vectorized core produces
 bit-identical results to the scalar reference engine.  These tests
 enforce that promise with hypothesis-generated traces pushed through
-both cores of all three engines (negotiator, oblivious, rotor), with and
-without link failures, in materialized and streaming tracker modes — the
-negotiator on both the parallel network and thin-clos.  The default
+both cores of all four engines (negotiator, oblivious, rotor, adaptive),
+with and without link failures, in materialized and streaming tracker
+modes — the negotiator on both the parallel network and thin-clos.  The default
 ``core="auto"`` is covered too: it must pick a core from observable
 inputs only, never warn, and leave the baselines on the scalar core.
 
@@ -61,15 +61,19 @@ def _topology(fabric: str):
 fabrics = st.sampled_from(["parallel", "thinclos"])
 
 
-def _flows(draw_pairs: list[tuple[int, int, int, int]]) -> list[Flow]:
+def _flows(
+    draw_pairs: list[tuple[int, int, int, int]], start_ns: float = 0.0
+) -> list[Flow]:
     """Materialize hypothesis-drawn (src, dst_offset, bytes, gap) tuples.
+
+    The first arrival lands ``start_ns`` plus its own gap after time zero.
 
     Engines mutate ``Flow`` objects in place (``remaining_bytes``,
     ``completed_ns``), so every simulator must get its own freshly-built
     list — call this once per engine, never share the result.
     """
     flows = []
-    arrival = 0.0
+    arrival = start_ns
     for fid, (src, dst_off, size, gap_ns) in enumerate(draw_pairs):
         dst = (src + 1 + dst_off) % NUM_TORS
         arrival += float(gap_ns)
@@ -235,7 +239,8 @@ class TestNegotiatorParity:
 
 
 class TestObliviousAndRotorCoreParity:
-    """The oblivious/rotor engines take ``core`` as an internal switch."""
+    """The oblivious/rotor/adaptive engines take ``core`` as an internal
+    switch."""
 
     @given(pairs=flow_tuples, seed=st.integers(0, 2**16), ff=st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -283,6 +288,52 @@ class TestObliviousAndRotorCoreParity:
         s, v = sims["scalar"], sims["vectorized"]
         assert s.summary().to_dict() == v.summary().to_dict()
         assert s.slices == v.slices
+
+    @given(
+        pairs=flow_tuples,
+        seed=st.integers(0, 2**16),
+        idle_ns=st.integers(20_000, 400_000),
+        failures=st.booleans(),
+        fabric=fabrics,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_adaptive_cores_bit_identical(
+        self, pairs, seed, idle_ns, failures, fabric
+    ):
+        """Traces start after an idle gap, so the vectorized switch skips
+        whole recompute periods and must account for every identity
+        recompute it skipped.  ``REPRO_CORE`` is cleared so the two
+        cores really differ."""
+        topo = _topology(fabric)
+        plan = None
+        if failures:
+            plan, _ = random_failure_plan(
+                NUM_TORS, PORTS, 0.1, 40_000.0, 300_000.0, random.Random(seed)
+            )
+        sims = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_CORE", raising=False)
+            for core in ("scalar", "vectorized"):
+                sim = AdaptiveSimulator(
+                    _config(seed, core),
+                    topo,
+                    _flows(pairs, start_ns=float(idle_ns)),
+                    failure_plan=(
+                        FailurePlan(list(plan.events)) if plan else None
+                    ),
+                )
+                sims[core] = (sim, sim.run_until_complete(max_ns=5e6))
+        (s, s_done), (v, v_done) = sims["scalar"], sims["vectorized"]
+        assert s_done == v_done
+        assert v.fast_forwarded_slices > 0
+        assert s.fast_forwarded_slices == 0
+        assert s.summary().to_dict() == v.summary().to_dict()
+        assert {f.fid: f.completed_ns for f in s.tracker.flows} == {
+            f.fid: f.completed_ns for f in v.tracker.flows
+        }
+        assert s.slices == v.slices
+        assert s.recomputes == v.recomputes
+        assert s.reconfigured_ports == v.reconfigured_ports
 
 
 class TestFactoryDispatch:
@@ -517,19 +568,33 @@ class TestAutoCore:
             SimConfig().resolved_core
 
 
+def _clock(sim) -> tuple[int, float, int]:
+    """(steps so far, step length, steps skipped) of any engine, read
+    through the accessor names each engine class keeps."""
+    if hasattr(sim, "timing"):
+        return sim.epoch, sim.timing.epoch_ns, sim.fast_forwarded_epochs
+    if hasattr(sim, "slot_ns"):
+        steps = round(sim.now_ns / sim.slot_ns)
+        return steps, sim.slot_ns, sim.fast_forwarded_slots
+    return sim.slices, sim.slice_ns, sim.fast_forwarded_slices
+
+
 class TestRunLoopControl:
     """Satellites: integer-ns loop control and max_ns validation."""
 
-    def _engines(self, core="scalar"):
-        config = _config(0, core)
-        flows = [Flow(0, 0, 1, 5_000, 0.0)]
+    def _engines(self, core="scalar", *, fast_forward=True, flows=None):
+        """All five engines; the vectorized negotiator runs on any core."""
+        config = _config(0, core, fast_forward=fast_forward)
+        if flows is None:
+            flows = [Flow(0, 0, 1, 5_000, 0.0)]
         thin = ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
+        parallel = ParallelNetwork(NUM_TORS, PORTS)
         return [
-            NegotiaToRSimulator(
-                config, ParallelNetwork(NUM_TORS, PORTS), list(flows)
-            ),
+            NegotiaToRSimulator(config, parallel, list(flows)),
+            VectorizedNegotiaToRSimulator(config, parallel, list(flows)),
             ObliviousSimulator(config, thin, list(flows)),
             RotorSimulator(config, thin, list(flows)),
+            AdaptiveSimulator(config, thin, list(flows)),
         ]
 
     @pytest.mark.parametrize("bad", [0, -1, -1e9])
@@ -537,16 +602,11 @@ class TestRunLoopControl:
         for sim in self._engines():
             with pytest.raises(ValueError, match="max_ns must be positive"):
                 sim.run_until_complete(max_ns=bad)
-        config = _config(0, "vectorized")
-        vec = VectorizedNegotiaToRSimulator(
-            config, ParallelNetwork(NUM_TORS, PORTS), [Flow(0, 0, 1, 10, 0.0)]
-        )
-        with pytest.raises(ValueError, match="max_ns must be positive"):
-            vec.run_until_complete(max_ns=bad)
 
-    def test_long_horizon_epoch_counts_are_exact(self):
+    def test_long_horizon_epoch_counts_are_exact(self, monkeypatch):
         """Integer step budgets: epoch counters match ceil(duration/step)
         exactly even over horizons where float accumulation would drift."""
+        monkeypatch.delenv("REPRO_CORE", raising=False)
         config = _config(0, "scalar", fast_forward=False)
         topo = ParallelNetwork(NUM_TORS, PORTS)
         sim = NegotiaToRSimulator(config, topo, [])
@@ -560,17 +620,26 @@ class TestRunLoopControl:
         # The defining invariant: stepping stopped exactly at the first
         # epoch whose start time reaches the requested duration.
         assert (sim.epoch - 1) * epoch_ns < duration <= sim.epoch * epoch_ns
+        # Every engine lands on the same first step, whether it steps or
+        # (idle, on the vectorized switches) jumps there.
+        for sim in self._engines("vectorized", flows=[]):
+            _, step_ns, _ = _clock(sim)
+            duration = 250_000 * step_ns
+            sim.run(duration)
+            steps, _, skipped = _clock(sim)
+            assert (steps - 1) * step_ns < duration <= steps * step_ns
+            assert skipped == steps
 
     def test_chunked_run_equals_single_run(self):
         """Repeated short run() calls land on the same integer epoch count
         as one long call — no drift from re-deriving the loop bound."""
-        config = _config(0, "scalar", fast_forward=False)
-        topo = ParallelNetwork(NUM_TORS, PORTS)
-        single = NegotiaToRSimulator(config, topo, [])
-        chunked = NegotiaToRSimulator(config, topo, [])
-        epoch_ns = single.timing.epoch_ns
-        total = 999 * epoch_ns * 1.000000001
-        single.run(total)
-        for i in range(1, 10):
-            chunked.run(total * i / 9)
-        assert chunked.epoch == single.epoch
+        singles = self._engines(fast_forward=False, flows=[])
+        chunks = self._engines(fast_forward=False, flows=[])
+        for single, chunked in zip(singles, chunks):
+            total = 999 * _clock(single)[1] * 1.000000001
+            single.run(total)
+            for i in range(1, 10):
+                chunked.run(total * i / 9)
+            assert _clock(chunked) == _clock(single)
+            assert _clock(single)[0] == 1000
+            assert _clock(single)[2] == 0

@@ -24,9 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import golden
+from repro import Flow, ObliviousSimulator, SimConfig, ThinClos, golden
+from repro.core.relay import SelectiveRelaySimulator
 from repro.experiments import MICRO
+from repro.sim.adaptive import AdaptiveSimulator
+from repro.sim.network import NegotiaToRSimulator
 from repro.sim.observability import EpochStats, EpochStatsRecorder
+from repro.sim.rotor import RotorSimulator
+from repro.sim.vectorized import VectorizedNegotiaToRSimulator
 from repro.sweep import (
     ResultStore,
     RetryPolicy,
@@ -49,12 +54,16 @@ from repro.telemetry import (
     TelemetryWriter,
     analyze,
     build_manifest,
+    clear_active_simulator,
     default_manifest_path,
     heartbeat_payload,
     make_event,
+    progress_snapshot,
     read_events,
+    set_active_simulator,
     validate_event,
 )
+from repro.topology.parallel import ParallelNetwork
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -385,6 +394,50 @@ class TestHeartbeatAggregation:
             assert validate_event(make_event("heartbeat", **payload)) == []
         walls = [p["wall_s"] for p in beats]
         assert walls == sorted(walls)
+
+
+def _probe_engine(system: str):
+    """One small engine of each kind with traffic still in flight."""
+    core = "vectorized" if system == "vectorized" else "scalar"
+    config = SimConfig(num_tors=8, ports_per_tor=2, core=core)
+    flows = [Flow(i, i % 8, (i + 3) % 8, 400_000, 1_000.0 * i) for i in range(8)]
+    thin = ThinClos(8, 2, 4)
+    parallel = ParallelNetwork(8, 2)
+    build = {
+        "negotiator": lambda: NegotiaToRSimulator(config, parallel, flows),
+        "vectorized": lambda: VectorizedNegotiaToRSimulator(
+            config, parallel, flows
+        ),
+        "relay": lambda: SelectiveRelaySimulator(config, thin, flows),
+        "oblivious": lambda: ObliviousSimulator(config, thin, flows),
+        "rotor": lambda: RotorSimulator(config, thin, flows),
+        "adaptive": lambda: AdaptiveSimulator(config, thin, flows),
+    }
+    return build[system]()
+
+
+class TestHeartbeatProgressProbe:
+    @pytest.mark.parametrize(
+        "system",
+        ["negotiator", "vectorized", "relay", "oblivious", "rotor", "adaptive"],
+    )
+    def test_every_engine_reports_int_progress_mid_run(self, system):
+        sim = _probe_engine(system)
+        sim.run(20_000.0)
+        assert not sim.tracker.all_complete  # still mid-run
+        set_active_simulator(sim)
+        try:
+            snapshot = progress_snapshot()
+        finally:
+            clear_active_simulator()
+        assert isinstance(snapshot["sim_ns"], int)
+        assert isinstance(snapshot["epochs"], int)
+        assert snapshot["sim_ns"] == int(sim.now_ns) >= 20_000
+        assert snapshot["epochs"] == sim.steps > 0
+        event = make_event(
+            "heartbeat", spec="aa", attempt=1, wall_s=0.1, **snapshot
+        )
+        assert validate_event(event) == []
 
 
 # ---------------------------------------------------------------------------
