@@ -635,9 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--core",
         choices=["auto", "scalar", "vectorized"],
         default=None,
-        help="engine core override for this run (default: SimConfig "
-        "default 'auto', or the REPRO_CORE environment variable); the "
-        "report names the core that actually ran",
+        help="NegotiaToR engine core override for this run (default: "
+        "SimConfig default 'auto', or the REPRO_CORE environment "
+        "variable; the baseline engines have one path); the report names "
+        "the core that actually ran",
     )
     bench.add_argument(
         "--bench-file",

@@ -105,14 +105,12 @@ class AdaptiveSimulator(StepKernel):
         self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-        vectorized = config.resolved_core == "vectorized"
         super().__init__(
             config,
             flows,
             step_ns=self.slice_ns,
             stream=stream,
-            vectorized=vectorized,
-            fast_forward=vectorized and config.idle_fast_forward,
+            fast_forward=config.idle_fast_forward,
             failure_model=failure_model,
             failure_plan=failure_plan,
         )
@@ -252,13 +250,14 @@ class AdaptiveSimulator(StepKernel):
     def step_slice(self) -> None:
         """Simulate one slice across all ToRs and ports."""
         slice_index = self._step
+        cycle = slice_index // self.cycle_slots
         start_ns = self.now_ns
         tracer = self._tracer
         if tracer is not None:
             t_inject = perf_counter()
         self._apply_failures(start_ns)
         self._inject_arrivals(start_ns)
-        self._apply_role_transitions(slice_index // self.cycle_slots)
+        self._apply_role_transitions(cycle)
         if tracer is not None:
             now = perf_counter()
             tracer.add_span("inject", now - t_inject)
@@ -270,46 +269,32 @@ class AdaptiveSimulator(StepKernel):
                 tracer.count("recomputes")
                 tracer.count("reconfigured_ports", reconfigured)
 
-        topology = self.topology
-        cycle_slot = slice_index % self.cycle_slots
-        cycle = slice_index // self.cycle_slots
-        failures = self.failures
-        check = failures.any_failed
+        links = self.topology.predefined_links(
+            slice_index % self.cycle_slots, cycle
+        )
+        on_duty = [
+            self.residual_in_cycle(port, cycle)
+            for port in range(self.config.ports_per_tor)
+        ]
         budget = self.adaptive.packets_per_slice
-        skip_idle_tors = self._vectorized
+        # Active sets: a ToR with no backlog sends nothing this slice.
         direct_pending = self._direct_pending
 
         if tracer is None:
             for tor in range(self.config.num_tors):
-                if skip_idle_tors and not direct_pending[tor]:
+                if not direct_pending[tor]:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer, offset = self._port_assignment(
-                        tor, port, cycle_slot, cycle,
-                        start_ns, budget, topology,
-                    )
-                    if peer is None:
-                        continue
-                    if check and not failures.transmission_ok(
-                        tor, port, peer, port
-                    ):
-                        continue
+                for _port, peer, offset in self._live_ports(
+                    tor, links[tor], on_duty, start_ns, budget
+                ):
                     self._serve_direct(tor, peer, start_ns, offset, budget)
         else:
             for tor in range(self.config.num_tors):
-                if skip_idle_tors and not direct_pending[tor]:
+                if not direct_pending[tor]:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer, offset = self._port_assignment(
-                        tor, port, cycle_slot, cycle,
-                        start_ns, budget, topology,
-                    )
-                    if peer is None:
-                        continue
-                    if check and not failures.transmission_ok(
-                        tor, port, peer, port
-                    ):
-                        continue
+                for port, peer, offset in self._live_ports(
+                    tor, links[tor], on_duty, start_ns, budget
+                ):
                     t0 = perf_counter()
                     sent = self._serve_direct(
                         tor, peer, start_ns, offset, budget
@@ -317,7 +302,7 @@ class AdaptiveSimulator(StepKernel):
                     tracer.add_span("drain", perf_counter() - t0)
                     key = (
                         "residual_packets"
-                        if self.residual_in_cycle(port, cycle)
+                        if on_duty[port]
                         else "demand_packets"
                     )
                     tracer.count(key, sent)
@@ -339,39 +324,42 @@ class AdaptiveSimulator(StepKernel):
 
     step = step_slice
 
-    def _port_assignment(
+    def _live_ports(
         self,
         tor: int,
-        port: int,
-        cycle_slot: int,
-        cycle: int,
+        links: tuple[tuple[int, int], ...],
+        on_duty: list[bool],
         start_ns: float,
         budget: int,
-        topology: FlatTopology,
-    ) -> tuple[int | None, int]:
-        """(peer, first usable packet slot) of one port this slice.
+    ):
+        """Yield (port, peer, first usable packet slot) of every port of
+        ``tor`` that can carry data this slice, in port order.
 
-        A plane on rotation duty this cycle follows the predefined
-        rotation and — like the rotor — pays the reconfiguration penalty
-        at every slice start.  Otherwise the plane serves its demand
-        circuit, holding it until the next recompute and losing leading
-        packet opportunities only while still reconfiguring.
+        A plane on rotation duty follows the predefined rotation
+        (``links``, the ToR's row of the slot's link table) and — like the
+        rotor — pays the reconfiguration penalty at every slice start.
+        Otherwise the plane serves its demand circuit, holding it until
+        the next recompute and losing leading packet opportunities only
+        while still reconfiguring.  Ports whose link is down are skipped.
         """
-        if self.residual_in_cycle(port, cycle):
-            if self._residual_offset >= budget:
-                return None, 0
-            peer = topology.predefined_peer(tor, port, cycle_slot, cycle)
-            return peer, self._residual_offset
-        peer = self._schedule[tor][port]
-        if peer is None:
-            return None, 0
-        ready = self._ready_ns[tor][port]
-        if ready <= start_ns:
-            return peer, 0
-        offset = math.ceil((ready - start_ns) / self._tx_ns)
-        if offset >= budget:
-            return None, 0
-        return peer, offset
+        rotation = dict(links)
+        failures = self.failures
+        check = failures.any_failed
+        for port, duty in enumerate(on_duty):
+            if duty:
+                peer = rotation.get(port)
+                offset = self._residual_offset
+            else:
+                peer = self._schedule[tor][port]
+                ready = self._ready_ns[tor][port]
+                offset = 0
+                if peer is not None and ready > start_ns:
+                    offset = math.ceil((ready - start_ns) / self._tx_ns)
+            if peer is None or offset >= budget:
+                continue
+            if check and not failures.transmission_ok(tor, port, peer, port):
+                continue
+            yield port, peer, offset
 
     def _apply_role_transitions(self, cycle: int) -> None:
         """Re-establish circuits on planes returning from rotation duty.

@@ -316,17 +316,16 @@ class SimConfig:
     either way (DESIGN.md section 7), so the flag exists for A/B testing
     and the determinism regression suite.
 
-    ``core`` selects the engine implementation: ``"scalar"`` is the
-    reference per-object core, ``"vectorized"`` the batched-numpy core
-    (DESIGN.md section 15), and the default ``"auto"`` picks one per
-    NegotiaToR run from the fabric size and the workload's arrival
-    density (see :func:`repro.sim.factory.resolve_core`); the oblivious,
-    rotor and adaptive engines run their vectorized switch only when
-    ``"vectorized"`` is explicit.  All produce bit-identical
+    ``core`` selects the NegotiaToR engine implementation: ``"scalar"``
+    is the reference per-object core, ``"vectorized"`` the batched-numpy
+    core (DESIGN.md section 15), and the default ``"auto"`` picks one per
+    run from the fabric size and the workload's arrival density (see
+    :func:`repro.sim.factory.resolve_core`).  Both produce bit-identical
     fixed-seed results; the scalar core is retained as the
-    differential-testing oracle.  The ``REPRO_CORE`` environment variable
-    overrides this field at simulator construction (it reaches forked
-    sweep workers, like ``REPRO_SCALE``).
+    differential-testing oracle.  The oblivious, rotor and adaptive
+    engines have a single path and ignore the field.  The ``REPRO_CORE``
+    environment variable overrides this field at simulator construction
+    (it reaches forked sweep workers, like ``REPRO_SCALE``).
     """
 
     num_tors: int = 128

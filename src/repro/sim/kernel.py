@@ -50,17 +50,18 @@ class StepKernel:
         *,
         step_ns: float,
         stream: bool,
-        vectorized: bool,
         fast_forward: bool,
+        vectorized: bool = False,
         epoch_clock: bool = False,
         failure_model: LinkFailureModel | None = None,
         failure_plan: FailurePlan | None = None,
     ) -> None:
         """Start the clock at step 0.
 
-        ``vectorized`` is what :attr:`core_used` reports, ``fast_forward``
-        whether the run loops may skip idle steps, and ``epoch_clock``
-        marks the negotiator cores (see the module docstring).
+        ``fast_forward`` is whether the run loops may skip idle steps,
+        ``vectorized`` what :attr:`core_used` reports (only the vectorized
+        negotiator sets it), and ``epoch_clock`` marks the negotiator
+        cores (see the module docstring).
         ``failure_model`` defaults to a fabric whose links all work.
         """
         self._step = 0

@@ -81,7 +81,6 @@ class NegotiaToRSimulator(StepKernel):
             flows,
             step_ns=self.timing.epoch_ns,
             stream=stream,
-            vectorized=False,
             fast_forward=config.idle_fast_forward,
             epoch_clock=True,
             failure_model=failure_model,

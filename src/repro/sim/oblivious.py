@@ -74,22 +74,20 @@ class ObliviousSimulator(StepKernel):
         )
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-        # Vectorized core (DESIGN.md section 15): skip ToRs with no staged
-        # or relayed bytes inside a slot, and jump whole idle slots.  Both
-        # are exact — a skipped ToR provably sends nothing, and a skipped
-        # slot provably changes no state (oblivious fabrics never fail a
-        # link and draw randomness only at injection).
-        vectorized = config.resolved_core == "vectorized"
+        # Idle slots are fast-forwarded (DESIGN.md section 7): oblivious
+        # fabrics never fail a link and draw randomness only at injection,
+        # so a slot with nothing staged or relayed changes no state.
         super().__init__(
             config,
             flows,
             step_ns=self.slot_ns,
             stream=stream,
-            vectorized=vectorized,
-            fast_forward=vectorized and config.idle_fast_forward,
+            fast_forward=config.idle_fast_forward,
         )
 
         n = config.num_tors
+        # Each source's candidate VLB intermediates: every other ToR.
+        self._others = [[t for t in range(n) if t != src] for src in range(n)]
         # Per (source, intermediate) VLB stage queues with PIAS bands: a
         # cell waits here until the rotor offers its assigned intermediate.
         self._stage: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
@@ -160,57 +158,33 @@ class ObliviousSimulator(StepKernel):
         if tracer is not None:
             tracer.add_span("inject", perf_counter() - t_inject)
 
-        topology = self.topology
-        cycle_slot = slot % self.cycle_slots
-        cycle = slot // self.cycle_slots
+        links = self.topology.predefined_links(
+            slot % self.cycle_slots, slot // self.cycle_slots
+        )
         deliver_ns = start_ns + self.slot_ns + self.config.propagation_ns
-        payload = self.payload_bytes
-
-        # Active-set iteration (vectorized core): a ToR with no staged and
-        # no relayed bytes cannot send on any port, so skipping it leaves
-        # every queue, counter, and delivery bit-identical.
-        skip_idle_tors = self._vectorized
+        # Active sets: a ToR with no staged and no relayed bytes cannot
+        # send on any port, so skipping it leaves every queue, counter and
+        # delivery unchanged.
         stage_pending = self._stage_pending
         relay_pending = self._relay_pending
 
         if tracer is None:
             for tor in range(self.config.num_tors):
-                if (
-                    skip_idle_tors
-                    and not stage_pending[tor]
-                    and not relay_pending[tor]
-                ):
+                if not stage_pending[tor] and not relay_pending[tor]:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer = topology.predefined_peer(
-                        tor, port, cycle_slot, cycle
-                    )
-                    if peer is None:
-                        continue
-                    if self._send_relay(
-                        tor, peer, payload, start_ns, deliver_ns
-                    ):
-                        continue
-                    self._send_staged(tor, peer, payload, start_ns, deliver_ns)
+                for _port, peer in links[tor]:
+                    if not self._send_relay(tor, peer, start_ns, deliver_ns):
+                        self._send_staged(tor, peer, start_ns, deliver_ns)
         else:
             # Same sends, with per-hop wall-time attribution: second-hop
             # relay service is "relay", first-hop staged service "drain".
             for tor in range(self.config.num_tors):
-                if (
-                    skip_idle_tors
-                    and not stage_pending[tor]
-                    and not relay_pending[tor]
-                ):
+                if not stage_pending[tor] and not relay_pending[tor]:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer = topology.predefined_peer(
-                        tor, port, cycle_slot, cycle
-                    )
-                    if peer is None:
-                        continue
+                for _port, peer in links[tor]:
                     t0 = perf_counter()
                     relayed = self._send_relay(
-                        tor, peer, payload, start_ns, deliver_ns
+                        tor, peer, start_ns, deliver_ns
                     )
                     now = perf_counter()
                     tracer.add_span("relay", now - t0)
@@ -218,7 +192,7 @@ class ObliviousSimulator(StepKernel):
                         tracer.count("relay_cells")
                         continue
                     staged = self._send_staged(
-                        tor, peer, payload, start_ns, deliver_ns
+                        tor, peer, start_ns, deliver_ns
                     )
                     tracer.add_span("drain", perf_counter() - now)
                     if staged:
@@ -264,9 +238,8 @@ class ObliviousSimulator(StepKernel):
         band bigger than one cell per intermediate is split evenly across
         all of them.
         """
-        n = self.config.num_tors
         src = flow.src
-        others = [t for t in range(n) if t != src]
+        others = self._others[src]
         payload = self.payload_bytes
         for band, nbytes in self._band_chunks(flow.size_bytes):
             cells = math.ceil(nbytes / payload)
@@ -300,16 +273,16 @@ class ObliviousSimulator(StepKernel):
     # ------------------------------------------------------------------
 
     def _send_relay(
-        self, tor: int, peer: int, payload: int, now_ns: float, deliver_ns: float
+        self, tor: int, peer: int, now_ns: float, deliver_ns: float
     ) -> bool:
-        """Second hop: forward buffered relay bytes destined to ``peer``."""
+        """Second hop: forward one buffered relay cell destined to ``peer``."""
         queue = self._relay[tor].get(peer)
         if queue is None:
             return False
-        band = queue.head_band(now_ns)
-        if band is None:
+        cell = queue.drain_single_packet(self.payload_bytes, now_ns)
+        if cell is None:
             return False
-        flow, num_bytes = queue.pop_bytes(band, payload)
+        flow, num_bytes = cell
         self._relay_pending[tor] -= num_bytes
         self.tracker.deliver(flow, num_bytes, deliver_ns)
         if self.bandwidth is not None:
@@ -317,16 +290,16 @@ class ObliviousSimulator(StepKernel):
         return True
 
     def _send_staged(
-        self, tor: int, peer: int, payload: int, now_ns: float, deliver_ns: float
+        self, tor: int, peer: int, now_ns: float, deliver_ns: float
     ) -> bool:
         """First hop: send a staged cell whose assigned intermediate is ``peer``."""
         queue = self._stage[tor].get(peer)
         if queue is None:
             return False
-        band = queue.head_band(now_ns)
-        if band is None:
+        cell = queue.drain_single_packet(self.payload_bytes, now_ns)
+        if cell is None:
             return False
-        flow, num_bytes = queue.pop_bytes(band, payload)
+        flow, num_bytes = cell
         self._stage_pending[tor] -= num_bytes
         if flow.dst == peer:
             # The random intermediate is the destination: zero-length

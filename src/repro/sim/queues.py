@@ -263,13 +263,14 @@ class PiasDestQueue:
     def drain_single_packet(
         self, payload_bytes: int, now_ns: float
     ) -> tuple[Flow, int] | None:
-        """Serve one packet (the piggyback opportunity of the predefined phase).
+        """Serve one packet (the piggyback opportunity of the predefined phase,
+        or one oblivious-rotor cell).
 
         Returns (flow, bytes) or None when nothing is eligible at ``now_ns``.
-        Called once per active pair per epoch, so the band scan and the head
-        pop are fused here instead of going through :meth:`head_band` +
-        :meth:`pop_bytes` (whose argument validation is redundant on this
-        path).
+        Called once per active pair per epoch and once per oblivious link
+        per slot, so the band scan and the head pop are fused here instead
+        of going through :meth:`head_band` + :meth:`pop_bytes` (whose
+        argument validation is redundant on these paths).
         """
         for segments in self._bands:
             if segments and segments[0].eligible_ns <= now_ns:

@@ -92,17 +92,14 @@ class RotorSimulator(StepKernel):
         self.slice_ns = self.rotor.slice_ns(config.epoch, config.uplink_gbps)
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-        # Vectorized core (DESIGN.md section 15): active-set iteration over
-        # ToRs with pending bytes and whole-slice fast-forward while the
-        # fabric is empty and failure detection is in steady state.
-        vectorized = config.resolved_core == "vectorized"
+        # Idle slices are fast-forwarded while the fabric is empty and
+        # failure detection is in steady state (DESIGN.md section 7).
         super().__init__(
             config,
             flows,
             step_ns=self.slice_ns,
             stream=stream,
-            vectorized=vectorized,
-            fast_forward=vectorized and config.idle_fast_forward,
+            fast_forward=config.idle_fast_forward,
             failure_model=failure_model,
             failure_plan=failure_plan,
         )
@@ -179,33 +176,23 @@ class RotorSimulator(StepKernel):
         if tracer is not None:
             tracer.add_span("inject", perf_counter() - t_inject)
 
-        topology = self.topology
-        cycle_slot = slice_index % self.cycle_slots
-        cycle = slice_index // self.cycle_slots
+        links = self.topology.predefined_links(
+            slice_index % self.cycle_slots, slice_index // self.cycle_slots
+        )
         failures = self.failures
         check = failures.any_failed
         budget = self.rotor.packets_per_slice
-        # Active-set iteration (DESIGN.md section 15): a ToR with no direct
-        # and no relay backlog provably sends nothing this slice, so the
-        # vectorized core skips it without touching its (empty) queues.
-        skip_idle_tors = self._vectorized
+        # Active sets: a ToR with no direct and no relay backlog provably
+        # sends nothing this slice, so it is skipped without touching its
+        # (empty) queues.
         direct_pending = self._direct_pending
         relay_pending = self._relay_pending
 
         if tracer is None:
             for tor in range(self.config.num_tors):
-                if (
-                    skip_idle_tors
-                    and not direct_pending[tor]
-                    and not relay_pending[tor]
-                ):
+                if not direct_pending[tor] and not relay_pending[tor]:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer = topology.predefined_peer(
-                        tor, port, cycle_slot, cycle
-                    )
-                    if peer is None:
-                        continue
+                for port, peer in links[tor]:
                     if check and not failures.transmission_ok(
                         tor, port, peer, port
                     ):
@@ -222,18 +209,9 @@ class RotorSimulator(StepKernel):
             # Same service order, with wall time attributed per RotorLB
             # stage: relay (second hop), drain (direct), offload (VLB).
             for tor in range(self.config.num_tors):
-                if (
-                    skip_idle_tors
-                    and not direct_pending[tor]
-                    and not relay_pending[tor]
-                ):
+                if not direct_pending[tor] and not relay_pending[tor]:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer = topology.predefined_peer(
-                        tor, port, cycle_slot, cycle
-                    )
-                    if peer is None:
-                        continue
+                for port, peer in links[tor]:
                     if check and not failures.transmission_ok(
                         tor, port, peer, port
                     ):

@@ -5,8 +5,9 @@ ports, through one layer of passive AWGRs.  The topology answers three kinds
 of questions for the simulator and the matching algorithm:
 
 * **Predefined phase** — which peer does (tor, port) transmit to in timeslot
-  ``slot`` of epoch ``epoch``, and conversely at which (slot, port) does an
-  ordered pair (src, dst) meet?  Every ordered pair meets exactly once per
+  ``slot`` of epoch ``epoch`` (or, for a whole slot at once, every ToR's
+  links), and conversely at which (slot, port) does an ordered pair
+  (src, dst) meet?  Every ordered pair meets exactly once per
   epoch, and within a slot the connection pattern is a permutation, so the
   bufferless fabric never sees a collision.
 * **Reachability** — which destinations can (tor, port) transmit to in the
@@ -22,6 +23,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from .awgr import OpticalPath
+
+LinkTable = list[tuple[tuple[int, int], ...]]
+"""One predefined slot's links: ``table[tor]`` is that ToR's ``(port, peer)``
+pairs in port order (see :meth:`FlatTopology.predefined_links`)."""
 
 
 class FlatTopology(ABC):
@@ -93,6 +98,29 @@ class FlatTopology(ABC):
         validation stays in :meth:`predefined_assignment`.
         """
         return lambda src, dst: self.predefined_assignment(src, dst, epoch)
+
+    def predefined_links(self, slot: int, epoch: int = 0) -> LinkTable:
+        """Every ToR's links in predefined slot ``slot`` of ``epoch``.
+
+        ``links[tor]`` holds the ``(port, peer)`` pairs :meth:`predefined_peer`
+        gives for ``tor`` in ascending port order, idle ports dropped — the
+        inverse of :meth:`assignment_for_epoch`.  The rotor-style engines
+        read one table per step instead of calling :meth:`predefined_peer`
+        per (ToR, port).  This default derives the table uncached from
+        :meth:`predefined_peer`; subclasses override it with a table built
+        once and memoized, which may assume an in-range ``slot`` —
+        validation stays in :meth:`predefined_peer`.
+        """
+        ports = range(self._ports)
+        return [
+            tuple(
+                (port, peer)
+                for port in ports
+                if (peer := self.predefined_peer(tor, port, slot, epoch))
+                is not None
+            )
+            for tor in range(self._num_tors)
+        ]
 
     @abstractmethod
     def data_port(self, src: int, dst: int) -> int | None:

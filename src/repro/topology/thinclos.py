@@ -29,7 +29,7 @@ is a permutation, and a pair meets exactly once per epoch at slot
 from __future__ import annotations
 
 from .awgr import AWGR, OpticalPath
-from .base import FlatTopology
+from .base import FlatTopology, LinkTable
 
 
 class ThinClos(FlatTopology):
@@ -50,6 +50,8 @@ class ThinClos(FlatTopology):
         # Flat [src * N + dst] -> (slot, port) table; the thin-clos schedule
         # does not rotate, so one table serves every epoch.  Built lazily.
         self._assignment_table: list[tuple[int, int] | None] | None = None
+        # slot -> predefined_links table, for every epoch; built lazily.
+        self._link_tables: list[LinkTable | None] = [None] * awgr_ports
 
     @property
     def name(self) -> str:
@@ -95,6 +97,13 @@ class ThinClos(FlatTopology):
         if peer == tor:
             return None
         return peer
+
+    def predefined_links(self, slot: int, epoch: int = 0) -> LinkTable:
+        links = self._link_tables[slot]
+        if links is None:
+            links = super().predefined_links(slot)
+            self._link_tables[slot] = links
+        return links
 
     def _pair_table(self) -> list[tuple[int, int] | None]:
         table = self._assignment_table

@@ -4,7 +4,9 @@ NegotiaToR only works if the fabric honors three contracts: the predefined
 phase must connect every ordered pair exactly once per epoch without
 receiver collisions, scheduled-phase reachability must be symmetric between
 the TX and RX views, and simultaneous transmissions must never share an AWGR
-input or output.  These validators check any :class:`FlatTopology`
+input or output.  The lookup tables the engines read instead
+(``predefined_assignment``, ``predefined_links``) must also agree with
+``predefined_peer``.  These validators check any :class:`FlatTopology`
 implementation — including user-defined ones — and are what the test suite
 runs against the two built-in fabrics.
 """
@@ -79,6 +81,30 @@ def check_assignment_inverse(topology: FlatTopology, epoch: int = 0) -> None:
             )
 
 
+def check_link_table(topology: FlatTopology, epoch: int = 0) -> None:
+    """predefined_links lists predefined_peer's links, in port order.
+
+    The rotor-style engines read the table instead of calling
+    ``predefined_peer``, so a table that misses an override or goes stale
+    across the rotation would silently change their schedule.
+    """
+    ports = range(topology.ports_per_tor)
+    for slot in range(topology.predefined_slots):
+        links = topology.predefined_links(slot, epoch)
+        for tor in range(topology.num_tors):
+            expected = tuple(
+                (port, peer)
+                for port in ports
+                if (peer := topology.predefined_peer(tor, port, slot, epoch))
+                is not None
+            )
+            if tuple(links[tor]) != expected:
+                raise TopologyContractError(
+                    f"link table of ToR {tor} at slot {slot}, epoch {epoch} "
+                    f"is {links[tor]}, but predefined_peer gives {expected}"
+                )
+
+
 def check_reachability_symmetry(topology: FlatTopology) -> None:
     """TX and RX reachability views agree, and data ports are consistent."""
     for tor in range(topology.num_tors):
@@ -138,5 +164,6 @@ def validate_topology(topology: FlatTopology, epochs: int = 3) -> None:
         check_predefined_coverage(topology, epoch)
         check_predefined_conflict_freedom(topology, epoch)
         check_assignment_inverse(topology, epoch)
+        check_link_table(topology, epoch)
     check_reachability_symmetry(topology)
     check_optical_conflict_freedom(topology)

@@ -1,14 +1,16 @@
 """Differential tests: the vectorized cores against their scalar oracles.
 
 DESIGN.md section 15 promises that ``SimConfig.core`` is a pure
-performance switch — on a fixed seed the vectorized core produces
-bit-identical results to the scalar reference engine.  These tests
-enforce that promise with hypothesis-generated traces pushed through
-both cores of all four engines (negotiator, oblivious, rotor, adaptive),
-with and without link failures, in materialized and streaming tracker
-modes — the negotiator on both the parallel network and thin-clos.  The default
+performance switch — on a fixed seed the vectorized NegotiaToR core
+produces bit-identical results to the scalar reference engine, down to
+each epoch's match set.  These tests enforce that promise with
+hypothesis-generated traces pushed through both cores, with and without
+link failures, in materialized and streaming tracker modes, on both the
+parallel network and thin-clos.  The oblivious, rotor and adaptive
+baselines have a single path, so for them the remaining choice — idle
+fast-forward on or off — is fuzzed the same way.  The default
 ``core="auto"`` is covered too: it must pick a core from observable
-inputs only, never warn, and leave the baselines on the scalar core.
+inputs only, never warn, and leave the baselines on their one path.
 
 There are no exceptions: streaming-mode FCT accumulators fold each
 step's completions in canonical (completed_ns, fid) order (see
@@ -176,38 +178,53 @@ class TestNegotiatorParity:
         assert v.run_until_complete(max_ns=1e12)
         _assert_summaries_identical(s, v, stream=True)
 
+    @pytest.mark.parametrize("fabric", ["thinclos", "parallel"])
     @pytest.mark.parametrize("repair", [False, True])
-    def test_thinclos_detected_failure_epochs_bit_identical(self, repair):
-        """Thin-clos GRANT/ACCEPT on epochs with detected failures: a
-        steady backlog keeps every ring busy while links are excluded
-        (and, with repair, while they rejoin)."""
+    def test_thinclos_detected_failure_epochs_bit_identical(
+        self, repair, fabric
+    ):
+        """GRANT/ACCEPT on epochs with detected failures: a steady backlog
+        keeps every ring busy while links are excluded (and, with repair,
+        while they rejoin).  On the parallel network those epochs take
+        the vectorized core's ``_grant_fallback``.  Every epoch's match
+        set is compared as well as the end state: ``step_epoch`` returns
+        the vectorized matches in canonical order and the scalar ones in
+        dict order, but the sets must agree."""
         rng = random.Random(5)
         pairs = [
             (rng.randrange(NUM_TORS), rng.randrange(NUM_TORS - 1),
              rng.randrange(5_000, 60_000), rng.randrange(0, 4_000))
             for _ in range(120)
         ]
-        topo = _topology("thinclos")
+        topo = _topology(fabric)
         plan, _ = random_failure_plan(
             NUM_TORS, PORTS, 0.25, 20_000.0,
             150_000.0 if repair else None, random.Random(3),
         )
-        sims = []
-        for cls, core in (
-            (NegotiaToRSimulator, "scalar"),
-            (VectorizedNegotiaToRSimulator, "vectorized"),
-        ):
-            sim = cls(
+        scalar, vector = (
+            cls(
                 _config(9, core), topo, _flows(pairs),
                 failure_plan=FailurePlan(list(plan.events)),
             )
-            detected_epochs = 0
-            while sim.now_ns < 400_000.0:
-                sim.step_epoch()
-                detected_epochs += sim.failures.any_detected
-            assert detected_epochs > 0
-            sims.append(sim)
-        _assert_summaries_identical(*sims, stream=False)
+            for cls, core in (
+                (NegotiaToRSimulator, "scalar"),
+                (VectorizedNegotiaToRSimulator, "vectorized"),
+            )
+        )
+        detected_epochs = matched_epochs = 0
+        while scalar.now_ns < 400_000.0:
+            matches = sorted(
+                (m.src, m.port, m.dst) for m in scalar.step_epoch()
+            )
+            assert matches == sorted(
+                (m.src, m.port, m.dst) for m in vector.step_epoch()
+            ), scalar.epoch
+            detected_epochs += scalar.failures.any_detected
+            matched_epochs += bool(matches)
+            assert vector.failures.any_detected == scalar.failures.any_detected
+        assert detected_epochs > 0
+        assert matched_epochs > 0
+        _assert_summaries_identical(scalar, vector, stream=False)
 
     def test_tracer_window_counters_sum_identically(self):
         from repro.telemetry import EngineTracer, MemorySink
@@ -238,56 +255,68 @@ class TestNegotiatorParity:
         assert totals["scalar"]["epochs"] > 0
 
 
-class TestObliviousAndRotorCoreParity:
-    """The oblivious/rotor/adaptive engines take ``core`` as an internal
-    switch."""
+class TestBaselineFastForwardParity:
+    """The oblivious, rotor and adaptive engines run one path; the one
+    choice left is idle fast-forward, which must not change any result.
 
-    @given(pairs=flow_tuples, seed=st.integers(0, 2**16), ff=st.booleans())
-    @settings(max_examples=20, deadline=None)
-    def test_oblivious_cores_bit_identical(self, pairs, seed, ff):
-        topo = ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
-        sims = {}
-        for core in ("scalar", "vectorized"):
-            sim = ObliviousSimulator(
-                _config(seed, core, fast_forward=ff), topo, _flows(pairs)
+    Traces start after an idle gap, so the fast-forward run really skips
+    steps, and each run gets its own topology drawn from both fabrics:
+    the parallel network's per-cycle rotation is where a rotation-keyed
+    link table could go stale, and a skipping run reaches its rotations
+    in a different order than a stepping one.
+    """
+
+    @staticmethod
+    def _runs(engine, pairs, seed, idle_ns, fabric, plan=None):
+        """(fast-forwarding, stepping) instances of one engine."""
+        sims = []
+        for fast_forward in (True, False):
+            extra = {}
+            if plan is not None:
+                extra["failure_plan"] = FailurePlan(list(plan.events))
+            sims.append(
+                engine(
+                    _config(seed, "auto", fast_forward=fast_forward),
+                    _topology(fabric),
+                    _flows(pairs, start_ns=float(idle_ns)),
+                    **extra,
+                )
             )
-            assert sim.run_until_complete(max_ns=1e12)
-            sims[core] = sim
-        s, v = sims["scalar"], sims["vectorized"]
-        assert s.summary().to_dict() == v.summary().to_dict()
-        assert {f.fid: f.completed_ns for f in s.tracker.flows} == {
-            f.fid: f.completed_ns for f in v.tracker.flows
+        return sims
+
+    @staticmethod
+    def _assert_identical(skipping, stepping):
+        assert skipping.fast_forwarded_steps > 0
+        assert stepping.fast_forwarded_steps == 0
+        assert skipping.steps == stepping.steps
+        assert skipping.summary().to_dict() == stepping.summary().to_dict()
+        assert {f.fid: f.completed_ns for f in skipping.tracker.flows} == {
+            f.fid: f.completed_ns for f in stepping.tracker.flows
         }
+
+    @staticmethod
+    def _plan(seed):
+        plan, _ = random_failure_plan(
+            NUM_TORS, PORTS, 0.1, 40_000.0, 300_000.0, random.Random(seed)
+        )
+        return plan
 
     @given(
         pairs=flow_tuples,
         seed=st.integers(0, 2**16),
-        ff=st.booleans(),
-        failures=st.booleans(),
+        idle_ns=st.integers(20_000, 400_000),
+        fabric=fabrics,
     )
-    @settings(max_examples=20, deadline=None)
-    def test_rotor_cores_bit_identical(self, pairs, seed, ff, failures):
-        topo = ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
-        plan = None
-        if failures:
-            plan, _ = random_failure_plan(
-                NUM_TORS, PORTS, 0.1, 40_000.0, 300_000.0, random.Random(seed)
-            )
-        sims = {}
-        for core in ("scalar", "vectorized"):
-            sim = RotorSimulator(
-                _config(seed, core, fast_forward=ff),
-                topo,
-                _flows(pairs),
-                failure_plan=(
-                    FailurePlan(list(plan.events)) if plan else None
-                ),
-            )
-            sim.run(3e6)
-            sims[core] = sim
-        s, v = sims["scalar"], sims["vectorized"]
-        assert s.summary().to_dict() == v.summary().to_dict()
-        assert s.slices == v.slices
+    @settings(max_examples=40, deadline=None)
+    def test_oblivious_fast_forward_bit_identical(
+        self, pairs, seed, idle_ns, fabric
+    ):
+        skipping, stepping = self._runs(
+            ObliviousSimulator, pairs, seed, idle_ns, fabric
+        )
+        assert skipping.run_until_complete(max_ns=1e12)
+        assert stepping.run_until_complete(max_ns=1e12)
+        self._assert_identical(skipping, stepping)
 
     @given(
         pairs=flow_tuples,
@@ -297,43 +326,39 @@ class TestObliviousAndRotorCoreParity:
         fabric=fabrics,
     )
     @settings(max_examples=40, deadline=None)
-    def test_adaptive_cores_bit_identical(
+    def test_rotor_fast_forward_bit_identical(
         self, pairs, seed, idle_ns, failures, fabric
     ):
-        """Traces start after an idle gap, so the vectorized switch skips
-        whole recompute periods and must account for every identity
-        recompute it skipped.  ``REPRO_CORE`` is cleared so the two
-        cores really differ."""
-        topo = _topology(fabric)
-        plan = None
-        if failures:
-            plan, _ = random_failure_plan(
-                NUM_TORS, PORTS, 0.1, 40_000.0, 300_000.0, random.Random(seed)
-            )
-        sims = {}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.delenv("REPRO_CORE", raising=False)
-            for core in ("scalar", "vectorized"):
-                sim = AdaptiveSimulator(
-                    _config(seed, core),
-                    topo,
-                    _flows(pairs, start_ns=float(idle_ns)),
-                    failure_plan=(
-                        FailurePlan(list(plan.events)) if plan else None
-                    ),
-                )
-                sims[core] = (sim, sim.run_until_complete(max_ns=5e6))
-        (s, s_done), (v, v_done) = sims["scalar"], sims["vectorized"]
-        assert s_done == v_done
-        assert v.fast_forwarded_slices > 0
-        assert s.fast_forwarded_slices == 0
-        assert s.summary().to_dict() == v.summary().to_dict()
-        assert {f.fid: f.completed_ns for f in s.tracker.flows} == {
-            f.fid: f.completed_ns for f in v.tracker.flows
-        }
-        assert s.slices == v.slices
-        assert s.recomputes == v.recomputes
-        assert s.reconfigured_ports == v.reconfigured_ports
+        plan = self._plan(seed) if failures else None
+        skipping, stepping = self._runs(
+            RotorSimulator, pairs, seed, idle_ns, fabric, plan
+        )
+        skipping.run(3e6)
+        stepping.run(3e6)
+        self._assert_identical(skipping, stepping)
+
+    @given(
+        pairs=flow_tuples,
+        seed=st.integers(0, 2**16),
+        idle_ns=st.integers(20_000, 400_000),
+        failures=st.booleans(),
+        fabric=fabrics,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_adaptive_fast_forward_bit_identical(
+        self, pairs, seed, idle_ns, failures, fabric
+    ):
+        """The skipping run must also account for every identity
+        recompute it skipped."""
+        plan = self._plan(seed) if failures else None
+        skipping, stepping = self._runs(
+            AdaptiveSimulator, pairs, seed, idle_ns, fabric, plan
+        )
+        done = skipping.run_until_complete(max_ns=5e6)
+        assert stepping.run_until_complete(max_ns=5e6) == done
+        self._assert_identical(skipping, stepping)
+        assert skipping.recomputes == stepping.recomputes
+        assert skipping.reconfigured_ports == stepping.reconfigured_ports
 
 
 class TestFactoryDispatch:
@@ -526,14 +551,31 @@ class TestAutoCore:
         "engine", [ObliviousSimulator, RotorSimulator, AdaptiveSimulator]
     )
     def test_baselines_keep_auto_on_scalar(self, engine, monkeypatch):
-        """The density rule was measured on the negotiator; the baselines'
-        switch turns on only when asked for explicitly."""
-        config, topo = _paper("thinclos")
-        sim = engine(config, topo, _paper_flows("poisson", 0.9))
-        assert sim.core_used == "scalar"
-        monkeypatch.setenv("REPRO_CORE", "vectorized")
-        sim = engine(config, topo, _paper_flows("poisson", 0.9))
-        assert sim.core_used == "vectorized"
+        """The density rule is the negotiator's: the baselines have one
+        path, which reports the scalar core and skips the same idle steps
+        whatever ``REPRO_CORE`` says."""
+        runs = []
+        for core in (None, "scalar", "vectorized"):
+            if core is not None:
+                monkeypatch.setenv("REPRO_CORE", core)
+            flows = [
+                Flow(i, i % NUM_TORS, (i + 3) % NUM_TORS, 20_000,
+                     50_000.0 + 900.0 * i)
+                for i in range(12)
+            ]
+            sim = engine(
+                SimConfig(num_tors=NUM_TORS, ports_per_tor=PORTS),
+                _topology("thinclos"),
+                flows,
+            )
+            assert sim.run_until_complete(max_ns=1e9)
+            assert sim.core_used == "scalar"
+            runs.append(
+                (sim.steps, sim.fast_forwarded_steps, sim.summary().to_dict())
+            )
+        assert runs[0][1] > 0
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_explicit_core_and_env_win(self, monkeypatch):
         from repro.sim.factory import resolve_core
@@ -621,7 +663,7 @@ class TestRunLoopControl:
         # epoch whose start time reaches the requested duration.
         assert (sim.epoch - 1) * epoch_ns < duration <= sim.epoch * epoch_ns
         # Every engine lands on the same first step, whether it steps or
-        # (idle, on the vectorized switches) jumps there.
+        # (idle, with fast-forward on) jumps there.
         for sim in self._engines("vectorized", flows=[]):
             _, step_ns, _ = _clock(sim)
             duration = 250_000 * step_ns

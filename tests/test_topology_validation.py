@@ -8,6 +8,7 @@ from repro.topology.thinclos import ThinClos
 from repro.topology.validation import (
     TopologyContractError,
     check_assignment_inverse,
+    check_link_table,
     check_optical_conflict_freedom,
     check_predefined_conflict_freedom,
     check_predefined_coverage,
@@ -29,7 +30,9 @@ class TestBuiltinsSatisfyContracts:
         ids=["par8x2", "par12x5", "par16x4-static", "thin8", "thin16"],
     )
     def test_validate_topology_passes(self, topology):
-        validate_topology(topology, epochs=4)
+        # num_tors epochs wrap the parallel network's N-1 rotations, so a
+        # memoized per-rotation table is also checked when it is reused.
+        validate_topology(topology, epochs=topology.num_tors)
 
 
 class _BrokenSchedule(ParallelNetwork):
@@ -72,6 +75,15 @@ class TestViolationsAreCaught:
     def test_assignment_mismatch_detected(self):
         with pytest.raises(TopologyContractError):
             check_assignment_inverse(_MissingPair(8, 2))
+
+    def test_link_table_ignoring_an_override_detected(self):
+        """The parallel network's memoized link table is computed from the
+        rotation, not from ``predefined_peer``: a subclass that overrides
+        only the latter must fail the table check."""
+        with pytest.raises(TopologyContractError, match="link table"):
+            check_link_table(_MissingPair(8, 2))
+        with pytest.raises(TopologyContractError):
+            validate_topology(_MissingPair(8, 2))
 
     def test_reachability_asymmetry_detected(self):
         with pytest.raises(TopologyContractError, match="does"):
