@@ -342,16 +342,25 @@ class AdaptiveSimulator(StepKernel):
         the next recompute and losing leading packet opportunities only
         while still reconfiguring.  Ports whose link is down are skipped.
         """
-        rotation = dict(links)
+        schedule = self._schedule[tor]
+        ready_ns = self._ready_ns[tor]
         failures = self.failures
         check = failures.any_failed
+        # Walk the row alongside the ports: it is in port order and only
+        # lacks the ports that are idle in the rotation.
+        rotation = iter(links)
+        link_port, rotation_peer = next(rotation, (None, None))
         for port, duty in enumerate(on_duty):
+            if port == link_port:
+                peer = rotation_peer
+                link_port, rotation_peer = next(rotation, (None, None))
+            else:
+                peer = None
             if duty:
-                peer = rotation.get(port)
                 offset = self._residual_offset
             else:
-                peer = self._schedule[tor][port]
-                ready = self._ready_ns[tor][port]
+                peer = schedule[port]
+                ready = ready_ns[port]
                 offset = 0
                 if peer is not None and ready > start_ns:
                     offset = math.ceil((ready - start_ns) / self._tx_ns)

@@ -107,9 +107,10 @@ class FlatTopology(ABC):
         inverse of :meth:`assignment_for_epoch`.  The rotor-style engines
         read one table per step instead of calling :meth:`predefined_peer`
         per (ToR, port).  This default derives the table uncached from
-        :meth:`predefined_peer`; subclasses override it with a table built
-        once and memoized, which may assume an in-range ``slot`` —
-        validation stays in :meth:`predefined_peer`.
+        :meth:`predefined_peer`, so it follows any override of it; a
+        subclass whose schedule does not rotate (thin-clos) may memoize it
+        per slot, assuming an in-range ``slot`` — validation stays in
+        :meth:`predefined_peer`.
         """
         ports = range(self._ports)
         return [

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .awgr import AWGR, OpticalPath
-from .base import FlatTopology, LinkTable
+from .base import FlatTopology
 
 
 class ParallelNetwork(FlatTopology):
@@ -40,12 +40,6 @@ class ParallelNetwork(FlatTopology):
         # rotation -> offset-indexed (slot, port) table, built lazily; the
         # rotation cycle has N-1 values, so the cache is bounded by N^2.
         self._assignment_tables: dict[int, list[tuple[int, int] | None]] = {}
-        # rotation -> per-slot predefined_links tables, built lazily.  A
-        # slot's table depends only on the window of offsets it serves, so
-        # rotations share them through ``_window_links``: at most 2(N-1)
-        # tables of N ToRs, not (N-1) x slots, however long the run.
-        self._link_tables: dict[int, list[LinkTable]] = {}
-        self._window_links: dict[tuple[int, int], LinkTable] = {}
 
     @property
     def name(self) -> str:
@@ -94,42 +88,6 @@ class ParallelNetwork(FlatTopology):
                 table.append((index // ports, index % ports))
             self._assignment_tables[rotation] = table
         return table
-
-    def predefined_links(self, slot: int, epoch: int = 0) -> LinkTable:
-        rotation = self._rotation(epoch)
-        tables = self._link_tables.get(rotation)
-        if tables is None:
-            ports = self._ports
-            tables = [
-                self._offset_window(
-                    (index * ports + rotation) % self._offsets,
-                    min(ports, self._offsets - index * ports),
-                )
-                for index in range(self._slots)
-            ]
-            self._link_tables[rotation] = tables
-        return tables[slot]
-
-    def _offset_window(self, first: int, count: int) -> LinkTable:
-        """Links of a slot whose ports 0..count-1 serve the offset indices
-        ``first, first + 1, ...`` (mod N-1), as :meth:`predefined_peer`
-        maps them."""
-        key = (first, count)
-        links = self._window_links.get(key)
-        if links is None:
-            n = self._num_tors
-            offsets = [
-                1 + (first + port) % self._offsets for port in range(count)
-            ]
-            links = [
-                tuple(
-                    (port, (tor + offset) % n)
-                    for port, offset in enumerate(offsets)
-                )
-                for tor in range(n)
-            ]
-            self._window_links[key] = links
-        return links
 
     def predefined_assignment(
         self, src: int, dst: int, epoch: int = 0

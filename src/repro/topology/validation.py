@@ -85,19 +85,14 @@ def check_link_table(topology: FlatTopology, epoch: int = 0) -> None:
     """predefined_links lists predefined_peer's links, in port order.
 
     The rotor-style engines read the table instead of calling
-    ``predefined_peer``, so a table that misses an override or goes stale
-    across the rotation would silently change their schedule.
+    ``predefined_peer``, so a memoized table that misses an override or
+    goes stale across epochs would silently change their schedule.  The
+    expected rows come from the uncached :class:`FlatTopology` default.
     """
-    ports = range(topology.ports_per_tor)
     for slot in range(topology.predefined_slots):
         links = topology.predefined_links(slot, epoch)
-        for tor in range(topology.num_tors):
-            expected = tuple(
-                (port, peer)
-                for port in ports
-                if (peer := topology.predefined_peer(tor, port, slot, epoch))
-                is not None
-            )
+        expected_links = FlatTopology.predefined_links(topology, slot, epoch)
+        for tor, expected in enumerate(expected_links):
             if tuple(links[tor]) != expected:
                 raise TopologyContractError(
                     f"link table of ToR {tor} at slot {slot}, epoch {epoch} "

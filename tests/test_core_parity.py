@@ -261,9 +261,9 @@ class TestBaselineFastForwardParity:
 
     Traces start after an idle gap, so the fast-forward run really skips
     steps, and each run gets its own topology drawn from both fabrics:
-    the parallel network's per-cycle rotation is where a rotation-keyed
-    link table could go stale, and a skipping run reaches its rotations
-    in a different order than a stepping one.
+    the parallel network rotates its schedule every cycle, so a link
+    table read for the wrong cycle changes the result, and a skipping
+    run reaches its rotations in a different order than a stepping one.
     """
 
     @staticmethod
@@ -554,6 +554,7 @@ class TestAutoCore:
         """The density rule is the negotiator's: the baselines have one
         path, which reports the scalar core and skips the same idle steps
         whatever ``REPRO_CORE`` says."""
+        monkeypatch.delenv("REPRO_CORE", raising=False)
         runs = []
         for core in (None, "scalar", "vectorized"):
             if core is not None:

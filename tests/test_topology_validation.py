@@ -30,8 +30,8 @@ class TestBuiltinsSatisfyContracts:
         ids=["par8x2", "par12x5", "par16x4-static", "thin8", "thin16"],
     )
     def test_validate_topology_passes(self, topology):
-        # num_tors epochs wrap the parallel network's N-1 rotations, so a
-        # memoized per-rotation table is also checked when it is reused.
+        # num_tors epochs wrap the parallel network's N-1 rotations, so its
+        # memoized per-rotation tables are also checked when reused.
         validate_topology(topology, epochs=topology.num_tors)
 
 
@@ -77,13 +77,18 @@ class TestViolationsAreCaught:
             check_assignment_inverse(_MissingPair(8, 2))
 
     def test_link_table_ignoring_an_override_detected(self):
-        """The parallel network's memoized link table is computed from the
-        rotation, not from ``predefined_peer``: a subclass that overrides
-        only the latter must fail the table check."""
+        """The default link table follows an overridden ``predefined_peer``;
+        a table that keeps serving the unmodified schedule must fail."""
+        check_link_table(_MissingPair(8, 2))
+
+        class StaleLinks(_MissingPair):
+            def predefined_links(self, slot, epoch=0):
+                return FlatTopology.predefined_links(
+                    ParallelNetwork(8, 2), slot, epoch
+                )
+
         with pytest.raises(TopologyContractError, match="link table"):
-            check_link_table(_MissingPair(8, 2))
-        with pytest.raises(TopologyContractError):
-            validate_topology(_MissingPair(8, 2))
+            check_link_table(StaleLinks(8, 2))
 
     def test_reachability_asymmetry_detected(self):
         with pytest.raises(TopologyContractError, match="does"):
