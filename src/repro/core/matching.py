@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..topology.base import FlatTopology
 from ..topology.parallel import ParallelNetwork
@@ -54,8 +55,7 @@ def _normalize_predicate(predicate: PortPredicate | None) -> PortPredicate | Non
     return predicate
 
 
-@dataclass(frozen=True, slots=True)
-class Match:
+class Match(NamedTuple):
     """A scheduled one-hop connection: src transmits to dst on port ``port``."""
 
     src: int
@@ -260,9 +260,8 @@ class NegotiaToRMatcher:
                 # Most sources hold a single grant: no grouping needed.
                 dst, port = grants[0]
                 if tx_usable is None or tx_usable(src, port):
-                    picked = rings[port].pick((dst,))
-                    if picked is not None:
-                        matches.append(Match(src=src, port=port, dst=picked))
+                    if rings[port].pick_one(dst) is not None:
+                        matches.append(Match(src, port, dst))
                 continue
             used = []
             for dst, port in grants:
@@ -274,9 +273,12 @@ class NegotiaToRMatcher:
             for port in used:
                 bucket = buckets[port]
                 if tx_usable is None or tx_usable(src, port):
-                    dst = rings[port].pick(bucket)
+                    if len(bucket) == 1:
+                        dst = rings[port].pick_one(bucket[0])
+                    else:
+                        dst = rings[port].pick(bucket)
                     if dst is not None:
-                        matches.append(Match(src=src, port=port, dst=dst))
+                        matches.append(Match(src, port, dst))
                 bucket.clear()
         return matches
 

@@ -18,8 +18,12 @@ itself, which :class:`StepKernel` owns once:
 An engine subclasses the kernel, calls :meth:`StepKernel.__init__` once
 its step length is known, and plugs in through:
 
-* ``step()`` — simulate one step (its ``step_epoch``/``step_slice``/
-  ``step_slot``); it must advance ``_step`` by exactly one;
+* ``step()`` — simulate one step; it must advance ``_step`` by exactly
+  one, and the run loops discard what it returns.  The scalar negotiator
+  binds its ``step_epoch`` (which returns the epoch's matches), the
+  slot and slice engines their ``step_slot``/``step_slice``; the
+  vectorized negotiator's ``step()`` returns nothing, so the loops never
+  pay for the match list its ``step_epoch`` builds;
 * ``_enqueue(flow)`` — put one arriving flow into the engine's queues;
 * ``is_idle()`` — the engine's own fast-forward preconditions;
 * ``on_skip(n)`` — bookkeeping for ``n`` steps about to be skipped;

@@ -248,6 +248,11 @@ class VectorizedNegotiaToRSimulator(StepKernel):
     # one epoch
     # ------------------------------------------------------------------
 
+    def step(self) -> None:
+        """Simulate one full epoch: the run loops' step, which builds no
+        match list."""
+        self._run_epoch()
+
     def step_epoch(self) -> list[Match]:
         """Simulate one full epoch; returns the matching it used.
 
@@ -255,6 +260,11 @@ class VectorizedNegotiaToRSimulator(StepKernel):
         the scalar engine's list order follows its dict iteration instead.
         The *set* of matches and all queue/tracker state are identical.
         """
+        m_src, m_port, m_dst = self._run_epoch()
+        return list(map(Match, m_src.tolist(), m_port.tolist(), m_dst.tolist()))
+
+    def _run_epoch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One epoch; returns its (src, port)-sorted match arrays."""
         epoch = self._step
         start_ns = epoch * self._step_ns
         tracer = self._tracer
@@ -349,12 +359,7 @@ class VectorizedNegotiaToRSimulator(StepKernel):
                 queued_bytes=self._queued,
                 active_pairs=int(np.count_nonzero(self._pend)),
             )
-        return [
-            Match(src=int(s), port=int(p), dst=int(d))
-            for s, p, d in zip(m_src, m_port, m_dst)
-        ]
-
-    step = step_epoch
+        return m_src, m_port, m_dst
 
     # ------------------------------------------------------------------
     # failures

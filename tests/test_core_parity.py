@@ -189,7 +189,9 @@ class TestNegotiatorParity:
         the vectorized core's ``_grant_fallback``.  Every epoch's match
         set is compared as well as the end state: ``step_epoch`` returns
         the vectorized matches in canonical order and the scalar ones in
-        dict order, but the sets must agree."""
+        dict order, but the sets must agree.  A third, vectorized run
+        through ``run()`` — whose ``step()`` builds no match list — must
+        end where the ``step_epoch()`` loop does."""
         rng = random.Random(5)
         pairs = [
             (rng.randrange(NUM_TORS), rng.randrange(NUM_TORS - 1),
@@ -225,6 +227,12 @@ class TestNegotiatorParity:
         assert detected_epochs > 0
         assert matched_epochs > 0
         _assert_summaries_identical(scalar, vector, stream=False)
+        ran = VectorizedNegotiaToRSimulator(
+            _config(9, "vectorized"), topo, _flows(pairs),
+            failure_plan=FailurePlan(list(plan.events)),
+        )
+        ran.run(vector.now_ns)
+        _assert_summaries_identical(vector, ran, stream=False)
 
     def test_tracer_window_counters_sum_identically(self):
         from repro.telemetry import EngineTracer, MemorySink

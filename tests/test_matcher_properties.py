@@ -24,7 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.matching import NegotiaToRMatcher, validate_matching
+from repro.core.matching import Match, NegotiaToRMatcher, validate_matching
 from repro.topology.parallel import ParallelNetwork
 from repro.topology.thinclos import ThinClos
 
@@ -136,3 +136,56 @@ def test_failure_free_predicates_match_none_fast_path(case):
     assert [(m.src, m.port, m.dst) for m in fast.matches] == [
         (m.src, m.port, m.dst) for m in slow.matches
     ]
+
+
+def _reference_accept(matcher, grants_by_src, tx_usable):
+    """ACCEPT as per-port buckets and one ``ring.pick(bucket)`` per port."""
+    matches = []
+    for src, grants in grants_by_src.items():
+        buckets: dict[int, list[int]] = {}
+        for dst, port in grants:
+            buckets.setdefault(port, []).append(dst)
+        for port in sorted(buckets):
+            if tx_usable is None or tx_usable(src, port):
+                dst = matcher._accept_rings[src][port].pick(buckets[port])
+                if dst is not None:
+                    matches.append(Match(src, port, dst))
+    return matches
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["parallel", "thinclos"]),
+    seed=st.integers(0, 2**16),
+    failures=st.booleans(),
+)
+def test_accept_step_equals_per_port_pick_reference(kind, seed, failures):
+    """ACCEPT's single-member picks change no decision: over several
+    epochs of random grants (one grant per source, one per port, and
+    contended ports), accept_step and the per-port ``pick`` reference
+    agree on every match and leave every ACCEPT ring pointer equal."""
+    rng = random.Random(seed)
+    shapes = PARALLEL_SHAPES if kind == "parallel" else THINCLOS_SHAPES
+    topology, num_tors, ports = _build(kind, rng.choice(shapes))
+    fast = NegotiaToRMatcher(topology, random.Random(seed))
+    slow = NegotiaToRMatcher(topology, random.Random(seed))
+    failed = {
+        (rng.randrange(num_tors), rng.randrange(ports))
+        for _ in range(num_tors if failures else 0)
+    }
+    tx_usable = (lambda tor, port: (tor, port) not in failed) if failed else None
+    for _epoch in range(6):
+        density = rng.choice((0.1, 0.4, 0.9))
+        # Each (dst, port) grants at most once, to a source that port hears.
+        grants_by_src: dict[int, list[tuple[int, int]]] = {}
+        for dst in range(num_tors):
+            for port in range(ports):
+                if rng.random() < density:
+                    src = rng.choice(topology.reachable_srcs(dst, port))
+                    grants_by_src.setdefault(src, []).append((dst, port))
+        assert fast.accept_step(grants_by_src, tx_usable) == _reference_accept(
+            slow, grants_by_src, tx_usable
+        )
+        assert [r.pointer for rings in fast._accept_rings for r in rings] == [
+            r.pointer for rings in slow._accept_rings for r in rings
+        ]

@@ -114,25 +114,50 @@ class TestDeal:
         assert ring.ordered_candidates({0, 1, 3}) == [3, 0, 1]
 
     @given(
-        size=st.integers(2, 12),
-        start=st.integers(0, 11),
-        candidate_bits=st.integers(1, 2**12 - 1),
+        size=st.integers(2, 128),
+        start=st.integers(0, 127),
+        drawn=st.lists(st.integers(-2, 130), max_size=140),
         count=st.integers(1, 24),
+        form=st.sampled_from(["set", "list", "dict"]),
     )
-    @settings(max_examples=200)
-    def test_deal_equals_repeated_picks(self, size, start, candidate_bits, count):
-        """deal() is an O(n + m) shortcut for m pick() calls — prove it."""
+    @settings(max_examples=300)
+    def test_deal_equals_repeated_picks(self, size, start, drawn, count, form):
+        """ordered_candidates() and deal() are shortcuts for repeated
+        pick() — prove it on rings up to the parallel network's 127
+        members, with few candidates (ranked) and many (scanned), given as
+        a set, a list with duplicates or a dict, non-members included."""
         start %= size
         members = list(range(size))
-        candidates = {i for i in members if candidate_bits & (1 << i)}
+        candidates = {
+            "set": set(drawn),
+            "list": list(drawn),
+            "dict": dict.fromkeys(drawn),
+        }[form]
+        eligible = {c for c in drawn if 0 <= c < size}
+        ranked = RoundRobinRing(members, start=start)
+        ordered = ranked.ordered_candidates(candidates)
+        assert ordered == [ranked.pick(candidates) for _ in eligible]
         fast = RoundRobinRing(members, start=start)
         slow = RoundRobinRing(members, start=start)
         dealt = fast.deal(candidates, count)
         picked = [slow.pick(candidates) for _ in range(count)]
         picked = [p for p in picked if p is not None]
         assert dealt == picked
-        if dealt:
-            assert fast.pointer == slow.pointer
+        assert fast.pointer == slow.pointer
+
+    @given(
+        size=st.integers(1, 128),
+        start=st.integers(0, 127),
+        member=st.integers(-2, 130),
+    )
+    @settings(max_examples=200)
+    def test_pick_one_equals_pick_of_one(self, size, start, member):
+        """The single-member pick is pick((m,)), pointer included."""
+        start %= size
+        fast = RoundRobinRing(list(range(size)), start=start)
+        slow = RoundRobinRing(list(range(size)), start=start)
+        assert fast.pick_one(member) == slow.pick((member,))
+        assert fast.pointer == slow.pointer
 
 
 class TestNoStarvation:
