@@ -20,10 +20,9 @@ its step length is known, and plugs in through:
 
 * ``step()`` — simulate one step; it must advance ``_step`` by exactly
   one, and the run loops discard what it returns.  The scalar negotiator
-  binds its ``step_epoch`` (which returns the epoch's matches), the
-  slot and slice engines their ``step_slot``/``step_slice``; the
-  vectorized negotiator's ``step()`` returns nothing, so the loops never
-  pay for the match list its ``step_epoch`` builds;
+  and the slot and slice engines bind their ``step_epoch``/``step_slot``/
+  ``step_slice``; the vectorized negotiator's ``step()`` returns nothing,
+  so the loops skip the match list its ``step_epoch`` builds;
 * ``_enqueue(flow)`` — put one arriving flow into the engine's queues;
 * ``is_idle()`` — the engine's own fast-forward preconditions;
 * ``on_skip(n)`` — bookkeeping for ``n`` steps about to be skipped;

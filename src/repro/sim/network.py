@@ -437,7 +437,6 @@ class NegotiaToRSimulator(StepKernel):
         check = failures.any_failed
         tracker = self.tracker
         scheduler = self.scheduler
-        record = self._rx_buffers is not None or self.bandwidth is not None
 
         # A pair may be matched on several ports (parallel network): its
         # queue is drained over the union of the ports' slots, filling all
@@ -468,8 +467,7 @@ class NegotiaToRSimulator(StepKernel):
                 slot_index = last_virtual_slot // lanes
                 deliver_ns = phase_start + (slot_index + 1) * slot_ns + propagation
                 tracker.deliver(flow, num_bytes, deliver_ns)
-                if record:
-                    self._record_bandwidth(src, dst, num_bytes, deliver_ns)
+                self._record_bandwidth(src, dst, num_bytes, deliver_ns)
 
             queue.drain_slots(
                 num_slots=timing.scheduled_slots * lanes,
