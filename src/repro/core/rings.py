@@ -123,37 +123,19 @@ class RoundRobinRing:
 
         Dealing ports to this list round-robin is equivalent to calling
         :meth:`pick` repeatedly while every candidate keeps requesting.
-        With few candidates (the cut-over :meth:`peek` uses) they are
-        sorted by clockwise distance from the pointer, in O(candidates x
-        log candidates); with many, one clockwise scan of the ring keeps
-        those it meets, in O(ring size).  Distances within a ring are
-        distinct, so both orders agree and duplicates collapse.
+        Candidates are sorted by clockwise distance from the pointer, in
+        O(candidates x log candidates) whatever the ring size; distances
+        within a ring are distinct, so duplicates collapse.
         """
-        if not candidates:
-            return []
-        members = self._members
-        n = len(members)
+        index_of = self._index_of
+        n = len(self._members)
         pointer = self._pointer
-        if len(candidates) * 4 < n:
-            index_of = self._index_of
-            by_rank = {}
-            for member in candidates:
-                index = index_of.get(member)
-                if index is not None:
-                    by_rank[(index - pointer) % n] = member
-            return [by_rank[rank] for rank in sorted(by_rank)]
-        # dicts and sets support O(1) membership directly; only copy when
-        # given a sequence (this runs once per destination per epoch).
-        if not isinstance(candidates, (set, frozenset, dict)):
-            candidates = set(candidates)
-        ordered = []
-        for member in members[pointer:]:
-            if member in candidates:
-                ordered.append(member)
-        for member in members[:pointer]:
-            if member in candidates:
-                ordered.append(member)
-        return ordered
+        by_rank = {}
+        for member in candidates:
+            index = index_of.get(member)
+            if index is not None:
+                by_rank[(index - pointer) % n] = member
+        return [by_rank[rank] for rank in sorted(by_rank)]
 
     def deal(self, candidates: Collection[int], count: int) -> list[int]:
         """Make ``count`` consecutive picks over a fixed candidate set.

@@ -19,10 +19,7 @@ An engine subclasses the kernel, calls :meth:`StepKernel.__init__` once
 its step length is known, and plugs in through:
 
 * ``step()`` — simulate one step; it must advance ``_step`` by exactly
-  one, and the run loops discard what it returns.  The scalar negotiator
-  and the slot and slice engines bind their ``step_epoch``/``step_slot``/
-  ``step_slice``; the vectorized negotiator's ``step()`` returns nothing,
-  so the loops skip the match list its ``step_epoch`` builds;
+  one, and the run loops discard what it returns;
 * ``_enqueue(flow)`` — put one arriving flow into the engine's queues;
 * ``is_idle()`` — the engine's own fast-forward preconditions;
 * ``on_skip(n)`` — bookkeeping for ``n`` steps about to be skipped;

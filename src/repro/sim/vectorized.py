@@ -248,11 +248,6 @@ class VectorizedNegotiaToRSimulator(StepKernel):
     # one epoch
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        """Simulate one full epoch: the run loops' step, which builds no
-        match list."""
-        self._run_epoch()
-
     def step_epoch(self) -> list[Match]:
         """Simulate one full epoch; returns the matching it used.
 
@@ -260,11 +255,12 @@ class VectorizedNegotiaToRSimulator(StepKernel):
         the scalar engine's list order follows its dict iteration instead.
         The *set* of matches and all queue/tracker state are identical.
         """
-        m_src, m_port, m_dst = self._run_epoch()
+        m_src, m_port, m_dst = self.step()
         return list(map(Match, m_src.tolist(), m_port.tolist(), m_dst.tolist()))
 
-    def _run_epoch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One epoch; returns its (src, port)-sorted match arrays."""
+    def step(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Simulate one full epoch; returns its (src, port)-sorted match
+        arrays, which the run loops discard."""
         epoch = self._step
         start_ns = epoch * self._step_ns
         tracer = self._tracer

@@ -124,8 +124,8 @@ class TestDeal:
     def test_deal_equals_repeated_picks(self, size, start, drawn, count, form):
         """ordered_candidates() and deal() are shortcuts for repeated
         pick() — prove it on rings up to the parallel network's 127
-        members, with few candidates (ranked) and many (scanned), given as
-        a set, a list with duplicates or a dict, non-members included."""
+        members, with few candidates and many (both of peek's paths), given
+        as a set, a list with duplicates or a dict, non-members included."""
         start %= size
         members = list(range(size))
         candidates = {
