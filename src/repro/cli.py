@@ -76,7 +76,13 @@ import argparse
 import json
 import sys
 
-from .experiments import EXPERIMENT_MODULES, SCALES, current_scale, load_experiment
+from .experiments import (
+    EXPERIMENT_MODULES,
+    SCALES,
+    SYSTEMS,
+    current_scale,
+    load_experiment,
+)
 
 
 CLI_BACKENDS = ("jsonl", "sharded", "sqlite")
@@ -103,8 +109,8 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         dest="systems",
         metavar="SYSTEM",
         default=None,
-        help="system to sweep: negotiator, oblivious, rotor, or adaptive "
-        "(repeatable; default: negotiator)",
+        help=f"system to sweep: {', '.join(SYSTEMS)} (repeatable; "
+        "default: negotiator)",
     )
     parser.add_argument(
         "--topology",
@@ -112,7 +118,9 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         dest="topologies",
         choices=["parallel", "thinclos"],
         default=None,
-        help="fabric to sweep (repeatable; default: parallel)",
+        help="fabric to sweep (repeatable; default: parallel); a system "
+        "whose registry entry lists one fabric runs on it whatever this "
+        "says",
     )
     parser.add_argument(
         "--load",
@@ -537,11 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--system",
         metavar="SYSTEM",
         default="negotiator",
-        help="system to simulate: negotiator, oblivious, rotor, or "
-        "adaptive (default: negotiator)",
+        help=f"system to simulate: {', '.join(SYSTEMS)} (default: "
+        "negotiator)",
     )
     simulate.add_argument(
-        "--topology", choices=["parallel", "thinclos"], default="parallel"
+        "--topology",
+        choices=["parallel", "thinclos"],
+        default="parallel",
+        help="fabric (default: parallel); a system whose registry entry "
+        "lists one fabric runs on it whatever this says",
     )
     simulate.add_argument("--scale", choices=sorted(SCALES), default=None)
     simulate.add_argument("--load", type=float, default=0.5)
@@ -700,12 +712,6 @@ def resolve_scale(name: str | None):
     if name is None:
         return current_scale()
     return SCALES[name]
-
-
-CLI_SYSTEMS = ("adaptive", "negotiator", "oblivious", "rotor")
-"""Systems runnable from the CLI.  The spec-level registry
-(:data:`repro.sweep.spec.SYSTEMS`) additionally holds ``relay``, which has
-no CLI entry point."""
 
 
 def _reject_unknown(names, registry, kind: str) -> bool:
@@ -947,7 +953,7 @@ def _build_specs(args, scale):
             print(str(exc), file=sys.stderr)
             return None
     systems = args.systems or ["negotiator"]
-    if _reject_unknown(systems, CLI_SYSTEMS, "system"):
+    if _reject_unknown(systems, SYSTEMS, "system"):
         return None
     topologies = args.topologies or ["parallel"]
     loads = args.loads or list(scale.loads)
@@ -967,15 +973,10 @@ def _build_specs(args, scale):
             )
             for system in systems:
                 for topology in topologies:
-                    # The oblivious, rotor, and adaptive baselines only
-                    # run on thin-clos (their schedules need the AWGR
-                    # structure), whatever the --topology axis says;
+                    # A system runs only on the fabrics its registry
+                    # entry lists, whatever the --topology axis says;
                     # duplicates dedupe below.
-                    fields = (
-                        system_spec_fields(system)
-                        if system in ("adaptive", "oblivious", "rotor")
-                        else {"system": system, "topology": topology}
-                    )
+                    fields = system_spec_fields(system, topology)
                     for load in point_loads:
                         for seed in seeds:
                             spec = RunSpec(
@@ -1436,17 +1437,13 @@ def cmd_store(args) -> int:
 def cmd_simulate(args) -> int:
     import random
 
-    from .experiments.common import (
-        run_adaptive,
-        run_negotiator,
-        run_oblivious,
-        run_rotor,
-        sim_config,
-    )
-    from .workloads import by_name, poisson_workload, trace_io
+    from .experiments.common import run_system, sim_config, workload_for
+    from .sweep import system_spec_fields
+    from .workloads import trace_io
 
-    if _reject_unknown([args.system], CLI_SYSTEMS, "system"):
+    if _reject_unknown([args.system], SYSTEMS, "system"):
         return 2
+    topology = system_spec_fields(args.system, args.topology)["topology"]
     scale = resolve_scale(args.scale)
     duration_ns = (
         args.duration_ms * 1e6 if args.duration_ms is not None
@@ -1462,28 +1459,24 @@ def cmd_simulate(args) -> int:
         flows = trace_io.load(args.workload_file)
         trace_io.validate_for_fabric(flows, config.num_tors)
     else:
-        distribution = by_name(args.trace)
-        if scale.max_flow_bytes is not None:
-            distribution = distribution.truncated(scale.max_flow_bytes)
-        flows = poisson_workload(
-            distribution,
+        flows = workload_for(
+            scale,
             args.load,
-            config.num_tors,
-            config.host_aggregate_gbps,
-            duration_ns,
-            random.Random(config.seed),
+            trace=args.trace,
+            duration_ns=duration_ns,
+            rng=random.Random(config.seed),
         )
 
-    run = {
-        "oblivious": run_oblivious,
-        "rotor": run_rotor,
-        "adaptive": run_adaptive,
-    }.get(args.system, run_negotiator)
-    summary = run(
-        scale, args.topology, flows, duration_ns=duration_ns, config=config
+    summary = run_system(
+        args.system,
+        scale,
+        topology,
+        flows,
+        config=config,
+        duration_ns=duration_ns,
     ).summary
 
-    print(f"system    : {args.system} on {args.topology} "
+    print(f"system    : {args.system} on {topology} "
           f"({config.num_tors} ToRs x {config.ports_per_tor} ports)")
     print(f"workload  : {summary.num_flows} flows over "
           f"{duration_ns / 1e6:g} ms "

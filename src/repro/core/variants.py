@@ -494,6 +494,12 @@ def scheduling_delay_epochs(iterations: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+SCHEDULERS = (
+    "base", "iterative", "data-size", "hol-delay", "stateful", "projector",
+)
+"""Every scheduler variant name :func:`make_scheduler` builds."""
+
+
 def make_scheduler(
     name: str,
     topology: FlatTopology,
@@ -503,11 +509,7 @@ def make_scheduler(
     alpha: float = 0.001,
     phase_capacity_bytes: int = 30 * 1115,
 ):
-    """Build a scheduler variant by name.
-
-    Names: ``base``, ``iterative``, ``data-size``, ``hol-delay``,
-    ``stateful``, ``projector``.
-    """
+    """Build a scheduler variant by name (one of :data:`SCHEDULERS`)."""
     if name == "base":
         return PipelinedScheduler(NegotiaToRMatcher(topology, rng))
     if name == "iterative":

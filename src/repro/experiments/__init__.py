@@ -16,16 +16,13 @@ from .common import (
     PAPER,
     SCALES,
     SMALL,
+    SYSTEMS,
     TINY,
     ExperimentResult,
     ExperimentScale,
     current_scale,
     make_topology,
-    run_adaptive,
-    run_negotiator,
-    run_oblivious,
-    run_relay,
-    run_rotor,
+    run_system,
     sim_config,
     workload_for,
 )
@@ -74,15 +71,12 @@ __all__ = [
     "ExperimentScale",
     "PAPER",
     "SMALL",
+    "SYSTEMS",
     "TINY",
     "current_scale",
     "load_experiment",
     "make_topology",
-    "run_adaptive",
-    "run_negotiator",
-    "run_oblivious",
-    "run_relay",
-    "run_rotor",
+    "run_system",
     "sim_config",
     "workload_for",
 ]

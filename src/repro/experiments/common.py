@@ -19,17 +19,19 @@ port count (``S * 100 / 2`` Gbps).
 
 from __future__ import annotations
 
+import inspect
 import os
 import random
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.variants import make_scheduler
-from ..sim.config import EpochConfig, SimConfig
+from ..core.relay import RelayPolicy, SelectiveRelaySimulator
+from ..core.variants import SCHEDULERS, make_scheduler
+from ..sim.config import AdaptiveConfig, RotorConfig, SimConfig
 from ..sim.metrics import BandwidthRecorder, MatchRatioRecorder, RunSummary
 from ..sim.factory import make_negotiator
-from ..sim.network import NegotiaToRSimulator
 from ..sim.oblivious import ObliviousSimulator
 from ..topology.base import FlatTopology
 from ..topology.parallel import ParallelNetwork
@@ -138,6 +140,10 @@ def sim_config(scale: ExperimentScale, **overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+TOPOLOGIES = ("parallel", "thinclos")
+"""The fabric kinds :func:`make_topology` builds."""
+
+
 def make_topology(scale: ExperimentScale, kind: str) -> FlatTopology:
     """Build the ``parallel`` or ``thinclos`` fabric at one scale."""
     if kind == "parallel":
@@ -145,6 +151,125 @@ def make_topology(scale: ExperimentScale, kind: str) -> FlatTopology:
     if kind == "thinclos":
         return ThinClos(scale.num_tors, scale.ports_per_tor, scale.awgr_ports)
     raise ValueError(f"unknown topology kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the system registry and its one run path
+# ---------------------------------------------------------------------------
+
+
+def _build_negotiator(config, topology, flows, scheduler, params, **engine):
+    # Only a variant or scheduler_params attaches a scheduler: the
+    # default one leaves the vectorized core eligible.
+    if scheduler != "base" or params:
+        engine["scheduler"] = make_scheduler(
+            scheduler, topology, random.Random(config.seed), **params
+        )
+    return make_negotiator(config, topology, flows, **engine)
+
+
+def _build_relay(config, topology, flows, scheduler, params, **engine):
+    return SelectiveRelaySimulator(
+        config, topology, flows, relay_policy=RelayPolicy(**params), **engine
+    )
+
+
+def _build_oblivious(config, topology, flows, scheduler, params, **engine):
+    return ObliviousSimulator(config, topology, flows, **engine)
+
+
+def _build_rotor(config, topology, flows, scheduler, params, **engine):
+    from ..sim.rotor import RotorSimulator
+
+    return RotorSimulator(
+        config, topology, flows, rotor=RotorConfig(**params), **engine
+    )
+
+
+def _build_adaptive(config, topology, flows, scheduler, params, **engine):
+    from ..sim.adaptive import AdaptiveSimulator
+
+    return AdaptiveSimulator(
+        config, topology, flows, adaptive=AdaptiveConfig(**params), **engine
+    )
+
+
+def _keywords(resolver) -> frozenset[str]:
+    """The parameters ``resolver`` takes with a default: the keys its
+    ``*_params`` spec field may set (make_scheduler's keyword options, or
+    a config dataclass's fields)."""
+    return frozenset(
+        name
+        for name, parameter in inspect.signature(resolver).parameters.items()
+        if parameter.default is not parameter.empty
+    )
+
+
+@dataclass(frozen=True)
+class System:
+    """One registered system: its builder and what a spec may ask of it.
+
+    ``build(config, topology, flows, scheduler, params, **engine)`` returns
+    the engine.  ``params`` is the spec's ``params_field`` as a dict whose
+    keys come from ``params_keys``; ``engine`` holds ``stream``,
+    ``tracer`` and only the failure plan and recorders the run asks for,
+    so a builder is never handed an option its engine lacks.  The other
+    fields are the capabilities :class:`~repro.sweep.spec.RunSpec` checks
+    every spec against when it is built: the fabrics the system runs on,
+    its scheduler variants, whether it takes failure plans and
+    ``stream=True``, the ``instrument`` keys it reads, and the
+    ``spec_version`` it hashes under.
+    """
+
+    build: Callable[..., object]
+    topologies: tuple[str, ...] = ("thinclos",)
+    params_field: str | None = None
+    params_keys: frozenset[str] = frozenset()
+    schedulers: tuple[str, ...] = ("base",)
+    failures: bool = False
+    stream: bool = True
+    instrument: frozenset[str] = frozenset({"bandwidth_bin_ns"})
+    spec_version: int = 2
+
+
+SYSTEMS: dict[str, System] = {
+    "negotiator": System(
+        _build_negotiator,
+        topologies=TOPOLOGIES,
+        params_field="scheduler_params",
+        params_keys=_keywords(make_scheduler),
+        schedulers=SCHEDULERS,
+        failures=True,
+        instrument=frozenset(
+            {"bandwidth_bin_ns", "match_ratio", "pair_bandwidth"}
+        ),
+    ),
+    # The selective-relay variant of appendix A.2.2: its relay needs the
+    # AWGR structure of thin-clos, as do the three baselines' schedules.
+    "relay": System(
+        _build_relay,
+        params_field="scheduler_params",
+        params_keys=_keywords(RelayPolicy),
+        stream=False,
+        instrument=frozenset(),
+    ),
+    "oblivious": System(_build_oblivious),
+    "rotor": System(
+        _build_rotor,
+        params_field="rotor_params",
+        params_keys=_keywords(RotorConfig),
+        failures=True,
+        spec_version=3,
+    ),
+    "adaptive": System(
+        _build_adaptive,
+        params_field="adaptive_params",
+        params_keys=_keywords(AdaptiveConfig),
+        failures=True,
+        spec_version=5,
+    ),
+}
+"""Every runnable system by name (DESIGN.md §8)."""
 
 
 @dataclass
@@ -157,255 +282,76 @@ class RunArtifacts:
     bandwidth: BandwidthRecorder | None = None
 
 
-def _run_registered(sim, duration, until_complete, max_ns):
-    """Drive one simulator to completion, visible to worker heartbeats.
+def run_system(
+    system: str,
+    scale: ExperimentScale,
+    topology_kind: str,
+    flows,
+    *,
+    config: SimConfig,
+    duration_ns: float | None = None,
+    scheduler: str = "base",
+    params: Mapping | None = None,
+    instrument: Mapping | None = None,
+    failure_model=None,
+    failure_plan=None,
+    until_complete: bool = False,
+    max_ns: float | None = None,
+    stream: bool = False,
+    tracer=None,
+) -> RunArtifacts:
+    """Build one registered system on a workload, run it, and summarize.
+
+    The one run path behind ``execute_spec`` and ``repro simulate``.  The
+    arguments are trusted: RunSpec construction checks a spec against
+    ``SYSTEMS[system]``, and ``repro simulate`` asks for nothing but a
+    fabric, which it takes from ``system_spec_fields``.  ``params`` holds
+    the entry's ``params_field`` options, and ``instrument`` the recorder
+    switches (``bandwidth_bin_ns``, ``match_ratio``, ``pair_bandwidth``).
+    ``stream=True`` consumes ``flows`` as a lazy arrival-ordered iterator
+    with a bounded-memory tracker (DESIGN.md §11); ``tracer`` is an
+    optional :class:`~repro.telemetry.EngineTracer` (DESIGN.md §14).
 
     The active-simulator registration is what lets the sweep heartbeat
     thread (DESIGN.md §14) report sim-time/flow progress while the run
-    loop below is busy; it costs one lock acquisition per *run*, not per
-    epoch.
+    loop is busy; it costs one lock acquisition per *run*, not per epoch.
     """
     from ..telemetry.heartbeat import (
         clear_active_simulator,
         set_active_simulator,
     )
 
+    instrument = instrument or {}
+    bin_ns = instrument.get("bandwidth_bin_ns")
+    bandwidth = BandwidthRecorder(bin_ns) if bin_ns else None
+    match_recorder = (
+        MatchRatioRecorder() if instrument.get("match_ratio") else None
+    )
+    engine: dict = {"stream": stream, "tracer": tracer}
+    if bandwidth is not None:
+        engine["bandwidth_recorder"] = bandwidth
+    if match_recorder is not None:
+        engine["match_recorder"] = match_recorder
+    if instrument.get("pair_bandwidth"):
+        engine["record_pair_bandwidth"] = True
+    if failure_model is not None or failure_plan is not None:
+        engine.update(failure_model=failure_model, failure_plan=failure_plan)
+    topology = make_topology(scale, topology_kind)
+    sim = SYSTEMS[system].build(
+        config, topology, flows, scheduler, dict(params or {}), **engine
+    )
+    duration = duration_ns if duration_ns is not None else scale.duration_ns
     set_active_simulator(sim)
     try:
         if until_complete:
             sim.run_until_complete(max_ns=max_ns or 100 * duration)
-            return sim.summary(sim.now_ns)
-        sim.run(duration)
-        return sim.summary(duration)
+            summary = sim.summary(sim.now_ns)
+        else:
+            sim.run(duration)
+            summary = sim.summary(duration)
     finally:
         clear_active_simulator()
-
-
-def run_negotiator(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    epoch: EpochConfig | None = None,
-    priority_queue: bool = True,
-    scheduler_name: str = "base",
-    scheduler_kwargs: dict | None = None,
-    record_match_ratio: bool = False,
-    bandwidth_bin_ns: float | None = None,
-    record_pair_bandwidth: bool = False,
-    failure_model=None,
-    failure_plan=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
-) -> RunArtifacts:
-    """Run NegotiaToR on a workload and collect artifacts.
-
-    ``stream=True`` consumes ``flows`` as a lazy arrival-ordered iterator
-    with a bounded-memory tracker (DESIGN.md §11).  ``tracer`` is an
-    optional :class:`~repro.telemetry.EngineTracer` (DESIGN.md §14).
-    """
-    if config is None:
-        overrides: dict = {"priority_queue_enabled": priority_queue}
-        if epoch is not None:
-            overrides["epoch"] = epoch
-        config = sim_config(scale, **overrides)
-    topology = make_topology(scale, topology_kind)
-    scheduler = None
-    if scheduler_name != "base" or scheduler_kwargs:
-        scheduler = make_scheduler(
-            scheduler_name,
-            topology,
-            random.Random(config.seed),
-            **(scheduler_kwargs or {}),
-        )
-    match_recorder = MatchRatioRecorder() if record_match_ratio else None
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
-    )
-    sim = make_negotiator(
-        config,
-        topology,
-        flows,
-        scheduler=scheduler,
-        failure_model=failure_model,
-        failure_plan=failure_plan,
-        match_recorder=match_recorder,
-        bandwidth_recorder=bandwidth,
-        record_pair_bandwidth=record_pair_bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(
-        summary=summary,
-        simulator=sim,
-        match_recorder=match_recorder,
-        bandwidth=bandwidth,
-    )
-
-
-def run_relay(
-    scale: ExperimentScale,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    relay_policy=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    tracer=None,
-) -> RunArtifacts:
-    """Run the selective-relay variant (thin-clos only, appendix A.2.2)."""
-    from ..core.relay import SelectiveRelaySimulator
-
-    if config is None:
-        config = sim_config(scale)
-    topology = make_topology(scale, "thinclos")
-    sim = SelectiveRelaySimulator(
-        config, topology, flows, relay_policy=relay_policy, tracer=tracer
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim)
-
-
-def run_oblivious(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    priority_queue: bool = True,
-    bandwidth_bin_ns: float | None = None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
-) -> RunArtifacts:
-    """Run the traffic-oblivious baseline on a workload.
-
-    ``stream=True`` consumes ``flows`` as a lazy arrival-ordered iterator
-    with a bounded-memory tracker (DESIGN.md §11).
-    """
-    if config is None:
-        config = sim_config(scale, priority_queue_enabled=priority_queue)
-    topology = make_topology(scale, topology_kind)
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
-    )
-    sim = ObliviousSimulator(
-        config,
-        topology,
-        flows,
-        bandwidth_recorder=bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim, bandwidth=bandwidth)
-
-
-def run_rotor(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    priority_queue: bool = True,
-    rotor=None,
-    bandwidth_bin_ns: float | None = None,
-    failure_model=None,
-    failure_plan=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
-) -> RunArtifacts:
-    """Run the RotorNet-style rotor baseline on a workload.
-
-    ``rotor`` is a :class:`~repro.sim.config.RotorConfig` (default
-    timing/relay knobs when None).  ``stream=True`` consumes ``flows`` as a
-    lazy arrival-ordered iterator with a bounded-memory tracker (DESIGN.md
-    §11).
-    """
-    from ..sim.rotor import RotorSimulator
-
-    if config is None:
-        config = sim_config(scale, priority_queue_enabled=priority_queue)
-    topology = make_topology(scale, topology_kind)
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
-    )
-    sim = RotorSimulator(
-        config,
-        topology,
-        flows,
-        rotor=rotor,
-        failure_model=failure_model,
-        failure_plan=failure_plan,
-        bandwidth_recorder=bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim, bandwidth=bandwidth)
-
-
-def run_adaptive(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    priority_queue: bool = True,
-    adaptive=None,
-    bandwidth_bin_ns: float | None = None,
-    failure_model=None,
-    failure_plan=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
-) -> RunArtifacts:
-    """Run the demand-aware adaptive baseline on a workload.
-
-    ``adaptive`` is a :class:`~repro.sim.config.AdaptiveConfig` (default
-    estimation/matching knobs when None).  ``stream=True`` consumes
-    ``flows`` as a lazy arrival-ordered iterator with a bounded-memory
-    tracker (DESIGN.md §11).
-    """
-    from ..sim.adaptive import AdaptiveSimulator
-
-    if config is None:
-        config = sim_config(scale, priority_queue_enabled=priority_queue)
-    topology = make_topology(scale, topology_kind)
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
-    )
-    sim = AdaptiveSimulator(
-        config,
-        topology,
-        flows,
-        adaptive=adaptive,
-        failure_model=failure_model,
-        failure_plan=failure_plan,
-        bandwidth_recorder=bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim, bandwidth=bandwidth)
+    return RunArtifacts(summary, sim, match_recorder, bandwidth)
 
 
 def sized_distribution(scale: ExperimentScale, trace: str = "hadoop"):

@@ -29,17 +29,11 @@ from ..experiments.common import (
     SCALES,
     ExperimentScale,
     make_topology,
-    run_adaptive,
-    run_negotiator,
-    run_oblivious,
-    run_relay,
-    run_rotor,
+    run_system,
     sim_config,
 )
 from ..sim.config import (
-    AdaptiveConfig,
     EpochConfig,
-    RotorConfig,
     epoch_config_for_reconfiguration_delay,
     epoch_config_without_piggyback,
 )
@@ -68,7 +62,7 @@ from .resilience import (
     default_quarantine_path,
     run_with_retries,
 )
-from .spec import SYSTEMS, RunSpec, unknown_name_message
+from .spec import RunSpec
 from .store import ResultStore
 
 
@@ -144,38 +138,6 @@ def resolve_epoch(
         if not piggyback:
             epoch = epoch_config_without_piggyback(epoch, UPLINK_GBPS, slots)
     return epoch
-
-
-def resolve_rotor(spec: RunSpec) -> RotorConfig | None:
-    """The rotor configuration a spec's ``rotor_params`` describe.
-
-    Keys map to :class:`~repro.sim.config.RotorConfig` fields.  Returns
-    None (engine defaults) when the spec has no overrides.
-    """
-    params = dict(spec.rotor_params)
-    if not params:
-        return None
-    unknown = set(params) - {f.name for f in dataclasses.fields(RotorConfig)}
-    if unknown:
-        raise ValueError(f"unknown rotor_params key(s): {sorted(unknown)}")
-    return RotorConfig(**params)
-
-
-def resolve_adaptive(spec: RunSpec) -> AdaptiveConfig | None:
-    """The adaptive configuration a spec's ``adaptive_params`` describe.
-
-    Keys map to :class:`~repro.sim.config.AdaptiveConfig` fields.  Returns
-    None (engine defaults) when the spec has no overrides.
-    """
-    params = dict(spec.adaptive_params)
-    if not params:
-        return None
-    unknown = set(params) - {
-        f.name for f in dataclasses.fields(AdaptiveConfig)
-    }
-    if unknown:
-        raise ValueError(f"unknown adaptive_params key(s): {sorted(unknown)}")
-    return AdaptiveConfig(**params)
 
 
 def resolve_failures(
@@ -426,24 +388,16 @@ def _collect_incast_mix_stats(artifacts, spec, scale, params) -> dict:
 # ---------------------------------------------------------------------------
 
 
-INSTRUMENT_KEYS = {
-    "bandwidth_bin_ns",
-    "pair_bandwidth",
-    "match_ratio",
-    "margin_ns",
-}
-"""Valid ``instrument`` keys: recorder attachments plus measurement knobs
-(``margin_ns``) that collectors read back from the spec."""
-
-
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run one spec to completion and return its summary.
 
-    Delegates the actual run to the experiments' reference helpers
-    (``run_negotiator``/``run_oblivious``/``run_rotor``/``run_relay``), so
-    sweep results can never diverge from a directly-run experiment.
-    Module-level (and argument-picklable) so a process pool can ship it to
-    workers unchanged.
+    Delegates the actual run to :func:`~repro.experiments.common.run_system`,
+    the one run path of every registered system, after resolving what
+    needs the scale or the runner's own registries (scenario, epoch and
+    failure parameters, ``collect`` names); RunSpec construction has
+    already checked the spec against its system.  Module-level (and
+    argument-picklable) so a process pool can ship it to workers
+    unchanged.
 
     When the ``REPRO_TELEMETRY`` environment channel is active (DESIGN.md
     §14) an engine tracer is attached to the run — the env var is how the
@@ -461,28 +415,6 @@ def execute_spec(spec: RunSpec) -> RunSummary:
                 f"unknown collect metric {name!r}; "
                 f"choose from {sorted(COLLECTORS)}"
             )
-    instrument = dict(spec.instrument)
-    unknown = set(instrument) - INSTRUMENT_KEYS
-    if unknown:
-        raise ValueError(
-            f"unknown instrument key(s): {sorted(unknown)}; "
-            f"choose from {sorted(INSTRUMENT_KEYS)}"
-        )
-    if spec.stream:
-        # Collectors and instrumentation read retained per-flow state,
-        # which the bounded-memory tracker evicts by design.
-        if spec.collect:
-            raise ValueError(
-                "streaming specs compute headline summaries only; "
-                f"drop collect={sorted(spec.collect)} or run materialized"
-            )
-        if instrument:
-            raise ValueError(
-                "instrumentation is not supported with stream=True; "
-                f"drop instrument key(s) {sorted(instrument)}"
-            )
-        if spec.system == "relay":
-            raise ValueError("the relay system does not support stream=True")
 
     flows = (
         scenarios.build_workload_iter(spec, scale, params)
@@ -496,137 +428,24 @@ def execute_spec(spec: RunSpec) -> RunSummary:
     config = sim_config(scale, **overrides)
     if spec.without_speedup:
         config = config.without_speedup()
-    duration = spec.duration_ns if spec.duration_ns else scale.duration_ns
     failure_model, failure_plan = resolve_failures(spec, scale)
-
-    if spec.system != "negotiator":
-        if spec.scheduler != "base":
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        if failure_model is not None and spec.system not in (
-            "rotor",
-            "adaptive",
-        ):
-            raise ValueError(
-                "failure plans apply to the negotiator, rotor, and "
-                "adaptive systems only"
-            )
-        if instrument.get("pair_bandwidth") or instrument.get("match_ratio"):
-            raise ValueError(
-                "pair_bandwidth/match_ratio instrumentation applies to the "
-                "negotiator system only"
-            )
-    if spec.rotor_params and spec.system != "rotor":
-        raise ValueError("rotor_params apply to the rotor system only")
-    if spec.adaptive_params and spec.system != "adaptive":
-        raise ValueError("adaptive_params apply to the adaptive system only")
-
-    if spec.system == "oblivious":
-        if spec.scheduler_params:
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        artifacts = run_oblivious(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    elif spec.system == "rotor":
-        if spec.scheduler_params:
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        artifacts = run_rotor(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            rotor=resolve_rotor(spec),
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    elif spec.system == "adaptive":
-        if spec.scheduler_params:
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        artifacts = run_adaptive(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            adaptive=resolve_adaptive(spec),
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    elif spec.system == "relay":
-        from ..core.relay import RelayPolicy
-
-        if spec.topology != "thinclos":
-            raise ValueError("the relay system runs on thin-clos only")
-        if instrument.get("bandwidth_bin_ns") is not None:
-            raise ValueError("the relay system supports no instrumentation")
-        policy = (
-            RelayPolicy(**dict(spec.scheduler_params))
-            if spec.scheduler_params
-            else None
-        )
-        artifacts = run_relay(
-            scale,
-            flows,
-            duration_ns=duration,
-            config=config,
-            relay_policy=policy,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            tracer=tracer,
-        )
-    elif spec.system == "negotiator":
-        artifacts = run_negotiator(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            scheduler_name=spec.scheduler,
-            scheduler_kwargs=dict(spec.scheduler_params),
-            record_match_ratio=bool(instrument.get("match_ratio")),
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            record_pair_bandwidth=bool(instrument.get("pair_bandwidth")),
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    else:
-        # RunSpec validation makes this unreachable, but the dispatch is
-        # kept exhaustive so a registry/dispatch drift fails loudly with
-        # the same message shape as every other entry point.
-        raise ValueError(
-            unknown_name_message("system", [spec.system], SYSTEMS)
-        )
+    artifacts = run_system(
+        spec.system,
+        scale,
+        spec.topology,
+        flows,
+        config=config,
+        duration_ns=spec.duration_ns,
+        scheduler=spec.scheduler,
+        params=spec.system_params(),
+        instrument=dict(spec.instrument),
+        failure_model=failure_model,
+        failure_plan=failure_plan,
+        until_complete=spec.until_complete,
+        max_ns=spec.max_ns,
+        stream=spec.stream,
+        tracer=tracer,
+    )
 
     summary = artifacts.summary
     # Which core actually ran is observability, not spec content: it

@@ -22,6 +22,9 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
+from ..core.variants import SCHEDULERS
+from ..experiments.common import SYSTEMS, TOPOLOGIES, System
+
 SPEC_VERSION = 5
 """The newest spec schema this code understands.
 
@@ -55,15 +58,22 @@ PARAM_FIELDS = (
 )
 """RunSpec fields holding frozen key/value parameter tuples."""
 
-SYSTEMS = ("adaptive", "negotiator", "oblivious", "relay", "rotor")
-TOPOLOGIES = ("parallel", "thinclos")
+SYSTEM_PARAM_FIELDS = tuple(
+    sorted({system.params_field for system in SYSTEMS.values()} - {None})
+)
+"""The ``*_params`` fields the registered systems read (one each at most)."""
+
+COLLECTOR_KNOBS = frozenset({"margin_ns"})
+"""``instrument`` keys no engine reads: measurement knobs the ``collect``
+metrics read back from the spec, valid on every system."""
 
 
 def unknown_name_message(kind: str, names, registry) -> str:
     """The one diagnostic shape for names missing from a registry.
 
     Every ``system=``/``engine=`` validation site — spec construction,
-    spec execution, the CLI's argument rejection, the scale bench — goes
+    the CLI's argument rejection, the scale bench — and every unknown
+    scheduler, ``*_params`` or ``instrument`` key a spec names goes
     through this helper, so the message can never drift between entry
     points (the regression in tests/test_cli_and_analysis.py pins it).
     """
@@ -71,6 +81,11 @@ def unknown_name_message(kind: str, names, registry) -> str:
         f"unknown {kind}(s): {', '.join(names)} "
         f"(choose from {', '.join(sorted(registry))})"
     )
+
+
+def unsupported_message(system: str, feature: str) -> str:
+    """The one diagnostic shape for a feature a registered system lacks."""
+    return f"the {system} system does not support {feature}"
 
 
 def freeze_params(params: Mapping[str, object] | None) -> Params:
@@ -86,18 +101,50 @@ def freeze_params(params: Mapping[str, object] | None) -> Params:
     return tuple(sorted(params.items()))
 
 
-def system_spec_fields(kind: str) -> dict:
+def system_spec_fields(kind: str, topology: str | None = None) -> dict:
     """Map an experiment "system" label to RunSpec system/topology fields.
 
     Experiments label their curves ``parallel``/``thinclos`` (NegotiaToR on
-    that fabric), ``oblivious``, ``rotor``, ``adaptive``, or ``relay`` —
-    and the oblivious, rotor, and adaptive baselines and the
-    selective-relay variant always run on thin-clos, whose AWGR structure
-    their schemes need.  This helper is that invariant's single home.
+    that fabric) or by a registered system name.  A system runs on
+    ``topology`` when its registry entry lists that fabric and on the
+    entry's first fabric otherwise, so the relay variant and the three
+    baselines, which run on thin-clos only, land there whatever fabric was
+    asked for.  This helper is that rule's single home.
     """
-    if kind in ("adaptive", "oblivious", "relay", "rotor"):
-        return {"system": kind, "topology": "thinclos"}
-    return {"system": "negotiator", "topology": kind}
+    if kind in TOPOLOGIES:
+        return {"system": "negotiator", "topology": kind}
+    if kind not in SYSTEMS:
+        raise ValueError(unknown_name_message("system", [kind], SYSTEMS))
+    fabrics = SYSTEMS[kind].topologies
+    return {
+        "system": kind,
+        "topology": topology if topology in fabrics else fabrics[0],
+    }
+
+
+def _unsupported(spec: RunSpec, entry: System):
+    """The features ``spec`` asks of its system that the entry lacks."""
+    if spec.topology not in entry.topologies:
+        yield f"topology {spec.topology!r}"
+    if spec.scheduler not in entry.schedulers:
+        yield f"scheduler {spec.scheduler!r}"
+    for name in SYSTEM_PARAM_FIELDS:
+        if getattr(spec, name) and name != entry.params_field:
+            yield name
+    if spec.failure_params and not entry.failures:
+        yield "failure_params"
+    if spec.stream:
+        # Collectors and recorders read retained per-flow state, which
+        # the bounded-memory tracker evicts by design.
+        if spec.collect:
+            yield "collect with stream=True"
+        if spec.instrument:
+            yield "instrument with stream=True"
+        if not entry.stream:
+            yield "stream=True"
+    for key, _value in spec.instrument:
+        if key not in entry.instrument and key not in COLLECTOR_KNOBS:
+            yield f"instrument key {key!r}"
 
 
 @dataclass(frozen=True)
@@ -123,8 +170,8 @@ class RunSpec:
     and ``reconfiguration_delay_ns`` (the Fig 8 guardband stretch).
 
     ``failure_params`` declares a link-failure plan (``plan`` is ``random``
-    or ``egress-ports`` plus that plan's arguments; negotiator and rotor
-    systems).
+    or ``egress-ports`` plus that plan's arguments; negotiator, rotor and
+    adaptive systems).
 
     ``stream=True`` runs the spec through the streaming path (DESIGN.md
     §11): the workload is generated lazily and the tracker evicts completed
@@ -153,6 +200,14 @@ class RunSpec:
     The ``relay`` system is the selective-relay variant of appendix A.2.2;
     it runs on thin-clos and interprets ``scheduler_params`` as
     :class:`~repro.core.relay.RelayPolicy` overrides.
+
+    Construction checks the spec against its system's entry in
+    :data:`SYSTEMS` (DESIGN.md §8).  An unknown scheduler, ``*_params``
+    key or ``instrument`` key raises in the :func:`unknown_name_message`
+    shape; a fabric, scheduler variant, params field, failure plan,
+    streaming mode or recorder the system lacks raises in the
+    :func:`unsupported_message` shape.  A bad grid therefore fails on
+    ``--dry-run``, before any worker starts.
     """
 
     scale: str
@@ -187,6 +242,10 @@ class RunSpec:
             raise ValueError(
                 f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}"
             )
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                unknown_name_message("scheduler", [self.scheduler], SCHEDULERS)
+            )
         if self.load <= 0:
             raise ValueError("load must be positive")
         if self.duration_ns is not None and self.duration_ns <= 0:
@@ -198,6 +257,26 @@ class RunSpec:
                     self, name, freeze_params(getattr(self, name))
                 )
         object.__setattr__(self, "collect", tuple(self.collect))
+        entry = SYSTEMS[self.system]
+        if self.instrument:
+            known = COLLECTOR_KNOBS.union(
+                *(system.instrument for system in SYSTEMS.values())
+            )
+            unknown = sorted({k for k, _ in self.instrument} - known)
+            if unknown:
+                raise ValueError(
+                    unknown_name_message("instrument key", unknown, known)
+                )
+        if entry.params_field is not None:
+            keys = {k for k, _ in getattr(self, entry.params_field)}
+            unknown = sorted(keys - entry.params_keys)
+            if unknown:
+                raise ValueError(unknown_name_message(
+                    f"{entry.params_field} key", unknown, entry.params_keys
+                ))
+        feature = next(_unsupported(self, entry), None)
+        if feature is not None:
+            raise ValueError(unsupported_message(self.system, feature))
 
     # ------------------------------------------------------------------
     # serialization and hashing
@@ -263,15 +342,16 @@ class RunSpec:
         """The oldest schema version able to express this spec.
 
         This — not :data:`SPEC_VERSION` — is what enters the canonical
-        JSON: a spec hashes under the schema that introduced the newest
-        feature it actually uses, so adding schema versions never moves
-        the hashes of specs that predate them.
+        JSON: a spec hashes under the schema that introduced its system
+        (its registry entry's ``spec_version``), so adding schema versions
+        never moves the hashes of specs that predate them.
         """
-        if self.system == "adaptive" or self.adaptive_params:
-            return 5
-        if self.system == "rotor" or self.rotor_params:
-            return 3
-        return 2
+        return SYSTEMS[self.system].spec_version
+
+    def system_params(self) -> dict:
+        """The one ``*_params`` field the spec's system reads, as a dict."""
+        name = SYSTEMS[self.system].params_field
+        return dict(getattr(self, name)) if name is not None else {}
 
     def canonical_json(self) -> str:
         """The byte-stable JSON form the content hash is taken over."""

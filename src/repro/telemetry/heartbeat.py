@@ -4,9 +4,9 @@ The worker side runs inside :func:`repro.sweep.resilience._worker_main`:
 a small timer thread calls :func:`heartbeat_payload` once per interval
 and ships the dict over the existing result pipe (tagged so the pool
 never confuses it with a result).  Progress comes from a module-global
-*active simulator* probe — the run helpers in
-:mod:`repro.experiments.common` register the simulator they are about to
-step and clear it afterwards, and :func:`progress_snapshot` reads
+*active simulator* probe — :func:`repro.experiments.common.run_system`
+registers the simulator it is about to step and clears it afterwards,
+and :func:`progress_snapshot` reads
 whatever accessors that engine happens to expose, defensively, because a
 heartbeat must never crash the run it is reporting on.
 

@@ -144,7 +144,7 @@ class TestCLI:
             if kind in ("system", "engine"):
                 assert "adaptive" in err, (argv, err)
 
-    def test_spec_and_cli_unknown_system_messages_match(self):
+    def test_spec_and_cli_unknown_system_messages_match(self, capsys):
         """The spec layer and the CLI reject unknown systems identically."""
         from repro.sweep.spec import SYSTEMS, unknown_name_message
 
@@ -154,6 +154,13 @@ class TestCLI:
             "system", ["torus"], SYSTEMS
         )
         assert "adaptive" in str(excinfo.value)
+        assert "relay" in str(excinfo.value)
+        for argv in (
+            ["sweep", "--system", "torus", "--dry-run"],
+            ["simulate", "--system", "torus"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.strip() == str(excinfo.value)
 
     def test_run_fast_experiment(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
@@ -198,6 +205,19 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "rotor on thinclos" in capsys.readouterr().out
+
+    def test_simulate_baseline_defaults_to_its_own_fabric(
+        self, capsys, monkeypatch
+    ):
+        """Without --topology a baseline runs where sweep specs put it."""
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        for system in ("rotor", "relay"):
+            code = main(
+                ["simulate", "--system", system, "--load", "0.5",
+                 "--duration-ms", "0.1"]
+            )
+            assert code == 0
+            assert f"{system} on thinclos" in capsys.readouterr().out
 
     def test_simulate_from_workload_file(self, capsys, tmp_path, monkeypatch):
         from repro.sim.flows import Flow

@@ -86,9 +86,7 @@ FORBIDDEN = (
     "NegotiaToRSimulator",
     "ObliviousSimulator",
     "SelectiveRelaySimulator",
-    "run_negotiator",
-    "run_oblivious",
-    "run_relay",
+    "run_system",
 )
 
 
@@ -128,7 +126,7 @@ def test_experiment_module_declares_all_runs_as_specs(name):
 
 
 def test_cli_has_no_direct_simulator_construction():
-    """`repro simulate` routes through the shared run helpers too."""
+    """`repro simulate` routes through `run_system` too."""
     import repro.cli
 
     source = inspect.getsource(repro.cli)

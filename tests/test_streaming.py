@@ -504,19 +504,6 @@ class TestStreamSpec:
         assert summary.num_flows == 3000
         assert summary.num_completed == 3000
 
-    def test_streaming_rejects_collect_and_instrument(self):
-        base = RunSpec(**scale_spec_fields(MICRO), stream=True)
-        with pytest.raises(ValueError, match="headline summaries only"):
-            execute_spec(base.with_params(collect=("mice_cdf",)))
-        with pytest.raises(ValueError, match="instrumentation"):
-            execute_spec(
-                base.with_params(instrument={"bandwidth_bin_ns": 1000.0})
-            )
-        with pytest.raises(ValueError, match="relay"):
-            execute_spec(
-                base.with_params(system="relay", topology="thinclos")
-            )
-
 
 # ---------------------------------------------------------------------------
 # the memory regression: ~1M flows at bounded residency

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.core.variants import SCHEDULERS
 from repro.experiments import TINY
+from repro.experiments.common import make_topology, sim_config, workload_for
 from repro.sim.config import SimConfig
+from repro.sim.factory import make_negotiator
 from repro.sim.metrics import RunSummary
 from repro.sweep import (
     SCENARIOS,
@@ -31,6 +35,12 @@ from repro.sweep import (
     build_workload,
     execute_spec,
     freeze_params,
+)
+from repro.sweep.spec import (
+    SYSTEM_PARAM_FIELDS,
+    SYSTEMS,
+    unknown_name_message,
+    unsupported_message,
 )
 
 SHORT_NS = 150_000.0
@@ -52,6 +62,18 @@ def tiny_spec(**overrides) -> RunSpec:
     )
     base.update(overrides)
     return RunSpec(**base)
+
+
+def reference_summary(config: SimConfig) -> RunSummary:
+    """The default tiny spec's run, built by hand on the parallel network.
+
+    Independent of ``run_system``, so comparing ``execute_spec`` against
+    it checks the one run path rather than restating it.
+    """
+    flows = workload_for(TINY, 0.25, duration_ns=SHORT_NS)
+    sim = make_negotiator(config, make_topology(TINY, "parallel"), flows)
+    sim.run(SHORT_NS)
+    return sim.summary(SHORT_NS)
 
 
 def grid_specs() -> list[RunSpec]:
@@ -288,6 +310,173 @@ class TestSpecHash:
 
 
 # ---------------------------------------------------------------------------
+# the system registry: specs are checked when they are built
+# ---------------------------------------------------------------------------
+
+
+CAPABILITY_CASES = [
+    # (the feature as the message names it, spec overrides,
+    #  whether a registry entry supports it)
+    (
+        "topology 'parallel'",
+        {"topology": "parallel"},
+        lambda system: "parallel" in system.topologies,
+    ),
+    (
+        "topology 'thinclos'",
+        {"topology": "thinclos"},
+        lambda system: "thinclos" in system.topologies,
+    ),
+    (
+        "scheduler 'stateful'",
+        {"scheduler": "stateful"},
+        lambda system: "stateful" in system.schedulers,
+    ),
+    (
+        "failure_params",
+        {"failure_params": {"plan": "egress-ports", "ports": 1}},
+        lambda system: system.failures,
+    ),
+    ("stream=True", {"stream": True}, lambda system: system.stream),
+    (
+        "instrument key 'bandwidth_bin_ns'",
+        {"instrument": {"bandwidth_bin_ns": 1000.0}},
+        lambda system: "bandwidth_bin_ns" in system.instrument,
+    ),
+    (
+        "instrument key 'match_ratio'",
+        {"instrument": {"match_ratio": True}},
+        lambda system: "match_ratio" in system.instrument,
+    ),
+    (
+        "instrument key 'pair_bandwidth'",
+        {"instrument": {"pair_bandwidth": True}},
+        lambda system: "pair_bandwidth" in system.instrument,
+    ),
+    # A collector knob, not a recorder: every system takes it.
+    (
+        "instrument key 'margin_ns'",
+        {"instrument": {"margin_ns": 1.0}},
+        lambda system: True,
+    ),
+    (
+        "collect with stream=True",
+        {"stream": True, "collect": ("mice_cdf",)},
+        lambda system: False,
+    ),
+    (
+        "instrument with stream=True",
+        {"stream": True, "instrument": {"margin_ns": 1.0}},
+        lambda system: False,
+    ),
+]
+
+
+class TestSystemRegistry:
+    @pytest.mark.parametrize(
+        "feature, overrides, supported",
+        CAPABILITY_CASES,
+        ids=[
+            re.sub(r"\W+", "-", case[0]).strip("-")
+            for case in CAPABILITY_CASES
+        ],
+    )
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_spec_builds_exactly_when_its_system_lists_the_feature(
+        self, name, feature, overrides, supported
+    ):
+        system = SYSTEMS[name]
+        fields = {
+            "scale": "micro",
+            "system": name,
+            "topology": system.topologies[0],
+            **overrides,
+        }
+        if supported(system):
+            assert RunSpec(**fields).spec_version == system.spec_version
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                RunSpec(**fields)
+            assert str(excinfo.value) == unsupported_message(name, feature)
+
+    @pytest.mark.parametrize("field", SYSTEM_PARAM_FIELDS)
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_params_field_builds_only_on_the_system_that_reads_it(
+        self, name, field
+    ):
+        system = SYSTEMS[name]
+        base = RunSpec(
+            scale="micro", system=name, topology=system.topologies[0]
+        )
+        if system.params_field == field:
+            key = min(system.params_keys)
+            spec = base.with_params(**{field: {key: 1}})
+            assert spec.system_params() == {key: 1}
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                base.with_params(**{field: {"packets_per_slice": 4}})
+            assert str(excinfo.value) == unsupported_message(name, field)
+
+    @pytest.mark.parametrize(
+        "fields, kind, registry",
+        [
+            ({"scheduler": "warp"}, "scheduler", SCHEDULERS),
+            (
+                {"scheduler_params": {"warp": 1}},
+                "scheduler_params key",
+                SYSTEMS["negotiator"].params_keys,
+            ),
+            (
+                {
+                    "system": "relay",
+                    "topology": "thinclos",
+                    "scheduler_params": {"warp": 1},
+                },
+                "scheduler_params key",
+                SYSTEMS["relay"].params_keys,
+            ),
+            (
+                {
+                    "system": "rotor",
+                    "topology": "thinclos",
+                    "rotor_params": {"warp": 1},
+                },
+                "rotor_params key",
+                SYSTEMS["rotor"].params_keys,
+            ),
+            (
+                {
+                    "system": "adaptive",
+                    "topology": "thinclos",
+                    "adaptive_params": {"warp": 1},
+                },
+                "adaptive_params key",
+                SYSTEMS["adaptive"].params_keys,
+            ),
+        ],
+        ids=["scheduler", "negotiator", "relay", "rotor", "adaptive"],
+    )
+    def test_unknown_scheduler_or_params_key_fails_at_construction(
+        self, fields, kind, registry
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            RunSpec(scale="micro", **fields)
+        assert str(excinfo.value) == unknown_name_message(
+            kind, ["warp"], registry
+        )
+
+    def test_params_keys_are_what_each_resolver_accepts(self):
+        assert SYSTEMS["negotiator"].params_keys == {
+            "iterations", "alpha", "phase_capacity_bytes",
+        }
+        assert SYSTEMS["rotor"].params_keys == {
+            "packets_per_slice", "reconfiguration_delay_ns", "vlb_relay",
+        }
+        assert "max_candidates" in SYSTEMS["relay"].params_keys
+        assert "ewma_alpha" in SYSTEMS["adaptive"].params_keys
+
+
+# ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
 
@@ -359,16 +548,10 @@ class TestExecuteSpec:
 
         The executor adds exactly one thing on top: the ``core_used``
         observability key in ``extra`` (direct runs don't report it)."""
-        from repro.experiments.common import run_negotiator, workload_for
-
         spec = tiny_spec()
         summary = execute_spec(spec).to_dict()
         assert summary["extra"].pop("core_used") == tiny_core()
-        flows = workload_for(TINY, 0.25, duration_ns=SHORT_NS)
-        reference = run_negotiator(
-            TINY, "parallel", flows, duration_ns=SHORT_NS
-        ).summary
-        assert summary == reference.to_dict()
+        assert summary == reference_summary(sim_config(TINY)).to_dict()
 
     def test_collectors_fill_extra(self):
         spec = tiny_spec(
@@ -391,13 +574,6 @@ class TestExecuteSpec:
         with pytest.raises(ValueError, match="collect"):
             execute_spec(tiny_spec(collect=("nope",)))
 
-    def test_oblivious_rejects_scheduler_variants(self):
-        spec = tiny_spec(
-            system="oblivious", topology="thinclos", scheduler="stateful"
-        )
-        with pytest.raises(ValueError, match="negotiator"):
-            execute_spec(spec)
-
     def test_scheduler_variant_runs(self):
         summary = execute_spec(tiny_spec(scheduler="data-size"))
         assert summary.num_flows > 0
@@ -411,10 +587,6 @@ class TestExecuteSpec:
         # Same workload, different forwarding: results need not match, but
         # the relay path must at least run to completion and deliver.
         assert relay.goodput_normalized > 0
-
-    def test_relay_rejects_parallel_topology(self):
-        with pytest.raises(ValueError, match="thin-clos"):
-            execute_spec(tiny_spec(system="relay", topology="parallel"))
 
     def test_rotor_system_runs_and_honors_rotor_params(self):
         base = tiny_spec(system="rotor", topology="thinclos", load=0.5)
@@ -431,26 +603,6 @@ class TestExecuteSpec:
             no_vlb.mice_fct_p99_ns,
         ) != (summary.goodput_gbps, summary.mice_fct_p99_ns)
 
-    def test_rotor_rejects_scheduler_variants_and_unknown_params(self):
-        with pytest.raises(ValueError, match="negotiator"):
-            execute_spec(
-                tiny_spec(
-                    system="rotor", topology="thinclos", scheduler="stateful"
-                )
-            )
-        with pytest.raises(ValueError, match="rotor_params"):
-            execute_spec(
-                tiny_spec(
-                    system="rotor",
-                    topology="thinclos",
-                    rotor_params={"slice_flavor": "mint"},
-                )
-            )
-
-    def test_rotor_params_rejected_on_other_systems(self):
-        with pytest.raises(ValueError, match="rotor system only"):
-            execute_spec(tiny_spec(rotor_params={"packets_per_slice": 4}))
-
     def test_adaptive_system_runs_and_honors_adaptive_params(self):
         base = tiny_spec(system="adaptive", topology="thinclos", load=0.5)
         summary = execute_spec(base)
@@ -465,28 +617,6 @@ class TestExecuteSpec:
             rotorlike.goodput_gbps,
             rotorlike.mice_fct_p99_ns,
         ) != (summary.goodput_gbps, summary.mice_fct_p99_ns)
-
-    def test_adaptive_rejects_scheduler_variants_and_unknown_params(self):
-        with pytest.raises(ValueError, match="negotiator"):
-            execute_spec(
-                tiny_spec(
-                    system="adaptive",
-                    topology="thinclos",
-                    scheduler="stateful",
-                )
-            )
-        with pytest.raises(ValueError, match="adaptive_params"):
-            execute_spec(
-                tiny_spec(
-                    system="adaptive",
-                    topology="thinclos",
-                    adaptive_params={"matrix_flavor": "mint"},
-                )
-            )
-
-    def test_adaptive_params_rejected_on_other_systems(self):
-        with pytest.raises(ValueError, match="adaptive system only"):
-            execute_spec(tiny_spec(adaptive_params={"ewma_alpha": 0.5}))
 
     def test_adaptive_accepts_failure_plans(self):
         healthy = execute_spec(
@@ -540,9 +670,6 @@ class TestExecuteSpec:
 
     def test_epoch_params_match_reference_helpers(self):
         """piggyback=False reproduces epoch_config_without_piggyback."""
-        from repro.experiments.common import (
-            make_topology, run_negotiator, sim_config, workload_for,
-        )
         from repro.sim.config import EpochConfig, epoch_config_without_piggyback
 
         spec = tiny_spec(epoch_params={"piggyback": False})
@@ -550,12 +677,7 @@ class TestExecuteSpec:
         assert summary["extra"].pop("core_used") == tiny_core()
         slots = make_topology(TINY, "parallel").predefined_slots
         epoch = epoch_config_without_piggyback(EpochConfig(), 100.0, slots)
-        flows = workload_for(TINY, 0.25, duration_ns=SHORT_NS)
-        reference = run_negotiator(
-            TINY, "parallel", flows,
-            duration_ns=SHORT_NS,
-            config=sim_config(TINY, epoch=epoch),
-        ).summary
+        reference = reference_summary(sim_config(TINY, epoch=epoch))
         assert summary == reference.to_dict()
 
     def test_unknown_epoch_param_rejected(self):
@@ -569,15 +691,6 @@ class TestExecuteSpec:
     def test_unknown_instrument_key_rejected(self):
         with pytest.raises(ValueError, match="instrument"):
             execute_spec(tiny_spec(instrument={"telescope": True}))
-
-    def test_failures_rejected_on_oblivious(self):
-        spec = tiny_spec(
-            system="oblivious",
-            topology="thinclos",
-            failure_params={"plan": "egress-ports", "ports": 1},
-        )
-        with pytest.raises(ValueError, match="negotiator"):
-            execute_spec(spec)
 
     def test_failure_spec_degrades_goodput(self):
         healthy = execute_spec(tiny_spec(load=1.0))
@@ -1033,6 +1146,43 @@ class TestSweepCli:
         assert "oblivious thinclos" in proc.stdout
         assert "oblivious parallel" not in proc.stdout
         assert "1 specs" in proc.stdout  # duplicates collapsed
+
+    def test_unsupported_feature_fails_the_dry_run(self, tmp_path):
+        grid = (
+            "--scale", "tiny", "--system", "oblivious",
+            "--scheduler", "stateful", "--dry-run",
+        )
+        store = str(tmp_path / "campaign.db")
+        for command in (("sweep",), ("campaign", "run", "--store", store)):
+            proc = run_cli(*command, *grid)
+            assert proc.returncode == 2
+            assert proc.stderr.strip() == unsupported_message(
+                "oblivious", "scheduler 'stateful'"
+            )
+        assert not Path(store).exists()
+
+    def test_unknown_scheduler_fails_the_dry_run(self):
+        proc = run_cli(
+            "sweep", "--scale", "tiny", "--scheduler", "warp", "--dry-run"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == unknown_name_message(
+            "scheduler", ["warp"], SCHEDULERS
+        )
+
+    def test_every_system_on_its_own_fabrics(self):
+        args = ["sweep", "--scale", "tiny", "--load", "0.5", "--dry-run"]
+        for name in SYSTEMS:
+            args += ["--system", name]
+        proc = run_cli(
+            *args, "--topology", "parallel", "--topology", "thinclos"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "6 specs" in proc.stdout
+        for name, system in SYSTEMS.items():
+            for fabric in ("parallel", "thinclos"):
+                listed = f" {name} {fabric} poisson" in proc.stdout
+                assert listed == (fabric in system.topologies)
 
     def test_explicit_default_param_hashes_like_default(self):
         """CLI specs carry resolved params, so the hash is self-describing."""
