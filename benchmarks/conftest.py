@@ -3,8 +3,9 @@
 Each benchmark regenerates one table/figure of the paper via
 :mod:`repro.experiments` and registers the rendered result.  Rendered tables
 are written to ``benchmarks/results/`` and echoed into the terminal summary,
-so ``pytest benchmarks/ --benchmark-only`` leaves both a timing report and
-the reproduced tables.
+so ``pytest benchmarks/bench_*.py --benchmark-only`` leaves both a timing
+report and the reproduced tables (plain ``pytest benchmarks/`` collects
+only the e2e harness tests: these files do not match ``test_*.py``).
 
 Scale is controlled by ``REPRO_SCALE`` (tiny / small / paper); the default
 ``small`` keeps the full suite in the minutes range.

@@ -57,7 +57,6 @@ from .sim.metrics import BandwidthRecorder, MatchRatioRecorder, RunSummary
 from .sim.buffers import ReceiverBuffer
 from .sim.network import NegotiaToRSimulator
 from .sim.oblivious import ObliviousSimulator
-from .sim.observability import EpochStats, EpochStatsRecorder
 from .sim.queues import PiasDestQueue
 from .topology.awgr import AWGR, OpticalPath
 from .topology.base import FlatTopology
@@ -94,8 +93,6 @@ __all__ = [
     "Direction",
     "EmpiricalCDF",
     "EpochConfig",
-    "EpochStats",
-    "EpochStatsRecorder",
     "EpochTiming",
     "FailureEvent",
     "FailurePlan",

@@ -1435,6 +1435,7 @@ def cmd_store(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import math
     import random
 
     from .experiments.common import run_system, sim_config, workload_for
@@ -1449,23 +1450,36 @@ def cmd_simulate(args) -> int:
         args.duration_ms * 1e6 if args.duration_ms is not None
         else scale.duration_ns
     )
+    if not 0 < duration_ns < math.inf:
+        print("--duration-ms must be positive and finite", file=sys.stderr)
+        return 2
     config = sim_config(scale, priority_queue_enabled=not args.no_pq)
     if args.seed is not None:
         import dataclasses
 
         config = dataclasses.replace(config, seed=args.seed)
 
-    if args.workload_file is not None:
-        flows = trace_io.load(args.workload_file)
-        trace_io.validate_for_fabric(flows, config.num_tors)
-    else:
-        flows = workload_for(
-            scale,
-            args.load,
-            trace=args.trace,
-            duration_ns=duration_ns,
-            rng=random.Random(config.seed),
+    try:
+        if args.workload_file is not None:
+            flows = trace_io.load(args.workload_file)
+            trace_io.validate_for_fabric(flows, config.num_tors)
+        else:
+            flows = workload_for(
+                scale,
+                args.load,
+                trace=args.trace,
+                duration_ns=duration_ns,
+                rng=random.Random(config.seed),
+            )
+    except OSError as exc:
+        print(
+            f"cannot read workload file {args.workload_file}: {exc.strerror}",
+            file=sys.stderr,
         )
+        return 2
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     summary = run_system(
         args.system,

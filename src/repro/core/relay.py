@@ -70,7 +70,6 @@ class SelectiveRelaySimulator(NegotiaToRSimulator):
         # (src, port, intermediate, dst, granted_bytes) awaiting execution.
         self._relay_grants: list[tuple[int, int, int, int, int]] = []
         self._candidate_rotation = 0
-        self.relay_stats = {"requests": 0, "grants": 0, "executed_bytes": 0}
 
     def is_idle(self) -> bool:
         """Block idle fast-forward while relay messages are in flight."""
@@ -88,6 +87,9 @@ class SelectiveRelaySimulator(NegotiaToRSimulator):
         assignments = self._accept_relay_grants()
         self._grant_relay_requests()
         self._emit_relay_requests()
+        if self._tracer is not None:
+            self._tracer.count("relay_grants", len(self._relay_grants))
+            self._tracer.count("relay_requests", len(self._relay_requests))
         return assignments
 
     def _emit_relay_requests(self) -> None:
@@ -121,7 +123,6 @@ class SelectiveRelaySimulator(NegotiaToRSimulator):
             )
             for intermediate in candidates:
                 requests.append((src, dst, intermediate, volume))
-        self.relay_stats["requests"] += len(requests)
         self._relay_requests = requests
 
     def _grant_relay_requests(self) -> None:
@@ -156,7 +157,6 @@ class SelectiveRelaySimulator(NegotiaToRSimulator):
             granted_by_intermediate[intermediate] = used + allowed
             granted_rx_ports.add((intermediate, first_hop_port))
             grants.append((src, first_hop_port, intermediate, dst, allowed))
-        self.relay_stats["grants"] += len(grants)
         self._relay_requests = []
         self._relay_grants = grants
 
@@ -176,17 +176,6 @@ class SelectiveRelaySimulator(NegotiaToRSimulator):
             assignments.append((src, port, intermediate, dst, allowed))
         self._relay_grants = []
         return assignments
-
-    def _run_relay_transmissions(self, assignments, matches, start_ns):
-        super()._run_relay_transmissions(assignments, matches, start_ns)
-        # Relay first hops never deliver to the tracker; the executed volume
-        # is visible through the bandwidth recorder when one is attached.
-        if self.bandwidth is not None:
-            self.relay_stats["executed_bytes"] = sum(
-                self.bandwidth.total_bytes(key)
-                for key in self.bandwidth.keys()
-                if key[0] == "relay"
-            )
 
     # ------------------------------------------------------------------
     # local traffic inspection

@@ -25,7 +25,6 @@ from .flows import DEFAULT_RESERVOIR_SIZE, Flow, FlowTracker, ReservoirSampler
 from .metrics import BandwidthRecorder, MatchRatioRecorder, RunSummary
 from .buffers import ReceiverBuffer
 from .network import NegotiaToRSimulator
-from .observability import EpochStats, EpochStatsRecorder
 from .oblivious import ObliviousSimulator
 from .queues import PiasDestQueue, Segment
 from .rotor import RotorSimulator
@@ -49,8 +48,6 @@ __all__ = [
     "MICE_THRESHOLD_BYTES",
     "MatchRatioRecorder",
     "MaterializedFlowSource",
-    "EpochStats",
-    "EpochStatsRecorder",
     "NegotiaToRSimulator",
     "ReceiverBuffer",
     "ObliviousSimulator",

@@ -126,7 +126,12 @@ class AdaptiveSimulator(StepKernel):
         self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._direct_pending = [0] * n
         self.bandwidth = bandwidth_recorder
+        # Observational telemetry hooks (DESIGN.md section 14): a tracer
+        # times direct service in place, so the slice loop is the same
+        # with and without one.
         self._tracer = tracer
+        if tracer is not None:
+            self._serve_direct = tracer.timed(self._serve_direct, "drain")
 
         # Demand estimation and the circuit schedule.
         self._est = [[0.0] * n for _ in range(n)]
@@ -280,32 +285,21 @@ class AdaptiveSimulator(StepKernel):
         # Active sets: a ToR with no backlog sends nothing this slice.
         direct_pending = self._direct_pending
 
-        if tracer is None:
-            for tor in range(self.config.num_tors):
-                if not direct_pending[tor]:
-                    continue
-                for _port, peer, offset in self._live_ports(
-                    tor, links[tor], on_duty, start_ns, budget
-                ):
-                    self._serve_direct(tor, peer, start_ns, offset, budget)
-        else:
-            for tor in range(self.config.num_tors):
-                if not direct_pending[tor]:
-                    continue
-                for port, peer, offset in self._live_ports(
-                    tor, links[tor], on_duty, start_ns, budget
-                ):
-                    t0 = perf_counter()
-                    sent = self._serve_direct(
-                        tor, peer, start_ns, offset, budget
+        for tor in range(self.config.num_tors):
+            if not direct_pending[tor]:
+                continue
+            for port, peer, offset in self._live_ports(
+                tor, links[tor], on_duty, start_ns, budget
+            ):
+                used = self._serve_direct(tor, peer, start_ns, offset, budget)
+                if tracer is not None:
+                    # The plane's duty names the counter, which the timed
+                    # call cannot see.
+                    tracer.count(
+                        "residual_packets" if on_duty[port]
+                        else "demand_packets",
+                        used,
                     )
-                    tracer.add_span("drain", perf_counter() - t0)
-                    key = (
-                        "residual_packets"
-                        if on_duty[port]
-                        else "demand_packets"
-                    )
-                    tracer.count(key, sent)
         self.tracker.flush_completions()
         self._step += 1
         if tracer is not None:

@@ -83,29 +83,6 @@ def vectorized_core_ineligibility(
     return None
 
 
-def vectorized_core_eligible(
-    config: SimConfig,
-    topology,
-    *,
-    scheduler=None,
-    match_recorder=None,
-    bandwidth_recorder=None,
-    record_pair_bandwidth: bool = False,
-) -> bool:
-    """Whether the vectorized core can run this exact configuration."""
-    return (
-        vectorized_core_ineligibility(
-            config,
-            topology,
-            scheduler=scheduler,
-            match_recorder=match_recorder,
-            bandwidth_recorder=bandwidth_recorder,
-            record_pair_bandwidth=record_pair_bandwidth,
-        )
-        is None
-    )
-
-
 def arrival_density(
     flows: Iterable[Flow], epoch_ns: float, *, stream: bool = False
 ) -> tuple[float, Iterable[Flow]]:

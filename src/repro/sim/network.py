@@ -46,7 +46,6 @@ from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow
 from .kernel import StepKernel
 from .metrics import BandwidthRecorder, MatchRatioRecorder
-from .observability import EpochStats, EpochStatsRecorder
 from .queues import PiasDestQueue
 
 
@@ -143,8 +142,6 @@ class NegotiaToRSimulator(StepKernel):
             ]
         else:
             self._rx_buffers = None
-        self._stats: EpochStatsRecorder | None = None
-        self._phase_bytes = [0, 0]  # piggybacked, scheduled (per epoch)
 
     # ------------------------------------------------------------------
     # public accessors
@@ -152,10 +149,6 @@ class NegotiaToRSimulator(StepKernel):
 
     epoch = StepKernel.steps
     fast_forwarded_epochs = StepKernel.fast_forwarded_steps
-
-    def attach_stats_recorder(self, recorder: EpochStatsRecorder) -> None:
-        """Record per-epoch scheduler statistics into ``recorder``."""
-        self._stats = recorder
 
     def queue(self, src: int, dst: int) -> PiasDestQueue:
         """The per-destination queue of an ordered pair (for inspection)."""
@@ -187,15 +180,12 @@ class NegotiaToRSimulator(StepKernel):
     summary = StepKernel.summary
 
     def is_idle(self) -> bool:
-        """No queued data, a drained scheduling pipeline, no stats recorder.
+        """No queued data and a drained scheduling pipeline.
 
-        Schedulers without an ``is_idle`` property are never skipped, and a
-        stats recorder observes every epoch by contract.
+        Schedulers without an ``is_idle`` property are never skipped.
         """
-        return (
-            not self._active_pairs
-            and self._stats is None
-            and getattr(self.scheduler, "is_idle", False)
+        return not self._active_pairs and getattr(
+            self.scheduler, "is_idle", False
         )
 
     # ------------------------------------------------------------------
@@ -246,14 +236,18 @@ class NegotiaToRSimulator(StepKernel):
             tracer.count("grants", int(grants_answered))
             tracer.count("accepts", int(accepts))
             tracer.count("matches", len(matches))
+            delivered = self.tracker.delivered_bytes
 
-        self._phase_bytes = [0, 0]
         if timing.piggyback_enabled:
             self._run_predefined_phase(epoch, start_ns)
             if tracer is not None:
                 now = perf_counter()
                 tracer.add_span("piggyback", now - t_phase)
                 t_phase = now
+                tracer.count(
+                    "piggyback_bytes", self.tracker.delivered_bytes - delivered
+                )
+                delivered = self.tracker.delivered_bytes
         relay_assignments = self._plan_relay(epoch, start_ns, matches)
         if tracer is not None:
             now = perf_counter()
@@ -264,26 +258,14 @@ class NegotiaToRSimulator(StepKernel):
             now = perf_counter()
             tracer.add_span("drain", now - t_phase)
             t_phase = now
+            tracer.count(
+                "scheduled_bytes", self.tracker.delivered_bytes - delivered
+            )
         if relay_assignments:
             self._run_relay_transmissions(relay_assignments, matches, start_ns)
             if tracer is not None:
                 tracer.add_span("relay", perf_counter() - t_phase)
 
-        if self._stats is not None:
-            self._stats.record(
-                EpochStats(
-                    epoch=epoch,
-                    active_pairs=len(self._active_pairs),
-                    requests_sent=sum(
-                        len(dsts) for dsts in fresh_requests.values()
-                    ),
-                    matches=len(matches),
-                    matched_pairs=len({(m.src, m.dst) for m in matches}),
-                    queued_bytes=self.total_queued_bytes,
-                    piggybacked_bytes=self._phase_bytes[0],
-                    scheduled_bytes=self._phase_bytes[1],
-                )
-            )
         self.tracker.flush_completions()
         self._step += 1
         if tracer is not None and tracer.gauge_due(int(self.now_ns)):
@@ -423,7 +405,6 @@ class NegotiaToRSimulator(StepKernel):
                 emptied.append(pair)
             if pending <= threshold:
                 ready.discard(pair)
-        self._phase_bytes[0] += piggybacked
         self._queued_bytes -= piggybacked
         for pair in emptied:
             self._active_pairs.discard(pair)
@@ -477,7 +458,6 @@ class NegotiaToRSimulator(StepKernel):
             )
             if sent:
                 scheduler.observe_sent(src, dst, sent)
-                self._phase_bytes[1] += sent
                 self._queued_bytes -= sent
             pending = queue.pending_bytes
             if pending == 0:

@@ -96,9 +96,18 @@ class ObliviousSimulator(StepKernel):
         self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._relay_pending = [0] * n
         self.bandwidth = bandwidth_recorder
-        # Observational telemetry hooks (DESIGN.md section 14); None keeps
-        # the slot loop branch-free beyond one check.
+        # Observational telemetry hooks (DESIGN.md section 14).  A tracer
+        # times the two per-link sends in place, attributing second-hop
+        # relay service to "relay" and first-hop staged service to
+        # "drain", so the slot loop is the same with and without one.
         self._tracer = tracer
+        if tracer is not None:
+            self._send_relay = tracer.timed(
+                self._send_relay, "relay", "relay_cells"
+            )
+            self._send_staged = tracer.timed(
+                self._send_staged, "drain", "direct_cells"
+            )
 
         if config.priority_queue_enabled:
             self._band_limits = tuple(config.pias_thresholds)
@@ -168,35 +177,12 @@ class ObliviousSimulator(StepKernel):
         stage_pending = self._stage_pending
         relay_pending = self._relay_pending
 
-        if tracer is None:
-            for tor in range(self.config.num_tors):
-                if not stage_pending[tor] and not relay_pending[tor]:
-                    continue
-                for _port, peer in links[tor]:
-                    if not self._send_relay(tor, peer, start_ns, deliver_ns):
-                        self._send_staged(tor, peer, start_ns, deliver_ns)
-        else:
-            # Same sends, with per-hop wall-time attribution: second-hop
-            # relay service is "relay", first-hop staged service "drain".
-            for tor in range(self.config.num_tors):
-                if not stage_pending[tor] and not relay_pending[tor]:
-                    continue
-                for _port, peer in links[tor]:
-                    t0 = perf_counter()
-                    relayed = self._send_relay(
-                        tor, peer, start_ns, deliver_ns
-                    )
-                    now = perf_counter()
-                    tracer.add_span("relay", now - t0)
-                    if relayed:
-                        tracer.count("relay_cells")
-                        continue
-                    staged = self._send_staged(
-                        tor, peer, start_ns, deliver_ns
-                    )
-                    tracer.add_span("drain", perf_counter() - now)
-                    if staged:
-                        tracer.count("direct_cells")
+        for tor in range(self.config.num_tors):
+            if not stage_pending[tor] and not relay_pending[tor]:
+                continue
+            for _port, peer in links[tor]:
+                if not self._send_relay(tor, peer, start_ns, deliver_ns):
+                    self._send_staged(tor, peer, start_ns, deliver_ns)
         self.tracker.flush_completions()
         self._step += 1
         if tracer is not None:

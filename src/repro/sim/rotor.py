@@ -118,9 +118,21 @@ class RotorSimulator(StepKernel):
         self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._relay_pending = [0] * n
         self.bandwidth = bandwidth_recorder
-        # Observational telemetry hooks (DESIGN.md section 14); None keeps
-        # the slice loop branch-free beyond one check.
+        # Observational telemetry hooks (DESIGN.md section 14).  A tracer
+        # times the three RotorLB stages in place — relay (second hop),
+        # drain (direct) and offload (VLB) — so the slice loop is the same
+        # with and without one.
         self._tracer = tracer
+        if tracer is not None:
+            self._serve_relay = tracer.timed(
+                self._serve_relay, "relay", "relay_packets"
+            )
+            self._serve_direct = tracer.timed(
+                self._serve_direct, "drain", "direct_packets"
+            )
+            self._offload_indirect = tracer.timed(
+                self._offload_indirect, "offload"
+            )
 
     # ------------------------------------------------------------------
     # public accessors
@@ -188,51 +200,18 @@ class RotorSimulator(StepKernel):
         direct_pending = self._direct_pending
         relay_pending = self._relay_pending
 
-        if tracer is None:
-            for tor in range(self.config.num_tors):
-                if not direct_pending[tor] and not relay_pending[tor]:
+        for tor in range(self.config.num_tors):
+            if not direct_pending[tor] and not relay_pending[tor]:
+                continue
+            for port, peer in links[tor]:
+                if check and not failures.transmission_ok(
+                    tor, port, peer, port
+                ):
                     continue
-                for port, peer in links[tor]:
-                    if check and not failures.transmission_ok(
-                        tor, port, peer, port
-                    ):
-                        continue
-                    used = self._serve_relay(tor, peer, start_ns, 0, budget)
-                    used += self._serve_direct(
-                        tor, peer, start_ns, used, budget
-                    )
-                    if self.rotor.vlb_relay and used < budget:
-                        self._offload_indirect(
-                            tor, peer, start_ns, used, budget
-                        )
-        else:
-            # Same service order, with wall time attributed per RotorLB
-            # stage: relay (second hop), drain (direct), offload (VLB).
-            for tor in range(self.config.num_tors):
-                if not direct_pending[tor] and not relay_pending[tor]:
-                    continue
-                for port, peer in links[tor]:
-                    if check and not failures.transmission_ok(
-                        tor, port, peer, port
-                    ):
-                        continue
-                    t0 = perf_counter()
-                    used = self._serve_relay(tor, peer, start_ns, 0, budget)
-                    now = perf_counter()
-                    tracer.add_span("relay", now - t0)
-                    tracer.count("relay_packets", used)
-                    direct = self._serve_direct(
-                        tor, peer, start_ns, used, budget
-                    )
-                    used += direct
-                    t0 = perf_counter()
-                    tracer.add_span("drain", t0 - now)
-                    tracer.count("direct_packets", direct)
-                    if self.rotor.vlb_relay and used < budget:
-                        self._offload_indirect(
-                            tor, peer, start_ns, used, budget
-                        )
-                        tracer.add_span("offload", perf_counter() - t0)
+                used = self._serve_relay(tor, peer, start_ns, 0, budget)
+                used += self._serve_direct(tor, peer, start_ns, used, budget)
+                if self.rotor.vlb_relay and used < budget:
+                    self._offload_indirect(tor, peer, start_ns, used, budget)
         self.tracker.flush_completions()
         self._step += 1
         if tracer is not None:

@@ -330,6 +330,7 @@ class VectorizedNegotiaToRSimulator(StepKernel):
             tracer.count("grants", int(grants_answered))
             tracer.count("accepts", len(m_src))
             tracer.count("matches", len(m_src))
+            delivered = self.tracker.delivered_bytes
 
         if self.timing.piggyback_enabled:
             self._run_piggyback(start_ns, epoch, eg_act, in_act)
@@ -337,6 +338,10 @@ class VectorizedNegotiaToRSimulator(StepKernel):
                 now = perf_counter()
                 tracer.add_span("piggyback", now - t_phase)
                 t_phase = now
+                tracer.count(
+                    "piggyback_bytes", self.tracker.delivered_bytes - delivered
+                )
+                delivered = self.tracker.delivered_bytes
         if tracer is not None:
             # Span-key parity with the scalar engine, which times its
             # (no-op) relay-planning hook here.
@@ -346,6 +351,9 @@ class VectorizedNegotiaToRSimulator(StepKernel):
         self._run_scheduled(m_src, m_port, m_dst, start_ns, eg_act, in_act)
         if tracer is not None:
             tracer.add_span("drain", perf_counter() - t_phase)
+            tracer.count(
+                "scheduled_bytes", self.tracker.delivered_bytes - delivered
+            )
 
         self.tracker.flush_completions()
         self._step += 1

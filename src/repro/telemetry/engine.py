@@ -13,6 +13,11 @@ cheap methods from their stepping loops:
   depth, active pairs) once per configured *sim-time* cadence, so event
   volume scales with simulated time, not with epochs stepped.
 
+The baseline engines' per-link service calls are timed by
+:meth:`EngineTracer.timed` instead: with a tracer attached, each engine
+replaces those calls on its instance at construction, so its one
+service loop runs unchanged whether traced or not.
+
 Span and counter events carry the *delta since the previous flush*; the
 final :meth:`finish` emits a ``run-end`` event with the cumulative
 totals, so an analyzer can either sum the windows or read the totals and
@@ -22,6 +27,8 @@ when-off contract (DESIGN.md §14).
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 from . import events as ev
 
@@ -83,6 +90,29 @@ class EngineTracer:
     def gauge_due(self, sim_ns: int) -> bool:
         """Whether the next cadence boundary has been reached."""
         return sim_ns >= self._next_sample_ns
+
+    def timed(self, call, phase: str, counter: str | None = None):
+        """``call`` with each invocation's wall time added to ``phase``.
+
+        With ``counter``, the call's result is counted too: the packets
+        or slots it served, or one for a served-cell flag.  Arguments
+        and the result pass through unchanged.  The wrapper runs once
+        per link per step, so it updates the window dicts in place
+        rather than through :meth:`add_span` and :meth:`count` (flushes
+        clear those dicts, never replace them).
+        """
+        spans = self._window_spans
+        counts = self._window_counts
+
+        def timed_call(*args):
+            t0 = perf_counter()
+            result = call(*args)
+            spans[phase] = spans.get(phase, 0.0) + (perf_counter() - t0)
+            if result and counter is not None:
+                counts[counter] = counts.get(counter, 0) + result
+            return result
+
+        return timed_call
 
     # -- flushing ----------------------------------------------------------
 

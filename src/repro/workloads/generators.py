@@ -10,6 +10,7 @@ random.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Iterator
 
@@ -24,8 +25,8 @@ def network_arrival_rate_per_ns(
     Inverting the load model: ``1/tau = L * R * N / F`` with F in bits.
     Gbps conveniently equals bits-per-ns, so no unit juggling is needed.
     """
-    if load <= 0:
-        raise ValueError("load must be positive")
+    if not 0 < load < math.inf:
+        raise ValueError("load must be positive and finite")
     if mean_flow_bytes <= 0:
         raise ValueError("mean flow size must be positive")
     return load * host_aggregate_gbps * num_tors / (mean_flow_bytes * 8.0)
@@ -55,8 +56,8 @@ def poisson_workload(
     ``size_dist`` is anything with ``sample(rng)`` and ``mean()`` —
     an :class:`~repro.workloads.distributions.EmpiricalCDF` or ``FixedSize``.
     """
-    if duration_ns <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_ns < math.inf:
+        raise ValueError("duration must be positive and finite")
     rate = network_arrival_rate_per_ns(
         load, size_dist.mean(), num_tors, host_aggregate_gbps
     )

@@ -236,7 +236,7 @@ class TestSimulateCommand:
         assert "1/1" in out
 
     def test_simulate_rejects_oversized_workload_file(
-        self, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch
     ):
         from repro.sim.flows import Flow
         from repro.workloads import trace_io
@@ -246,8 +246,34 @@ class TestSimulateCommand:
         trace_io.save(
             [Flow(fid=0, src=0, dst=99, size_bytes=500, arrival_ns=0.0)], path
         )
-        with pytest.raises(ValueError, match="out of range"):
-            main(["simulate", "--workload-file", str(path)])
+        assert main(["simulate", "--workload-file", str(path)]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--load", "0"], "load must be positive"),
+            (["--load", "-1"], "load must be positive"),
+            (["--load", "inf"], "load must be positive and finite"),
+            (["--duration-ms", "0"], "--duration-ms must be positive"),
+            (["--duration-ms", "nan"], "--duration-ms must be positive"),
+            (["--trace", "nosuch"], "unknown trace 'nosuch'"),
+            (["--workload-file", "missing.csv"], "No such file or directory"),
+        ],
+        ids=["zero-load", "negative-load", "infinite-load", "zero-duration",
+             "nan-duration", "unknown-trace", "missing-workload-file"],
+    )
+    def test_simulate_rejects_bad_input(
+        self, args, message, capsys, tmp_path, monkeypatch
+    ):
+        """Bad input is a one-line message and exit 2, never a traceback."""
+        monkeypatch.setenv("REPRO_SCALE", "micro")
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert message in captured.err
 
     def test_simulate_no_pq(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")

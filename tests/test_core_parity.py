@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import Flow, ObliviousSimulator, SimConfig, ThinClos
 from repro.sim.adaptive import AdaptiveSimulator
-from repro.sim.factory import make_negotiator, vectorized_core_eligible
+from repro.sim.factory import make_negotiator, vectorized_core_ineligibility
 from repro.sim.failures import FailurePlan, random_failure_plan
 from repro.sim.network import NegotiaToRSimulator
 from repro.sim.rotor import RotorSimulator
@@ -402,20 +402,19 @@ class TestFactoryDispatch:
         topo = ParallelNetwork(NUM_TORS, PORTS)
         config = _config(0, "vectorized")
         buffered = replace(config, receiver_buffer_bytes=10_000)
-        assert not vectorized_core_eligible(buffered, topo)
+        assert vectorized_core_ineligibility(buffered, topo) is not None
         with pytest.warns(RuntimeWarning, match="receiver buffers"):
             sim = make_negotiator(buffered, topo, [Flow(0, 0, 1, 100, 0.0)])
         assert isinstance(sim, NegotiaToRSimulator)
         assert sim.core_used == "scalar"
-        assert vectorized_core_eligible(
+        assert vectorized_core_ineligibility(
             config, ThinClos(NUM_TORS, PORTS, NUM_TORS // PORTS)
-        )
-        assert not vectorized_core_eligible(
+        ) is None
+        assert vectorized_core_ineligibility(
             config, topo, record_pair_bandwidth=True
-        )
+        ) is not None
 
     def test_fallback_warning_names_first_failed_condition(self, monkeypatch):
-        from repro.sim.factory import vectorized_core_ineligibility
         from repro.sim.metrics import MatchRatioRecorder
 
         monkeypatch.delenv("REPRO_CORE", raising=False)

@@ -25,7 +25,7 @@ from repro import (
 from repro.core.relay import SelectiveRelaySimulator
 from repro.sim.config import EpochTiming
 from repro.sim.failures import Direction, FailurePlan, LinkRef
-from repro.sim.observability import EpochStatsRecorder
+from repro.telemetry import EngineTracer, MemorySink
 from repro.workloads.traces import hadoop
 
 EPOCH_NS = 4 * 60 + 30 * 90  # 8 ToRs x 2 ports on the parallel network
@@ -213,14 +213,14 @@ class TestFastForwardBehaviour:
         assert sim.epoch == 50
         assert sim.fast_forwarded_epochs == 0
 
-    def test_stats_recorder_disables_fast_forward(self):
-        # Per-epoch recorders observe every epoch by contract.
-        sim = NegotiaToRSimulator(tiny_config(), ParallelNetwork(8, 2), [])
-        recorder = EpochStatsRecorder()
-        sim.attach_stats_recorder(recorder)
+    def test_tracer_keeps_fast_forward(self):
+        # The tracer observes stepped epochs; idle ones are still skipped.
+        tracer = EngineTracer(MemorySink(), "negotiator")
+        sim = NegotiaToRSimulator(
+            tiny_config(), ParallelNetwork(8, 2), [], tracer=tracer
+        )
         sim.run(40 * EPOCH_NS)
-        assert sim.fast_forwarded_epochs == 0
-        assert len(recorder) == 40
+        assert sim.fast_forwarded_epochs == 40
 
     def test_step_epoch_is_never_fast_forwarded(self):
         sim = NegotiaToRSimulator(tiny_config(), ParallelNetwork(8, 2), [])

@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.core.relay import RelayPolicy, SelectiveRelaySimulator
 from repro.sim.config import KB
+from repro.telemetry import EngineTracer, MemorySink
 from repro.workloads.traces import hadoop
 
 N, S, W = 16, 4, 4
@@ -34,6 +35,13 @@ def make_sim(flows, policy=None, **kwargs):
     return SelectiveRelaySimulator(
         cfg, ThinClos(N, S, W), flows, relay_policy=policy, **kwargs
     )
+
+
+def relay_counters(sim, tracer, sink):
+    """The run-end counters of a traced run."""
+    tracer.finish(int(sim.now_ns))
+    (run_end,) = sink.of_kind("run-end")
+    return run_end["counters"]
 
 
 def elephant(fid=0, src=1, dst=6, size=500 * KB, arrival=-1.0):
@@ -63,7 +71,11 @@ class TestPolicy:
 class TestRelayMechanics:
     def test_elephant_bytes_are_relayed(self):
         recorder = BandwidthRecorder(bin_ns=10_000.0)
-        sim = make_sim([elephant()], bandwidth_recorder=recorder)
+        sink = MemorySink()
+        tracer = EngineTracer(sink, "relay")
+        sim = make_sim(
+            [elephant()], bandwidth_recorder=recorder, tracer=tracer
+        )
         sim.run(300_000)
         relayed = sum(
             recorder.total_bytes(key)
@@ -71,8 +83,9 @@ class TestRelayMechanics:
             if key[0] == "relay"
         )
         assert relayed > 0
-        assert sim.relay_stats["requests"] > 0
-        assert sim.relay_stats["grants"] > 0
+        counters = relay_counters(sim, tracer, sink)
+        assert counters["relay_requests"] > 0
+        assert counters["relay_grants"] > 0
 
     def test_mice_are_never_relayed(self):
         """Only lowest-band data is eligible; a mouse stays direct."""
@@ -103,9 +116,11 @@ class TestRelayMechanics:
 
     def test_small_backlog_requests_no_relay(self):
         policy = RelayPolicy(relay_threshold_bytes=100 * KB)
-        sim = make_sim([elephant(size=50 * KB)], policy=policy)
+        sink = MemorySink()
+        tracer = EngineTracer(sink, "relay")
+        sim = make_sim([elephant(size=50 * KB)], policy=policy, tracer=tracer)
         sim.run(100_000)
-        assert sim.relay_stats["requests"] == 0
+        assert "relay_requests" not in relay_counters(sim, tracer, sink)
 
     def test_direct_traffic_keeps_port_priority(self):
         """A relay assignment never displaces an accepted direct match."""

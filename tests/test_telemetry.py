@@ -11,8 +11,9 @@ The load-bearing contracts:
   under a fake clock;
 * the campaign manifest matches the runner's retry/quarantine ground
   truth;
-* ``EpochStatsRecorder`` stays within its capacity at 100k+ epochs in
-  both ring and decimate modes.
+* the tracer is the one way to observe a run: with a one-epoch cadence
+  it gives the negotiator's per-epoch series, including the piggyback /
+  scheduled byte split, identically on both cores.
 """
 
 from __future__ import annotations
@@ -24,12 +25,18 @@ from pathlib import Path
 
 import pytest
 
-from repro import Flow, ObliviousSimulator, SimConfig, ThinClos, golden
+from repro import (
+    Flow,
+    ObliviousSimulator,
+    SimConfig,
+    ThinClos,
+    all_to_all_workload,
+    golden,
+)
 from repro.core.relay import SelectiveRelaySimulator
 from repro.experiments import MICRO
 from repro.sim.adaptive import AdaptiveSimulator
 from repro.sim.network import NegotiaToRSimulator
-from repro.sim.observability import EpochStats, EpochStatsRecorder
 from repro.sim.rotor import RotorSimulator
 from repro.sim.vectorized import VectorizedNegotiaToRSimulator
 from repro.sweep import (
@@ -39,9 +46,11 @@ from repro.sweep import (
     SweepRunner,
     execute_spec,
     scale_spec_fields,
+    system_spec_fields,
 )
 from repro.sweep.chaos import CHAOS_ENV
 from repro.sweep.resilience import run_with_retries
+from repro.sweep.spec import SYSTEMS
 from repro.telemetry import (
     DEFAULT_CADENCE_NS,
     EVENT_SCHEMA,
@@ -80,6 +89,40 @@ def micro_spec(**overrides) -> RunSpec:
     )
     base.update(overrides)
     return RunSpec(**base)
+
+
+#: Every engine's tracer phases: the span names of its run-end event.
+PHASES = {
+    "negotiator": ["drain", "matching", "piggyback", "relay"],
+    "relay": ["drain", "matching", "piggyback", "relay"],
+    "oblivious": ["drain", "inject", "relay"],
+    "rotor": ["drain", "inject", "offload", "relay"],
+    "adaptive": ["drain", "inject", "matching"],
+}
+
+RANDOM_FAILURES = {
+    "plan": "random",
+    "ratio": 0.2,
+    "fail_at_ns": 0.0,
+    "repair_at_ns": SHORT_NS / 2,
+    "seed": 5,
+}
+
+#: One micro spec per registered system, plus one under random link
+#: failures for each system that takes failure plans.
+TRACED_SPECS = [
+    pytest.param(micro_spec(**system_spec_fields(name)), id=name)
+    for name in SYSTEMS
+] + [
+    pytest.param(
+        micro_spec(
+            **system_spec_fields(name), failure_params=RANDOM_FAILURES
+        ),
+        id=f"{name}-failures",
+    )
+    for name, entry in SYSTEMS.items()
+    if entry.failures
+]
 
 
 def telemetry_env(path: Path, cadence_ns: int = DEFAULT_CADENCE_NS) -> str:
@@ -243,15 +286,7 @@ class TestEngineTracer:
 
 
 class TestZeroInterference:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            micro_spec(),
-            micro_spec(system="oblivious", topology="thinclos"),
-            micro_spec(system="rotor", topology="thinclos"),
-        ],
-        ids=["negotiator", "oblivious", "rotor"],
-    )
+    @pytest.mark.parametrize("spec", TRACED_SPECS)
     def test_execute_spec_bit_identical_with_telemetry(
         self, spec, tmp_path, monkeypatch
     ):
@@ -269,7 +304,7 @@ class TestZeroInterference:
         (run_end,) = [e for e in events if e["kind"] == "run-end"]
         assert run_end["engine"] == spec.system
         assert run_end["spec"] == spec.content_hash
-        assert run_end["spans"], "no phase spans recorded"
+        assert sorted(run_end["spans"]) == PHASES[spec.system]
 
     def test_spec_hash_ignores_telemetry_env(self, tmp_path, monkeypatch):
         spec = micro_spec()
@@ -830,62 +865,63 @@ class TestTelemetryCli:
 
 
 # ---------------------------------------------------------------------------
-# EpochStatsRecorder capacity modes
+# per-epoch series from a tracer sampling every epoch
 # ---------------------------------------------------------------------------
 
 
-def stats(epoch: int) -> EpochStats:
-    return EpochStats(
-        epoch=epoch, active_pairs=1, requests_sent=1, matches=1,
-        matched_pairs=1, queued_bytes=epoch,
+def epoch_traced(core: str, flows):
+    """(engine, tracer, sink): a NegotiaToR engine on ``core`` whose
+    tracer flushes every epoch."""
+    sink = MemorySink()
+    tracer = EngineTracer(sink, "negotiator", cadence_ns=1)
+    engine = {
+        "scalar": NegotiaToRSimulator,
+        "vectorized": VectorizedNegotiaToRSimulator,
+    }[core]
+    config = SimConfig(
+        num_tors=8, ports_per_tor=2, uplink_gbps=100.0,
+        host_aggregate_gbps=100.0, core=core,
     )
+    sim = engine(config, ParallelNetwork(8, 2), flows, tracer=tracer)
+    return sim, tracer, sink
 
 
-class TestRecorderCapacity:
-    def test_unbounded_by_default(self):
-        recorder = EpochStatsRecorder()
-        for epoch in range(1000):
-            recorder.record(stats(epoch))
-        assert len(recorder) == 1000
-        assert recorder.dropped == 0
+def windows(sink: MemorySink, kind: str, name: str) -> dict[int, float]:
+    """One counter's deltas or one gauge's samples, keyed by sim_ns."""
+    key = "delta" if kind == "counter" else "value"
+    return {
+        event["sim_ns"]: event[key]
+        for event in sink.of_kind(kind)
+        if event["name"] == name
+    }
 
-    def test_ring_keeps_last_capacity_epochs_at_scale(self):
-        recorder = EpochStatsRecorder(capacity=1024, mode="ring")
-        total = 150_000
-        for epoch in range(total):
-            recorder.record(stats(epoch))
-        assert len(recorder) == 1024
-        assert recorder.seen == total
-        assert recorder.dropped == total - 1024
-        epochs = [entry.epoch for entry in recorder.stats]
-        assert epochs == list(range(total - 1024, total))
 
-    def test_decimate_spans_whole_run_at_scale(self):
-        recorder = EpochStatsRecorder(capacity=1024, mode="decimate")
-        total = 150_000
-        for epoch in range(total):
-            recorder.record(stats(epoch))
-        assert len(recorder) <= 1024
-        assert recorder.seen == total
-        assert len(recorder) + recorder.dropped == total
-        epochs = [entry.epoch for entry in recorder.stats]
-        # Uniform thinning: first epoch retained, stride exact, whole run
-        # covered.
-        assert epochs[0] == 0
-        stride = recorder.stride
-        assert stride >= total // 1024
-        assert all(e % stride == 0 for e in epochs)
-        assert epochs == sorted(epochs)
-        assert epochs[-1] >= total - stride
+@pytest.mark.parametrize("core", ["scalar", "vectorized"])
+class TestEpochSeries:
+    def test_byte_split_sums_to_delivered_bytes(self, core):
+        sim, tracer, sink = epoch_traced(core, all_to_all_workload(8, 50_000))
+        assert sim.run_until_complete(max_ns=10_000_000)
+        tracer.finish(int(sim.now_ns))
+        (run_end,) = sink.of_kind("run-end")
+        counters = run_end["counters"]
+        assert counters["piggyback_bytes"] > 0
+        assert counters["scheduled_bytes"] > 0
+        assert (
+            counters["piggyback_bytes"] + counters["scheduled_bytes"]
+            == sim.tracker.delivered_bytes
+            == 8 * 7 * 50_000
+        )
 
-    def test_summary_still_works_when_capped(self):
-        recorder = EpochStatsRecorder(capacity=16, mode="ring")
-        for epoch in range(100):
-            recorder.record(stats(epoch))
-        assert recorder.summary()["epochs"] == 16.0
-
-    def test_bad_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            EpochStatsRecorder(capacity=1)
-        with pytest.raises(ValueError):
-            EpochStatsRecorder(capacity=8, mode="sample")
+    def test_one_sample_per_stepped_epoch(self, core):
+        sim, _tracer, sink = epoch_traced(core, all_to_all_workload(8, 20_000))
+        assert sim.run_until_complete(max_ns=10_000_000)
+        queued = windows(sink, "gauge", "queued_bytes")
+        assert len(queued) == sim.epoch - sim.fast_forwarded_epochs
+        series = [queued[sim_ns] for sim_ns in sorted(queued)]
+        assert series[0] > 0
+        assert series[-1] == 0
+        first = min(queued)
+        assert windows(sink, "counter", "requests")[first] > 0
+        assert windows(sink, "gauge", "active_pairs")[first] == 8 * 7
+        # The three-epoch pipeline matches the backlog from epoch 2 on.
+        assert min(windows(sink, "counter", "matches")) > first
