@@ -344,7 +344,9 @@ def run_system(
     set_active_simulator(sim)
     try:
         if until_complete:
-            sim.run_until_complete(max_ns=max_ns or 100 * duration)
+            sim.run_until_complete(
+                max_ns=100 * duration if max_ns is None else max_ns
+            )
             summary = sim.summary(sim.now_ns)
         else:
             sim.run(duration)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -206,8 +207,9 @@ class RunSpec:
     key or ``instrument`` key raises in the :func:`unknown_name_message`
     shape; a fabric, scheduler variant, params field, failure plan,
     streaming mode or recorder the system lacks raises in the
-    :func:`unsupported_message` shape.  A bad grid therefore fails on
-    ``--dry-run``, before any worker starts.
+    :func:`unsupported_message` shape.  ``load``, and ``duration_ns`` and
+    ``max_ns`` when set, must be positive and finite.  A bad grid
+    therefore fails on ``--dry-run``, before any worker starts.
     """
 
     scale: str
@@ -246,10 +248,12 @@ class RunSpec:
             raise ValueError(
                 unknown_name_message("scheduler", [self.scheduler], SCHEDULERS)
             )
-        if self.load <= 0:
-            raise ValueError("load must be positive")
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+        if not 0 < self.load < math.inf:
+            raise ValueError("load must be positive and finite")
+        for name in ("duration_ns", "max_ns"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # Normalize params passed as dicts so hashing never sees a dict.
         for name in PARAM_FIELDS:
             if isinstance(getattr(self, name), Mapping):

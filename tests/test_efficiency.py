@@ -15,6 +15,30 @@ from repro.core.efficiency import (
 )
 
 
+def reference_match_ratio(n, ports, rounds, rng):
+    """The original Monte Carlo, kept verbatim as an exactness oracle.
+
+    It rebuilds every destination's source list each round and collects
+    the grants per (src, port) key; ``monte_carlo_match_ratio`` must make
+    the same draws in the same order and return the same ratio.
+    """
+    granted = 0
+    accepted = 0
+    for _ in range(rounds):
+        # grants[src][port] = list of destinations that granted (src, port).
+        grants: dict[tuple[int, int], list[int]] = {}
+        for dst in range(n):
+            sources = [s for s in range(n) if s != dst]
+            for port in range(ports):
+                src = rng.choice(sources)
+                grants.setdefault((src, port), []).append(dst)
+                granted += 1
+        for competitors in grants.values():
+            if competitors:
+                accepted += 1
+    return accepted / granted
+
+
 class TestClosedForm:
     def test_paper_value_at_n_128(self):
         """Parallel network, 128 ToRs: E[Y] = 0.634 (appendix A.1)."""
@@ -54,6 +78,25 @@ class TestClosedForm:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "n, ports, rounds, seed",
+        [
+            (2, 1, 1, 0),
+            (2, 4, 25, 1),
+            (3, 1, 1, 2),
+            (5, 2, 17, 3),
+            (16, 4, 40, 4),
+            (33, 3, 5, 5),
+            (128, 4, 3, 6),
+        ],
+    )
+    def test_matches_reference_draw_for_draw(self, n, ports, rounds, seed):
+        """Same ratio and same RNG state after the call as the original."""
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        expected = reference_match_ratio(n, ports, rounds, expected_rng)
+        assert monte_carlo_match_ratio(n, ports, rounds, rng) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_simulation_matches_theory(self, n):
         ratio = monte_carlo_match_ratio(

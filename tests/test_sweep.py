@@ -215,6 +215,28 @@ class TestSpecHash:
         with pytest.raises(ValueError, match="system"):
             tiny_spec(system="torus")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("load", 0.0),
+            ("load", -1.0),
+            ("load", float("inf")),
+            ("load", float("nan")),
+            ("duration_ns", 0.0),
+            ("duration_ns", float("inf")),
+            ("duration_ns", float("nan")),
+            ("max_ns", 0.0),
+            ("max_ns", -1.0),
+            ("max_ns", float("inf")),
+            ("max_ns", float("nan")),
+        ],
+    )
+    def test_non_positive_or_non_finite_number_rejected(self, field, value):
+        """A spec that could never finish fails when it is built."""
+        with pytest.raises(ValueError) as excinfo:
+            tiny_spec(**{field: value})
+        assert str(excinfo.value) == f"{field} must be positive and finite"
+
     def test_spec_version_is_the_minimum_able_to_express(self):
         """Schema growth (v3 rotor, v5 adaptive) is hash-neutral for
         legacy specs.
@@ -1120,13 +1142,16 @@ class TestSweepCli:
         assert proc.returncode == 2
         assert "unknown scenario" in proc.stderr
 
-    def test_invalid_load_fails_cleanly(self):
-        proc = run_cli(
-            "sweep", "--scale", "tiny", "--load", "0", "--dry-run"
-        )
-        assert proc.returncode == 2
-        assert "load must be positive" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def test_invalid_load_fails_cleanly(self, tmp_path):
+        """A zero or non-finite load fails the sweep and campaign dry runs."""
+        store = str(tmp_path / "campaign.db")
+        for load in ("0", "inf", "nan"):
+            grid = ("--scale", "micro", "--load", load, "--seed", "1")
+            for command in (("sweep",), ("campaign", "run", "--store", store)):
+                proc = run_cli(*command, *grid, "--dry-run")
+                assert proc.returncode == 2
+                assert proc.stderr.strip() == "load must be positive and finite"
+        assert not Path(store).exists()
 
     def test_bad_scenario_param_rejected_even_on_dry_run(self):
         proc = run_cli(
