@@ -18,8 +18,8 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        # The tier-1 suite needs only pytest + hypothesis; the benchmark
-        # harness (benchmarks/bench_*.py, incl. the engine hot-path suite)
+        # The tier-1 suite needs only pytest + hypothesis; the engine
+        # hot-path benchmark (benchmarks/bench_engine_hotpath.py)
         # additionally needs pytest-benchmark.
         "test": ["pytest", "hypothesis"],
         "bench": ["pytest", "pytest-benchmark"],

@@ -1,21 +1,5 @@
-"""Result analysis: report generation and shape predicates."""
+"""Result analysis: report generation."""
 
 from .report import build_report, result_to_markdown, run_experiments
-from .shapes import (
-    crossover_load,
-    improvement_factor,
-    is_flat,
-    is_monotonic_increasing,
-    saturates,
-)
 
-__all__ = [
-    "build_report",
-    "crossover_load",
-    "improvement_factor",
-    "is_flat",
-    "is_monotonic_increasing",
-    "result_to_markdown",
-    "run_experiments",
-    "saturates",
-]
+__all__ = ["build_report", "result_to_markdown", "run_experiments"]

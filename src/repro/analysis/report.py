@@ -1,9 +1,8 @@
 """Reproduction report generation.
 
 Runs any subset of the paper-reproduction experiments and renders a single
-markdown report with one section per table/figure — the machinery behind
-EXPERIMENTS.md.  No plotting dependencies: series data is summarized into
-tables (this environment is offline; matplotlib is unavailable).
+markdown report with one section per table/figure.  No plotting
+dependencies: series data is summarized into tables.
 """
 
 from __future__ import annotations
@@ -12,8 +11,10 @@ import io
 import time
 from collections.abc import Iterable
 
-from ..experiments import EXPERIMENT_MODULES, current_scale, load_experiment
+from .. import golden
+from ..experiments import EXPERIMENT_MODULES, current_scale
 from ..experiments.common import ExperimentResult, ExperimentScale
+from ..sweep import SweepRunner
 
 
 def run_experiments(
@@ -21,14 +22,18 @@ def run_experiments(
     scale: ExperimentScale | None = None,
     verbose: bool = False,
 ) -> dict[str, ExperimentResult]:
-    """Run experiments by short name (default: all of them)."""
+    """Run experiments by short name (default: all of them).
+
+    Every experiment runs through one shared runner, as ``repro run``
+    does, so specs common to several figures execute once.
+    """
     scale = scale or current_scale()
     chosen = list(names) if names is not None else sorted(EXPERIMENT_MODULES)
+    runner = SweepRunner()
     results: dict[str, ExperimentResult] = {}
     for name in chosen:
-        module = load_experiment(name)
         started = time.monotonic()
-        results[name] = module.run(scale)
+        results[name] = golden.compute_result(name, scale, runner=runner)
         if verbose:
             elapsed = time.monotonic() - started
             print(f"[{name}] done in {elapsed:.1f}s")

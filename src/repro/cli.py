@@ -12,9 +12,9 @@ Commands:
 * ``golden`` — verify every experiment's output digest against the
   baselines under tests/golden/ (``--record`` refreshes them after an
   intentional change).
-* ``report`` — run a set of experiments and emit a markdown report
-  (the generator behind EXPERIMENTS.md); ``--json`` emits the results as
-  structured JSON instead.
+* ``report`` — run a set of experiments through one shared runner and
+  emit a markdown report; ``--json`` emits the results as structured JSON
+  instead.
 * ``simulate`` — one-off simulation with headline metrics.
 * ``sweep`` — run a grid of scenario x load x seed x system points through
   the sweep orchestrator: parallel fan-out (``--jobs``), a JSONL result
@@ -876,6 +876,8 @@ def cmd_report(
     from .analysis.report import build_report, run_experiments
 
     scale = resolve_scale(scale_name)
+    if _reject_unknown(names or [], EXPERIMENT_MODULES, "experiment"):
+        return 2
     results = run_experiments(names, scale, verbose=output is not None)
     if as_json:
         payload = {

@@ -5,8 +5,9 @@ scale (``REPRO_SCALE`` in {tiny, small, paper}) and exposes::
 
     run(scale=None, ...) -> ExperimentResult
 
-The benchmarks/ directory wraps these in pytest-benchmark entries; every
-module is also directly runnable: ``python -m repro.experiments.<name>``.
+The claims table in benchmarks/paper_claims.py checks the paper's
+directional claims against these results; every module is also directly
+runnable: ``python -m repro.experiments.<name>``.
 """
 
 import importlib
@@ -54,13 +55,16 @@ EXPERIMENT_MODULES = {
 
 def load_experiment(name: str):
     """Import and return one experiment module by its short name."""
-    try:
-        module_name = EXPERIMENT_MODULES[name]
-    except KeyError:
+    if name not in EXPERIMENT_MODULES:
+        # Imported here: the sweep package imports this one.
+        from ..sweep.spec import unknown_name_message
+
         raise ValueError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENT_MODULES)}"
-        ) from None
-    return importlib.import_module(f".{module_name}", __package__)
+            unknown_name_message("experiment", [name], EXPERIMENT_MODULES)
+        )
+    return importlib.import_module(
+        f".{EXPERIMENT_MODULES[name]}", __package__
+    )
 
 
 __all__ = [

@@ -6,9 +6,9 @@ the paper.  Experiments run at a configurable *scale*:
 * ``paper`` — the full 128 ToRs x 8 ports, 30 ms runs of section 4.1.  Exact
   but slow in pure Python (hours for the load sweeps).
 * ``small`` — 32 ToRs x 4 ports, ~1.2 ms runs.  The default: every effect the
-  paper reports is visible at this size, and the whole benchmark suite runs
-  in minutes.
-* ``tiny`` — 16 ToRs x 4 ports, sub-millisecond runs, for smoke testing.
+  paper reports is visible at this size.
+* ``tiny`` — 16 ToRs x 4 ports, sub-millisecond runs: the smallest scale
+  that holds the paper's claims (benchmarks/paper_claims.py).
 * ``micro`` — 8 ToRs x 2 ports, 80 us runs: the golden-baseline scale the
   regression digests under tests/golden/ are recorded at.
 

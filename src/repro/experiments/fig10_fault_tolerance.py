@@ -62,19 +62,6 @@ def fault_spec(
     )
 
 
-def bandwidth_ratios(
-    scale: ExperimentScale,
-    failure_ratio: float,
-    seed: int = 5,
-    runner: SweepRunner | None = None,
-) -> tuple[float, float]:
-    """(post-failure/pre-failure, pre-recovery/post-recovery) ratios."""
-    runner = runner if runner is not None else SweepRunner()
-    spec = fault_spec(scale, failure_ratio, seed=seed)
-    ratios = runner.run([spec])[spec.content_hash].extra["fault_bw_ratios"]
-    return ratios["drop"], ratios["recovery"]
-
-
 def run(
     scale: ExperimentScale | None = None,
     runner: SweepRunner | None = None,

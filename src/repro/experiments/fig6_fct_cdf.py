@@ -44,17 +44,6 @@ def _unpack_cdf(summary) -> tuple[np.ndarray, np.ndarray, float]:
     )
 
 
-def mice_fct_cdf(
-    scale: ExperimentScale,
-    topology_kind: str,
-    runner: SweepRunner | None = None,
-):
-    """(FCT values in us, cumulative fractions, epoch length in us)."""
-    runner = runner if runner is not None else SweepRunner()
-    spec = cdf_specs(scale)[topology_kind]
-    return _unpack_cdf(runner.run([spec])[spec.content_hash])
-
-
 def fraction_within_epochs(values_us, fractions, epoch_us, epochs: float) -> float:
     """Fraction of mice flows finishing within ``epochs`` epochs."""
     cutoff = epochs * epoch_us

@@ -44,20 +44,6 @@ def incast_spec(
     )
 
 
-def finish_time_us(
-    scale: ExperimentScale,
-    system: str,
-    degree: int,
-    seed: int = 7,
-    runner: SweepRunner | None = None,
-) -> float:
-    """Incast finish time in microseconds for one system."""
-    runner = runner if runner is not None else SweepRunner()
-    spec = incast_spec(scale, system, degree, seed=seed)
-    summary = runner.run([spec])[spec.content_hash]
-    return summary.extra["incast_finish_ns"] / 1e3
-
-
 def run(
     scale: ExperimentScale | None = None,
     runner: SweepRunner | None = None,

@@ -55,30 +55,24 @@ def poisson_workload(
 
     ``size_dist`` is anything with ``sample(rng)`` and ``mean()`` —
     an :class:`~repro.workloads.distributions.EmpiricalCDF` or ``FixedSize``.
+    The materialized form of
+    :func:`~repro.workloads.streams.poisson_flow_stream`.
     """
-    if not 0 < duration_ns < math.inf:
-        raise ValueError("duration must be positive and finite")
-    rate = network_arrival_rate_per_ns(
-        load, size_dist.mean(), num_tors, host_aggregate_gbps
-    )
-    if fids is None:
-        fids = itertools.count()
-    flows = []
-    t = rng.expovariate(rate)
-    while t < duration_ns:
-        src, dst = uniform_pair(num_tors, rng)
-        flows.append(
-            Flow(
-                fid=next(fids),
-                src=src,
-                dst=dst,
-                size_bytes=size_dist.sample(rng),
-                arrival_ns=t,
-                tag=tag,
-            )
+    # Imported here: the streams module imports this one.
+    from .streams import poisson_flow_stream
+
+    return list(
+        poisson_flow_stream(
+            size_dist,
+            load,
+            num_tors,
+            host_aggregate_gbps,
+            duration_ns,
+            rng,
+            tag=tag,
+            fids=fids,
         )
-        t += rng.expovariate(rate)
-    return flows
+    )
 
 
 def single_pair_stream(

@@ -6,9 +6,10 @@ ROADMAP's "heavy traffic from millions of users" regime where the trace
 alone would dwarf memory.  This module is the lazy counterpart (DESIGN.md
 section 11):
 
-* :func:`poisson_flow_stream` yields the *exact same flows* as
-  :func:`~repro.workloads.generators.poisson_workload` (identical RNG draw
-  order), one at a time, in arrival order.
+* :func:`poisson_flow_stream` is the one Poisson arrival loop, yielding
+  flows one at a time in arrival order;
+  :func:`~repro.workloads.generators.poisson_workload` is its materialized
+  form.
 * :func:`heavy_poisson_stream` sizes the trace by a target **flow count**
   instead of a duration — the shape of a sustained heavy-load benchmark,
   where the question is "how fast can the engine chew through N flows", not
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 
 from ..sim.flows import Flow
@@ -80,12 +82,12 @@ def poisson_flow_stream(
 ) -> Iterator[Flow]:
     """Lazy Poisson arrivals over ``duration_ns`` at a target network load.
 
-    Yields exactly the flows :func:`~repro.workloads.generators
-    .poisson_workload` would return, in the same order, from the same RNG
-    draws — ``list(poisson_flow_stream(...))`` is that function.
+    The one Poisson arrival loop: :func:`~repro.workloads.generators
+    .poisson_workload` is ``list(poisson_flow_stream(...))``.  A duration
+    that is not positive and finite raises on the first ``next()``.
     """
-    if duration_ns <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_ns < math.inf:
+        raise ValueError("duration must be positive and finite")
     rate = network_arrival_rate_per_ns(
         load, size_dist.mean(), num_tors, host_aggregate_gbps
     )

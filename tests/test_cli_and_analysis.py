@@ -1,4 +1,4 @@
-"""Tests for the CLI and the analysis helpers."""
+"""Tests for the CLI and the report helpers."""
 
 import pytest
 
@@ -6,13 +6,6 @@ from repro.analysis.report import (
     build_report,
     result_to_markdown,
     run_experiments,
-)
-from repro.analysis.shapes import (
-    crossover_load,
-    improvement_factor,
-    is_flat,
-    is_monotonic_increasing,
-    saturates,
 )
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENT_MODULES, load_experiment
@@ -30,38 +23,6 @@ MICRO = ExperimentScale(
     alltoall_flow_kb=(1, 5),
     max_flow_bytes=100_000,
 )
-
-
-class TestShapes:
-    def test_improvement_factor(self):
-        assert improvement_factor(100.0, 10.0) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            improvement_factor(1.0, 0.0)
-
-    def test_is_flat(self):
-        assert is_flat([10.0, 11.0, 10.5])
-        assert not is_flat([10.0, 20.0])
-        with pytest.raises(ValueError):
-            is_flat([])
-        with pytest.raises(ValueError):
-            is_flat([0.0, 1.0])
-
-    def test_is_monotonic_increasing(self):
-        assert is_monotonic_increasing([1.0, 2.0, 3.0])
-        assert not is_monotonic_increasing([1.0, 0.5])
-        assert is_monotonic_increasing([1.0, 0.95], slack=0.1)
-
-    def test_saturates(self):
-        loads = [0.1, 0.5, 1.0]
-        assert saturates(loads, [0.1, 0.45, 0.6])
-        assert not saturates(loads, [0.1, 0.49, 0.95])
-        with pytest.raises(ValueError):
-            saturates([0.1], [0.1])
-
-    def test_crossover_load(self):
-        loads = [0.1, 0.5, 1.0]
-        assert crossover_load(loads, [0.0, 0.6, 0.9], [0.1, 0.5, 0.6]) == 0.5
-        assert crossover_load(loads, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]) is None
 
 
 class TestReport:
@@ -122,6 +83,7 @@ class TestCLI:
         cases = [
             (["run", "fig99"], "experiment", "fig99"),
             (["golden", "fig99"], "experiment", "fig99"),
+            (["report", "--experiments", "fig99"], "experiment", "fig99"),
             (["sweep", "--scenario", "fig99", "--dry-run"], "scenario", "fig99"),
             (["bench", "--scenario", "fig99"], "scenario", "fig99"),
             (["sweep", "--system", "torus", "--dry-run"], "system", "torus"),

@@ -2,7 +2,8 @@
 
 These validate the full harness graph — workload generation, both engines,
 variants, failure plans, recorders, rendering — not the paper's numbers
-(the benchmark suite checks shapes at real scales).
+(the claims table in benchmarks/paper_claims.py checks those at tiny
+scale).
 """
 
 import pytest

@@ -22,6 +22,7 @@ from repro.workloads.incast import (
     incast_workload,
     mixed_incast_workload,
 )
+from repro.workloads.streams import poisson_flow_stream
 from repro.workloads.traces import by_name, google, hadoop, websearch
 
 
@@ -169,9 +170,16 @@ class TestPoissonWorkload:
         assert src != dst
         assert 0 <= src < 8 and 0 <= dst < 8
 
-    def test_rejects_zero_duration(self):
-        with pytest.raises(ValueError):
-            poisson_workload(FixedSize(10), 1.0, 8, 400.0, 0, random.Random(0))
+    @pytest.mark.parametrize("duration_ns", [0, -1, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "generate", [poisson_workload, poisson_flow_stream]
+    )
+    def test_rejects_zero_duration(self, generate, duration_ns):
+        """Both generators share one check; the stream raises on its
+        first ``next()``."""
+        args = (FixedSize(10), 1.0, 8, 400.0, duration_ns, random.Random(0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            next(iter(generate(*args)))
 
 
 class TestIncastWorkloads:
