@@ -583,21 +583,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be at least 1")
     scale = SCALES[args.scale]
     store = ResultStore(args.store) if args.store is not None else None
-    runner = SweepRunner(jobs=args.jobs, store=store, resume=store is not None)
     total = failed = 0
-    for name, claims in CLAIMS.items():
-        result = golden.compute_result(name, scale, runner=runner)
-        verdicts = [
-            (text, *_holds(predicate, result, scale))
-            for text, predicate in claims
-        ]
-        for text, held, error in verdicts:
-            print(f"{'ok' if held else 'FAIL':<4} {name:<10} {text}{error}")
-        misses = sum(not held for _text, held, _error in verdicts)
-        if misses:
-            print(result.render())
-        total += len(verdicts)
-        failed += misses
+    with SweepRunner(
+        jobs=args.jobs, store=store, resume=store is not None
+    ) as runner:
+        for name, claims in CLAIMS.items():
+            result = golden.compute_result(name, scale, runner=runner)
+            verdicts = [
+                (text, *_holds(predicate, result, scale))
+                for text, predicate in claims
+            ]
+            for text, held, error in verdicts:
+                print(
+                    f"{'ok' if held else 'FAIL':<4} {name:<10} {text}{error}"
+                )
+            misses = sum(not held for _text, held, _error in verdicts)
+            if misses:
+                print(result.render())
+            total += len(verdicts)
+            failed += misses
     print(f"{runner.executed} simulations executed, {runner.cached} cached")
     print(f"{total - failed}/{total} claims hold at scale {scale.name}")
     return 1 if failed else 0

@@ -29,14 +29,14 @@ def run_experiments(
     """
     scale = scale or current_scale()
     chosen = list(names) if names is not None else sorted(EXPERIMENT_MODULES)
-    runner = SweepRunner()
     results: dict[str, ExperimentResult] = {}
-    for name in chosen:
-        started = time.monotonic()
-        results[name] = golden.compute_result(name, scale, runner=runner)
-        if verbose:
-            elapsed = time.monotonic() - started
-            print(f"[{name}] done in {elapsed:.1f}s")
+    with SweepRunner() as runner:
+        for name in chosen:
+            started = time.monotonic()
+            results[name] = golden.compute_result(name, scale, runner=runner)
+            if verbose:
+                elapsed = time.monotonic() - started
+                print(f"[{name}] done in {elapsed:.1f}s")
     return results
 
 

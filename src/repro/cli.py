@@ -777,14 +777,16 @@ def cmd_run(
     # One runner for every experiment: specs common to several figures
     # execute once (in-memory memo), and a store makes the whole
     # reproduction resumable — a second run is a pure cache hit.
-    runner = SweepRunner(jobs=jobs, store=store, resume=store is not None)
     results = []
-    for name in names:
-        result = golden.compute_result(name, scale, runner=runner)
-        results.append(result)
-        if not as_json:
-            print(result.render())
-            print()
+    with SweepRunner(
+        jobs=jobs, store=store, resume=store is not None
+    ) as runner:
+        for name in names:
+            result = golden.compute_result(name, scale, runner=runner)
+            results.append(result)
+            if not as_json:
+                print(result.render())
+                print()
     if as_json:
         payload = {
             "scale": scale.name,
@@ -837,26 +839,28 @@ def cmd_golden(args) -> int:
             file=sys.stderr,
         )
     store = ResultStore(args.store) if args.store else None
-    runner = SweepRunner(jobs=args.jobs, store=store, resume=store is not None)
     failures = 0
-    for name in names:
-        result = golden.compute_result(name, scale, runner=runner)
-        if args.record:
-            digest = golden.record_golden(args.golden_dir, name, result)
-            print(f"recorded {name}: {digest[:12]}")
-            continue
-        check = golden.check_golden(args.golden_dir, name, result)
-        if check.expected is None:
-            print(f"MISSING  {name}: no baseline (run with --record)")
-            failures += 1
-        elif check.ok:
-            print(f"ok       {name}: {check.digest[:12]}")
-        else:
-            print(
-                f"MISMATCH {name}: got {check.digest[:12]}, "
-                f"expected {check.expected[:12]}"
-            )
-            failures += 1
+    with SweepRunner(
+        jobs=args.jobs, store=store, resume=store is not None
+    ) as runner:
+        for name in names:
+            result = golden.compute_result(name, scale, runner=runner)
+            if args.record:
+                digest = golden.record_golden(args.golden_dir, name, result)
+                print(f"recorded {name}: {digest[:12]}")
+                continue
+            check = golden.check_golden(args.golden_dir, name, result)
+            if check.expected is None:
+                print(f"MISSING  {name}: no baseline (run with --record)")
+                failures += 1
+            elif check.ok:
+                print(f"ok       {name}: {check.digest[:12]}")
+            else:
+                print(
+                    f"MISMATCH {name}: got {check.digest[:12]}, "
+                    f"expected {check.expected[:12]}"
+                )
+                failures += 1
     if failures:
         print(
             f"{failures} experiment(s) diverged from tests/golden/ — "
@@ -1067,7 +1071,8 @@ def cmd_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        summaries = runner.run(specs)
+        with runner:
+            summaries = runner.run(specs)
     except (ValueError, SweepExecutionError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

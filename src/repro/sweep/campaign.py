@@ -343,7 +343,9 @@ def run_campaign(
     completed_at_start = store.completed_hashes() & set(grid)
 
     leases = make_lease_store(store)
-    runner = SweepRunner(
+    failed_here: set[str] = set()
+    rounds = 0
+    with SweepRunner(
         store=store,
         resume=False,  # the campaign loop does its own completion check
         worker=worker,
@@ -351,40 +353,41 @@ def run_campaign(
             lambda spec_hash: leases.renew(spec_hash, worker, lease_ttl_s)
         ),
         **runner_kwargs,
-    )
-
-    failed_here: set[str] = set()
-    rounds = 0
-    while True:
-        completed = store.completed_hashes()
-        pending = [
-            h for h in grid if h not in completed and h not in failed_here
-        ]
-        if not pending:
-            break
-        claimed = leases.claim(pending, worker, lease_ttl_s, lease_batch)
-        if not claimed:
-            # Everything pending is leased by live peers: wait for their
-            # results to land, or their leases to expire for takeover.
-            sleep(poll_s)
-            continue
-        # Re-check completion now that the leases are ours: a peer may
-        # have finished and released one of these specs between our
-        # pending snapshot and the claim.  Workers store a result before
-        # releasing its lease, so anything released-by-completion is
-        # visible here — this is what makes "each spec executes exactly
-        # once" hold under concurrency, not just "the digest converges".
-        completed = store.completed_hashes()
-        todo = [h for h in claimed if h not in completed]
-        if not todo:
-            leases.release(claimed, worker)
-            continue
-        rounds += 1
-        try:
-            runner.run([grid[h] for h in todo])
-        finally:
-            leases.release(claimed, worker)
-        failed_here |= runner.failed_hashes()
+    ) as runner:
+        while True:
+            completed = store.completed_hashes()
+            pending = [
+                h
+                for h in grid
+                if h not in completed and h not in failed_here
+            ]
+            if not pending:
+                break
+            claimed = leases.claim(pending, worker, lease_ttl_s, lease_batch)
+            if not claimed:
+                # Everything pending is leased by live peers: wait for
+                # their results to land, or their leases to expire for
+                # takeover.
+                sleep(poll_s)
+                continue
+            # Re-check completion now that the leases are ours: a peer
+            # may have finished and released one of these specs between
+            # our pending snapshot and the claim.  Workers store a result
+            # before releasing its lease, so anything released-by-
+            # completion is visible here — this is what makes "each spec
+            # executes exactly once" hold under concurrency, not just "the
+            # digest converges".
+            completed = store.completed_hashes()
+            todo = [h for h in claimed if h not in completed]
+            if not todo:
+                leases.release(claimed, worker)
+                continue
+            rounds += 1
+            try:
+                runner.run([grid[h] for h in todo])
+            finally:
+                leases.release(claimed, worker)
+            failed_here |= runner.failed_hashes()
 
     manifest_path = None
     if runner.telemetry_path is not None:

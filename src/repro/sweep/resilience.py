@@ -17,7 +17,8 @@ failures an unattended campaign actually hits (DESIGN.md §13):
   kill) is detected through its process sentinel and respawned, and again
   only the in-flight spec is requeued.  Healthy workers never notice.
 * :func:`run_with_retries` — the scheduling loop tying the above together
-  for :class:`~repro.sweep.runner.SweepRunner`.
+  for :class:`~repro.sweep.runner.SweepRunner`, over a pool its caller
+  owns (the runner keeps one pool across its ``run()`` calls).
 * :class:`QuarantineLog` — the append-only JSONL sidecar where specs that
   exhaust their retries land (full spec + outcome + traceback), so the
   rest of the grid completes and the poisoned points stay diagnosable and
@@ -42,6 +43,7 @@ import traceback as traceback_module
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _wait_connections
@@ -412,6 +414,7 @@ class WorkerPool:
             raise ValueError("heartbeat_s must be positive")
         self._heartbeat_s = heartbeat_s
         self._ctx = get_context()
+        self._owner_pid = os.getpid()
         self._workers = [self._spawn() for _ in range(workers)]
         self.respawned = 0
         """Workers replaced after a crash or timeout kill (observability)."""
@@ -427,11 +430,21 @@ class WorkerPool:
         child_conn.close()
         return _Worker(process, parent_conn)
 
+    def grow(self, workers: int) -> None:
+        """Start workers until the pool has at least ``workers``."""
+        while len(self._workers) < workers:
+            self._workers.append(self._spawn())
+
     # -- bookkeeping ----------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self._workers)
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` has stopped every worker."""
+        return not self._workers
 
     def idle_count(self) -> int:
         return sum(1 for w in self._workers if w.spec is None)
@@ -608,7 +621,14 @@ class WorkerPool:
         return exitcode
 
     def shutdown(self) -> None:
-        """Stop every worker: polite to idle ones, kill to busy ones."""
+        """Stop every worker: polite to idle ones, kill to busy ones.
+
+        A no-op outside the process that started the pool: a forked child
+        holds a copy of this object, and dropping that copy must not stop
+        its parent's workers.
+        """
+        if os.getpid() != self._owner_pid:
+            return
         for worker in self._workers:
             if worker.spec is None:
                 try:
@@ -635,7 +655,7 @@ class WorkerPool:
 def run_with_retries(
     specs: Sequence[RunSpec],
     *,
-    jobs: int,
+    pool: WorkerPool,
     policy: RetryPolicy,
     timeout_s: float | None,
     on_error: str,
@@ -643,24 +663,30 @@ def run_with_retries(
     on_exhausted: Callable[[RunSpec, SpecOutcome], None] | None = None,
     outcomes: dict[str, SpecOutcome] | None = None,
     on_heartbeat: Callable[[RunSpec, dict], None] | None = None,
-    heartbeat_s: float | None = None,
 ) -> dict[str, SpecOutcome]:
-    """Run specs through a :class:`WorkerPool` under a retry policy.
+    """Run specs through the caller's :class:`WorkerPool` under a retry policy.
 
     ``on_ok(spec, summary_dict, outcome)`` fires as each spec completes;
     ``on_exhausted(spec, outcome)`` fires when a spec runs out of attempts
     under ``on_error`` "skip"/"quarantine".  Under ``on_error="fail"`` the
-    first exhausted spec raises :class:`SweepExecutionError` (after the
-    pool is torn down); every outcome resolved so far — including the
-    failing one — is recorded in ``outcomes``, which is returned.
+    first exhausted spec raises :class:`SweepExecutionError`; every
+    outcome resolved so far — including the failing one — is recorded in
+    ``outcomes``, which is returned.
 
-    With ``heartbeat_s`` set, workers report liveness every interval and
-    ``on_heartbeat(spec, payload)`` fires per report; heartbeats never
-    count as attempts.
+    The pool outlives a normal return, idle and reusable.  Any exception
+    leaving the loop shuts it down first (busy workers are killed), since
+    the specs still in flight can no longer be accounted for.
 
-    Backoff between attempts is wall-clock but scheduling never busy-waits:
-    the loop sleeps until the earliest of (next per-spec deadline, next
-    retry eligibility, next worker message).
+    With a pool started with ``heartbeat_s``, workers report liveness
+    every interval and ``on_heartbeat(spec, payload)`` fires per report;
+    heartbeats never count as attempts.
+
+    A freed worker is handed its next spec as soon as :meth:`WorkerPool
+    .wait` returns, before the callbacks for what it just finished run,
+    so the parent's bookkeeping overlaps with simulation.  Backoff between
+    attempts is wall-clock but scheduling never busy-waits: the loop
+    sleeps until the earliest of (next per-spec deadline, next retry
+    eligibility, next worker message).
     """
     if on_error not in ON_ERROR_MODES:
         raise ValueError(
@@ -676,20 +702,25 @@ def run_with_retries(
     waiting: list[tuple[float, int, RunSpec, int]] = []  # (eligible_at, seq)
     sequence = itertools.count()
     unresolved = len(histories)
-    pool = WorkerPool(min(jobs, len(histories)), heartbeat_s=heartbeat_s)
+
+    def dispatch() -> None:
+        """Promote retries whose backoff has elapsed; fill idle workers."""
+        now = time.monotonic()
+        while waiting and waiting[0][0] <= now:
+            _, _, spec, attempt = heappop(waiting)
+            ready.append((spec, attempt))
+        while ready and pool.idle_count():
+            spec, attempt = ready.popleft()
+            pool.assign(spec, attempt, timeout_s)
+
     try:
+        dispatch()
         while unresolved:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, _, spec, attempt = heappop(waiting)
-                ready.append((spec, attempt))
-            while ready and pool.idle_count():
-                spec, attempt = ready.popleft()
-                pool.assign(spec, attempt, timeout_s)
             if not pool.busy_count():
                 # Nothing running: everything unresolved is backing off.
                 assert waiting, "scheduler stalled with unresolved specs"
                 time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
+                dispatch()
                 continue
             wakeups = [
                 t
@@ -702,10 +733,14 @@ def run_with_retries(
             timeout = (
                 max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
             )
+            callbacks: list[Callable[[], None]] = []
+            failure: SweepExecutionError | None = None
             for event in pool.wait(timeout):
                 if event.kind == HEARTBEAT:
                     if on_heartbeat is not None:
-                        on_heartbeat(event.spec, event.heartbeat)
+                        callbacks.append(
+                            partial(on_heartbeat, event.spec, event.heartbeat)
+                        )
                     continue
                 spec_hash = event.spec.content_hash
                 history = histories[spec_hash]
@@ -721,7 +756,9 @@ def run_with_retries(
                     outcome = SpecOutcome.from_attempts(spec_hash, history)
                     outcomes[spec_hash] = outcome
                     unresolved -= 1
-                    on_ok(event.spec, event.summary_dict, outcome)
+                    callbacks.append(
+                        partial(on_ok, event.spec, event.summary_dict, outcome)
+                    )
                 elif event.attempt < policy.max_attempts:
                     delay = policy.delay_s(event.attempt, spec_hash)
                     heappush(
@@ -738,9 +775,19 @@ def run_with_retries(
                     outcomes[spec_hash] = outcome
                     unresolved -= 1
                     if on_error == "fail":
-                        raise SweepExecutionError(event.spec, outcome)
+                        failure = SweepExecutionError(event.spec, outcome)
+                        break
                     if on_exhausted is not None:
-                        on_exhausted(event.spec, outcome)
-    finally:
+                        callbacks.append(
+                            partial(on_exhausted, event.spec, outcome)
+                        )
+            if failure is None:
+                dispatch()
+            for callback in callbacks:
+                callback()
+            if failure is not None:
+                raise failure
+    except BaseException:
         pool.shutdown()
+        raise
     return outcomes

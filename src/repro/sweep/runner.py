@@ -6,8 +6,9 @@ spec's seed, build the configured simulator, run, summarize, and compute
 any requested ``collect`` metrics into ``summary.extra``.
 
 :class:`SweepRunner` maps that over many specs, optionally across the
-pipe-based :class:`~repro.sweep.resilience.WorkerPool` (``jobs > 1``)
-and optionally against a :class:`~repro.sweep.store.ResultStore`
+pipe-based :class:`~repro.sweep.resilience.WorkerPool` (``jobs > 1``;
+one pool per runner, forked by the first call that needs it) and
+optionally against a :class:`~repro.sweep.store.ResultStore`
 (``resume=True`` skips specs whose hash already has a stored summary).  Because a spec fully determines its
 run and workers share no mutable state, the parallel fan-out is
 bit-identical to the serial loop — the determinism regression in
@@ -22,6 +23,7 @@ import random
 import sys
 import time
 import traceback as traceback_module
+import weakref
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
@@ -59,6 +61,7 @@ from .resilience import (
     QuarantineLog,
     RetryPolicy,
     SpecOutcome,
+    WorkerPool,
     default_quarantine_path,
     run_with_retries,
 )
@@ -475,6 +478,25 @@ def _timed_execute(
     return spec.content_hash, summary, time.perf_counter() - started
 
 
+def _fork_state() -> tuple:
+    """What a forked pool worker inherits that a spec's execution reads.
+
+    The ``REPRO_*`` environment (chaos plan, telemetry channel, core,
+    scale) and the scenario and collector registries, which register
+    entries at run time.  The entries themselves are held, so one
+    replaced under the same name compares unequal.
+    """
+    return (
+        sorted(
+            (key, value)
+            for key, value in os.environ.items()
+            if key.startswith("REPRO_")
+        ),
+        list(scenarios.SCENARIOS.items()),
+        list(COLLECTORS.items()),
+    )
+
+
 # ---------------------------------------------------------------------------
 # the sweep runner
 # ---------------------------------------------------------------------------
@@ -522,6 +544,12 @@ class SweepRunner:
     :class:`SpecOutcome`; :meth:`failed_hashes` filters the failures.
     Worker crashes and timeouts never abort the sweep: the pool respawns
     the dead worker and requeues only the in-flight spec.
+
+    The runner holds at most one worker pool, forked by the first
+    :meth:`run` that needs one and reused by later calls; it is re-forked
+    when what its workers inherited has changed (:func:`_fork_state`).
+    :meth:`close` (or leaving a ``with`` block) shuts it down, as does
+    dropping the runner; the runner stays usable after :meth:`close`.
 
     Telemetry (DESIGN.md §14).  ``telemetry`` is a JSONL path: engine
     tracers (activated through the environment so forked workers see
@@ -618,6 +646,21 @@ class SweepRunner:
         self.outcomes: dict[str, SpecOutcome] = {}
         self._memo: dict[str, RunSummary] = {}
         self._stored: dict[str, RunSummary] | None = None
+        self._pool: WorkerPool | None = None
+        self._pool_state: tuple | None = None
+        self._pool_finalizer: weakref.finalize | None = None
+
+    def __enter__(self) -> "SweepRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut down the worker pool, if one is running (idempotent)."""
+        if self._pool is not None:
+            self._pool_finalizer()
+            self._pool = None
 
     def run(self, specs: Iterable[RunSpec]) -> dict[str, RunSummary]:
         """Run (or fetch) every spec; returns {content_hash: summary}.
@@ -938,9 +981,12 @@ class SweepRunner:
             or self._writer is not None
             or self.on_worker_heartbeat is not None
         )
+        pool = self._pool_for(
+            len(pending), self.heartbeat_s if fleet_telemetry else None
+        )
         run_with_retries(
             pending,
-            jobs=self.jobs,
+            pool=pool,
             policy=self.retry,
             timeout_s=self.timeout_s,
             on_error=self.on_error,
@@ -948,8 +994,33 @@ class SweepRunner:
             on_exhausted=self._record_failure,
             outcomes=self.outcomes,
             on_heartbeat=on_heartbeat if fleet_telemetry else None,
-            heartbeat_s=self.heartbeat_s if fleet_telemetry else None,
         )
+
+    def _pool_for(
+        self, pending: int, heartbeat_s: float | None
+    ) -> WorkerPool:
+        """The runner's one pool, sized for ``pending`` specs.
+
+        Forked with no more workers than the pending specs can use and
+        grown toward ``jobs`` by later, larger calls.  A pooled spec must
+        see what a worker forked now would see, so a pool whose inherited
+        state is out of date is shut down and forked afresh, as is one
+        an exception left closed.
+        """
+        state = _fork_state()
+        if self._pool is not None and (
+            self._pool.closed or state != self._pool_state
+        ):
+            self.close()
+        workers = min(self.jobs, pending)
+        if self._pool is None:
+            self._pool = WorkerPool(workers, heartbeat_s=heartbeat_s)
+            self._pool_state = state
+            # Reaps the workers of a runner dropped without close().
+            self._pool_finalizer = weakref.finalize(self, self._pool.shutdown)
+        else:
+            self._pool.grow(workers)
+        return self._pool
 
     def _log(self, spec: RunSpec, status: str) -> None:
         # Always stderr: stdout belongs to the command's payload (tables,

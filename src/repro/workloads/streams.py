@@ -6,14 +6,15 @@ ROADMAP's "heavy traffic from millions of users" regime where the trace
 alone would dwarf memory.  This module is the lazy counterpart (DESIGN.md
 section 11):
 
-* :func:`poisson_flow_stream` is the one Poisson arrival loop, yielding
-  flows one at a time in arrival order;
+* :func:`poisson_flow_stream` yields Poisson arrivals one at a time in
+  arrival order until a duration ends;
   :func:`~repro.workloads.generators.poisson_workload` is its materialized
   form.
 * :func:`heavy_poisson_stream` sizes the trace by a target **flow count**
   instead of a duration — the shape of a sustained heavy-load benchmark,
   where the question is "how fast can the engine chew through N flows", not
-  "what happens in T nanoseconds".
+  "what happens in T nanoseconds".  Both are thin wrappers over one private
+  arrival loop.
 * :func:`merge_workload_streams` lazily merges arrival-ordered streams with
   a heap, keyed on ``(arrival_ns, fid)`` so equal-arrival flows interleave
   in deterministic fid order whatever the stream boundaries were.
@@ -70,6 +71,53 @@ def merge_workload_streams(*streams: Iterable[Flow]) -> Iterator[Flow]:
     )
 
 
+def _poisson_arrivals(
+    size_dist,
+    load: float,
+    num_tors: int,
+    host_aggregate_gbps: float,
+    rng,
+    tag: str,
+    fids: Iterator[int] | None,
+    *,
+    duration_ns: float | None = None,
+    num_flows: int | None = None,
+) -> Iterator[Flow]:
+    """The one Poisson arrival loop, bounded by a duration, a count, or both.
+
+    Per flow it draws the inter-arrival gap, then the (src, dst) pair,
+    then the size.  The count is checked before the gap is drawn and the
+    duration right after, so a duration-bounded stream ends having drawn
+    the one gap that overshoots and a count-bounded one draws nothing
+    past its last flow.
+    """
+    if duration_ns is not None and not 0 < duration_ns < math.inf:
+        raise ValueError("duration must be positive and finite")
+    if num_flows is not None and num_flows <= 0:
+        raise ValueError("flow count must be positive")
+    rate = network_arrival_rate_per_ns(
+        load, size_dist.mean(), num_tors, host_aggregate_gbps
+    )
+    if fids is None:
+        fids = itertools.count()
+    t = 0.0
+    emitted = 0
+    while num_flows is None or emitted < num_flows:
+        t += rng.expovariate(rate)
+        if duration_ns is not None and t >= duration_ns:
+            return
+        src, dst = uniform_pair(num_tors, rng)
+        yield Flow(
+            fid=next(fids),
+            src=src,
+            dst=dst,
+            size_bytes=size_dist.sample(rng),
+            arrival_ns=t,
+            tag=tag,
+        )
+        emitted += 1
+
+
 def poisson_flow_stream(
     size_dist,
     load: float,
@@ -82,29 +130,20 @@ def poisson_flow_stream(
 ) -> Iterator[Flow]:
     """Lazy Poisson arrivals over ``duration_ns`` at a target network load.
 
-    The one Poisson arrival loop: :func:`~repro.workloads.generators
-    .poisson_workload` is ``list(poisson_flow_stream(...))``.  A duration
-    that is not positive and finite raises on the first ``next()``.
+    :func:`~repro.workloads.generators.poisson_workload` is
+    ``list(poisson_flow_stream(...))``.  A duration that is not positive
+    and finite raises on the first ``next()``.
     """
-    if not 0 < duration_ns < math.inf:
-        raise ValueError("duration must be positive and finite")
-    rate = network_arrival_rate_per_ns(
-        load, size_dist.mean(), num_tors, host_aggregate_gbps
+    return _poisson_arrivals(
+        size_dist,
+        load,
+        num_tors,
+        host_aggregate_gbps,
+        rng,
+        tag,
+        fids,
+        duration_ns=duration_ns,
     )
-    if fids is None:
-        fids = itertools.count()
-    t = rng.expovariate(rate)
-    while t < duration_ns:
-        src, dst = uniform_pair(num_tors, rng)
-        yield Flow(
-            fid=next(fids),
-            src=src,
-            dst=dst,
-            size_bytes=size_dist.sample(rng),
-            arrival_ns=t,
-            tag=tag,
-        )
-        t += rng.expovariate(rate)
 
 
 def heavy_poisson_stream(
@@ -120,29 +159,21 @@ def heavy_poisson_stream(
     """Lazy Poisson arrivals sized by a target flow count, not a duration.
 
     The heavy-load benchmark workload: arrivals keep coming at the load's
-    rate until exactly ``num_flows`` flows have been emitted.  Per-flow RNG
-    draw order matches :func:`poisson_flow_stream`, so a duration-bounded
-    stream at the same seed is a prefix of this one.
+    rate until exactly ``num_flows`` flows have been emitted.  The draws
+    are :func:`poisson_flow_stream`'s, so a duration-bounded stream at the
+    same seed is a prefix of this one.  A count that is not positive
+    raises on the first ``next()``.
     """
-    if num_flows <= 0:
-        raise ValueError("flow count must be positive")
-    rate = network_arrival_rate_per_ns(
-        load, size_dist.mean(), num_tors, host_aggregate_gbps
+    return _poisson_arrivals(
+        size_dist,
+        load,
+        num_tors,
+        host_aggregate_gbps,
+        rng,
+        tag,
+        fids,
+        num_flows=num_flows,
     )
-    if fids is None:
-        fids = itertools.count()
-    t = 0.0
-    for _ in range(num_flows):
-        t += rng.expovariate(rate)
-        src, dst = uniform_pair(num_tors, rng)
-        yield Flow(
-            fid=next(fids),
-            src=src,
-            dst=dst,
-            size_bytes=size_dist.sample(rng),
-            arrival_ns=t,
-            tag=tag,
-        )
 
 
 def heavy_poisson_span_ns(

@@ -14,6 +14,7 @@ The load-bearing properties:
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.sweep import (
     execute_spec,
 )
 from repro.sweep.chaos import CHAOS_ENV
-from repro.sweep.resilience import Attempt
+from repro.sweep.resilience import Attempt, WorkerPool
 
 SHORT_NS = 150_000.0
 
@@ -312,6 +313,110 @@ class TestWorkerPoolResilience:
             assert pooled[spec_hash].to_dict() == summary.to_dict()
             assert store.load()[spec_hash].to_dict() == summary.to_dict()
         assert all(o.ok and o.attempts == 1 for o in runner.outcomes.values())
+
+
+class TestRunnerPool:
+    """One pool per runner: reused across run() calls, re-forked when
+    what workers inherit changes, and never outliving its runner."""
+
+    def test_two_runs_fork_one_pool(self, monkeypatch):
+        forked = []
+        init = WorkerPool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            forked.append(pool)
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+        specs = grid(4)
+        runner = SweepRunner(jobs=2)
+        runner.run(specs[:2])
+        runner.run(specs[2:])
+        assert runner.executed == 4
+        assert len(forked) == 1
+
+    def test_pool_sized_by_batch_and_grown_to_jobs(self):
+        specs = grid(6)
+        with SweepRunner(jobs=3) as runner:
+            runner.run(specs[:2])
+            assert len(multiprocessing.active_children()) == 2
+            runner.run(specs[2:])
+            assert len(multiprocessing.active_children()) == 3
+
+    def test_chaos_plan_set_between_runs_reaches_workers(self, monkeypatch):
+        specs = grid(4)
+        victim = specs[3]
+        with SweepRunner(jobs=2, on_error="skip") as runner:
+            runner.run(specs[:2])
+            set_chaos(
+                monkeypatch, Fault(match=victim.content_hash, kind="raise")
+            )
+            results = runner.run(specs[2:])
+        assert set(results) == {specs[2].content_hash}
+        outcome = runner.outcomes[victim.content_hash]
+        assert outcome.status == "failed"
+        assert "ChaosError" in outcome.error
+
+    def test_crash_leaves_pool_at_full_strength(self, monkeypatch):
+        specs = grid(6)
+        victim = specs[1]
+        serial = SweepRunner(jobs=1).run(specs)
+        set_chaos(
+            monkeypatch,
+            Fault(match=victim.content_hash, kind="exit", attempts=(1,)),
+        )
+        with SweepRunner(jobs=2, timeout_s=120.0, retry=FAST_RETRY) as runner:
+            runner.run(specs[:3])
+            statuses = runner.outcomes[victim.content_hash].attempt_statuses
+            assert statuses == ("crashed", "ok")
+            assert len(multiprocessing.active_children()) == 2
+            second = runner.run(specs[3:])
+        for spec in specs[3:]:
+            assert (
+                second[spec.content_hash].to_dict()
+                == serial[spec.content_hash].to_dict()
+            )
+
+    def test_no_worker_outlives_a_with_block(self):
+        with SweepRunner(jobs=2) as runner:
+            runner.run(grid(2))
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_dropped_runner(self):
+        runner = SweepRunner(jobs=2)
+        runner.run(grid(2))
+        assert multiprocessing.active_children()
+        del runner
+        assert multiprocessing.active_children() == []
+
+    def test_forked_child_cannot_stop_parent_workers(self):
+        specs = grid(4)
+        with SweepRunner(jobs=2) as runner:
+            runner.run(specs[:2])
+            child = multiprocessing.get_context("fork").Process(
+                target=runner.close
+            )
+            child.start()
+            child.join(timeout=30)
+            assert child.exitcode == 0
+            assert len(multiprocessing.active_children()) == 2
+            assert len(runner.run(specs[2:])) == 2
+
+    def test_no_worker_outlives_a_failed_run(self, monkeypatch):
+        specs = grid(4)
+        set_chaos(
+            monkeypatch, Fault(match=specs[0].content_hash, kind="raise")
+        )
+        runner = SweepRunner(jobs=2)
+        with pytest.raises(SweepExecutionError):
+            runner.run(specs)
+        assert multiprocessing.active_children() == []
+        # The next run forks a fresh pool.
+        monkeypatch.delenv(CHAOS_ENV)
+        assert len(runner.run(specs)) == len(specs)
+        runner.close()
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,12 @@ from repro.workloads.streams import (
     merge_workload_streams,
     poisson_flow_stream,
 )
-from repro.workloads.generators import poisson_workload
+from repro.workloads.generators import (
+    network_arrival_rate_per_ns,
+    poisson_workload,
+    uniform_pair,
+)
+from repro.workloads.traces import hadoop
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -211,7 +216,73 @@ class TestFlowSources:
 # ---------------------------------------------------------------------------
 
 
+def _duration_loop(
+    size_dist, load, num_tors, host_aggregate_gbps, duration_ns, rng, tag=""
+):
+    """The duration-bounded Poisson loop as it stood before the two
+    stream generators shared one loop, kept verbatim as a reference."""
+    rate = network_arrival_rate_per_ns(
+        load, size_dist.mean(), num_tors, host_aggregate_gbps
+    )
+    fids = itertools.count()
+    t = rng.expovariate(rate)
+    while t < duration_ns:
+        src, dst = uniform_pair(num_tors, rng)
+        yield Flow(
+            fid=next(fids),
+            src=src,
+            dst=dst,
+            size_bytes=size_dist.sample(rng),
+            arrival_ns=t,
+            tag=tag,
+        )
+        t += rng.expovariate(rate)
+
+
+def _count_loop(
+    size_dist, load, num_tors, host_aggregate_gbps, num_flows, rng, tag=""
+):
+    """The count-bounded Poisson loop as it stood before the two stream
+    generators shared one loop, kept verbatim as a reference."""
+    rate = network_arrival_rate_per_ns(
+        load, size_dist.mean(), num_tors, host_aggregate_gbps
+    )
+    fids = itertools.count()
+    t = 0.0
+    for _ in range(num_flows):
+        t += rng.expovariate(rate)
+        src, dst = uniform_pair(num_tors, rng)
+        yield Flow(
+            fid=next(fids),
+            src=src,
+            dst=dst,
+            size_bytes=size_dist.sample(rng),
+            arrival_ns=t,
+            tag=tag,
+        )
+
+
 class TestStreamGenerators:
+    @pytest.mark.parametrize(
+        "stream, reference, bound",
+        [
+            (poisson_flow_stream, _duration_loop, 1_000_000.0),
+            (heavy_poisson_stream, _count_loop, 300),
+        ],
+    )
+    def test_shared_loop_keeps_each_draw_sequence(
+        self, stream, reference, bound
+    ):
+        """The Hadoop CDF draws for sizes (FixedSize draws nothing), so
+        equal flows and equal final RNG states pin the whole draw order,
+        including the one overshooting gap a duration bound draws."""
+        args = (hadoop(), 0.4, NUM_TORS, MICRO.host_aggregate_gbps, bound)
+        rng, reference_rng = random.Random(5), random.Random(5)
+        flows = list(stream(*args, rng, tag="t"))
+        assert len(flows) > 100, "vacuous without flows"
+        assert flows == list(reference(*args, reference_rng, tag="t"))
+        assert rng.getstate() == reference_rng.getstate()
+
     def test_poisson_stream_matches_materialized(self):
         args = (FixedSize(1500), 0.6, NUM_TORS, MICRO.host_aggregate_gbps)
         eager = poisson_workload(*args, 50_000.0, random.Random(11))

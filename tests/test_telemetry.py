@@ -49,7 +49,7 @@ from repro.sweep import (
     system_spec_fields,
 )
 from repro.sweep.chaos import CHAOS_ENV
-from repro.sweep.resilience import run_with_retries
+from repro.sweep.resilience import WorkerPool, run_with_retries
 from repro.sweep.spec import SYSTEMS
 from repro.telemetry import (
     DEFAULT_CADENCE_NS,
@@ -407,18 +407,21 @@ class TestHeartbeatAggregation:
         monkeypatch.setenv(CHAOS_ENV, json.dumps(plan))
         beats: list[dict] = []
         summaries: dict[str, dict] = {}
-        outcomes = run_with_retries(
-            [spec],
-            jobs=1,
-            policy=RetryPolicy(max_attempts=1),
-            timeout_s=None,
-            on_error="fail",
-            on_ok=lambda s, summary, outcome: summaries.update(
-                {s.content_hash: summary}
-            ),
-            on_heartbeat=lambda s, payload: beats.append(payload),
-            heartbeat_s=0.05,
-        )
+        pool = WorkerPool(1, heartbeat_s=0.05)
+        try:
+            outcomes = run_with_retries(
+                [spec],
+                pool=pool,
+                policy=RetryPolicy(max_attempts=1),
+                timeout_s=None,
+                on_error="fail",
+                on_ok=lambda s, summary, outcome: summaries.update(
+                    {s.content_hash: summary}
+                ),
+                on_heartbeat=lambda s, payload: beats.append(payload),
+            )
+        finally:
+            pool.shutdown()
         assert outcomes[spec.content_hash].ok
         assert spec.content_hash in summaries
         assert len(beats) >= 2, "expected heartbeats during the 0.4s hang"
