@@ -17,8 +17,8 @@ Commands:
   instead.
 * ``simulate`` — one-off simulation with headline metrics.
 * ``sweep`` — run a grid of scenario x load x seed x system points through
-  the sweep orchestrator: parallel fan-out (``--jobs``), a JSONL result
-  store, and ``--resume`` to skip cached points (DESIGN.md section 8).
+  the sweep orchestrator: parallel fan-out (``--jobs``), a result store,
+  and ``--resume`` to skip cached points (DESIGN.md section 8).
   Fault tolerance for unattended campaigns (DESIGN.md section 13):
   ``--timeout-s`` kills hung workers, ``--retries``/``--backoff-s`` retry
   failed specs with exponential backoff, and ``--on-error quarantine``
@@ -30,8 +30,7 @@ Commands:
   expiring leases preventing duplicate work and ``--cache-from``
   importing finished rows from prior campaigns; ``status`` shows
   completion and live leases; ``merge`` folds stores together.
-* ``store`` — integrity tooling for result stores over every backend
-  (single-file JSONL, sharded directories, SQLite): ``verify`` checks
+* ``store`` — integrity tooling for result stores: ``verify`` checks
   every row's checksum and reports torn lines, ``compact`` atomically
   rewrites the store in canonical deduplicated form.
 * ``bench`` — the engine hot-path benchmark suite behind BENCH_engine.json
@@ -40,6 +39,10 @@ Commands:
 * ``trace`` — analyze a telemetry JSONL captured with ``sweep
   --telemetry``: per-phase time shares, slowest specs, retry histograms,
   queue-depth percentiles (DESIGN.md section 14).
+
+Every store path a command takes picks its backend by name:
+``.db``/``.sqlite``/``.sqlite3`` is SQLite, any other path one JSONL
+file (DESIGN.md section 17).  A directory is refused with exit 2.
 
 Examples::
 
@@ -73,6 +76,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -85,10 +89,8 @@ from .experiments import (
 )
 
 
-CLI_BACKENDS = ("jsonl", "sharded", "sqlite")
-"""Result-store backends selectable from the CLI (mirrors
-:data:`repro.sweep.backends.BACKENDS`; spelled out here so building the
-parser does not import the sweep package)."""
+STORE_KINDS = "SQLite for .db/.sqlite/.sqlite3, one JSONL file otherwise"
+"""How a store path picks its backend, for ``--store`` help texts."""
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
@@ -272,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="JSONL result store shared across experiments; implies resume, "
-        "so a repeated reproduction executes zero simulations",
+        help=f"result store shared across experiments ({STORE_KINDS}); "
+        "implies resume, so a repeated reproduction executes zero "
+        "simulations",
     )
     run.add_argument(
         "--json",
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--store",
         default="sweep_results.jsonl",
-        help="JSONL result store (default: sweep_results.jsonl)",
+        help=f"result store, {STORE_KINDS} (default: sweep_results.jsonl)",
     )
     sweep.add_argument(
         "--resume",
@@ -349,23 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         required=True,
         metavar="PATH",
-        help="the shared result store every worker writes to (.db/.sqlite "
-        "for SQLite, a directory for sharded JSONL, anything else for "
-        "single-file JSONL)",
-    )
-    campaign_run.add_argument(
-        "--backend",
-        choices=CLI_BACKENDS,
-        default=None,
-        help="store backend (default: auto-detected from the path)",
-    )
-    campaign_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count when creating a new sharded store (default 16; "
-        "existing stores keep their on-disk count)",
+        help=f"the shared result store every worker writes to "
+        f"({STORE_KINDS})",
     )
     campaign_run.add_argument(
         "--cache-from",
@@ -373,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cache_from",
         metavar="PATH",
         default=None,
-        help="prior result store (any backend) to import finished grid "
+        help="prior result store (either backend) to import finished grid "
         "specs from before executing anything (repeatable; earlier "
         "stores win)",
     )
@@ -431,31 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
         "appended, first source wins, idempotent",
     )
     campaign_merge.add_argument(
-        "sources", nargs="+", metavar="SRC", help="source stores (any backend)"
+        "sources", nargs="+", metavar="SRC", help="source stores"
     )
     campaign_merge.add_argument(
         "--into",
         required=True,
         metavar="DST",
-        help="destination store (created if missing)",
-    )
-    campaign_merge.add_argument(
-        "--backend",
-        choices=CLI_BACKENDS,
-        default=None,
-        help="destination backend (default: auto-detected from the path)",
-    )
-    campaign_merge.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count when creating a new sharded destination",
+        help=f"destination store, {STORE_KINDS} (created if missing)",
     )
 
     store = sub.add_parser(
         "store",
-        help="inspect and maintain result stores (any backend)",
+        help="inspect and maintain result stores",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_verify = store_sub.add_parser(
@@ -463,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="integrity-check every row (checksums, torn lines, backend "
         "invariants); exits non-zero on corruption",
     )
-    store_verify.add_argument(
-        "path", help="result store (JSONL file, sharded dir, or SQLite)"
-    )
+    store_verify.add_argument("path", help=f"result store ({STORE_KINDS})")
     store_verify.add_argument(
         "--digest",
         action="store_true",
@@ -477,24 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="atomically rewrite the store in canonical form: last row "
         "per hash, sorted, checksummed, torn lines dropped",
     )
-    store_compact.add_argument(
-        "path", help="result store (JSONL file, sharded dir, or SQLite)"
-    )
-    for store_cmd in (store_verify, store_compact):
-        store_cmd.add_argument(
-            "--backend",
-            choices=CLI_BACKENDS,
-            default=None,
-            help="store backend (default: auto-detected from the path)",
-        )
-        store_cmd.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            metavar="N",
-            help="shard count for sharded stores (default: the on-disk "
-            "count)",
-        )
+    store_compact.add_argument("path", help=f"result store ({STORE_KINDS})")
 
     golden = sub.add_parser(
         "golden",
@@ -534,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="persist every computed summary to this JSONL store "
-        "(resumable, and verifiable with 'repro store verify')",
+        help=f"persist every computed summary to this result store, "
+        f"{STORE_KINDS} (resumable, and verifiable with 'repro store "
+        "verify')",
     )
 
     simulate = sub.add_parser(
@@ -732,6 +689,28 @@ def _reject_unknown(names, registry, kind: str) -> bool:
     return True
 
 
+def _open_store(path, must_exist: bool = False):
+    """The result store at ``path``, or None after saying why not.
+
+    The one place a command opens a store the user named, so each
+    refusal has one message and the caller's exit 2: a directory is no
+    store (:func:`repro.sweep.backends.detect_backend_kind`), and with
+    ``must_exist`` a path with nothing behind it is refused too.
+    """
+    from pathlib import Path
+
+    from .sweep import ResultStore
+
+    if must_exist and not Path(path).exists():
+        print(f"no such store: {path}", file=sys.stderr)
+        return None
+    try:
+        return ResultStore(path)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
 def cmd_list() -> int:
     print("experiments:")
     for name in sorted(EXPERIMENT_MODULES):
@@ -754,7 +733,7 @@ def cmd_run(
     store_path: str | None = None,
 ) -> int:
     from . import golden
-    from .sweep import ResultStore, SweepRunner
+    from .sweep import SweepRunner
 
     if jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
@@ -773,7 +752,11 @@ def cmd_run(
     scale = resolve_scale(scale_name)
     if _reject_unknown(names, EXPERIMENT_MODULES, "experiment"):
         return 2
-    store = ResultStore(store_path) if store_path is not None else None
+    store = None
+    if store_path is not None:
+        store = _open_store(store_path)
+        if store is None:
+            return 2
     # One runner for every experiment: specs common to several figures
     # execute once (in-memory memo), and a store makes the whole
     # reproduction resumable — a second run is a pure cache hit.
@@ -813,7 +796,7 @@ def cmd_run(
 
 def cmd_golden(args) -> int:
     from . import golden
-    from .sweep import ResultStore, SweepRunner
+    from .sweep import SweepRunner
 
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
@@ -838,7 +821,11 @@ def cmd_golden(args) -> int:
             f"digests at {args.scale} will not match them",
             file=sys.stderr,
         )
-    store = ResultStore(args.store) if args.store else None
+    store = None
+    if args.store:
+        store = _open_store(args.store)
+        if store is None:
+            return 2
     failures = 0
     with SweepRunner(
         jobs=args.jobs, store=store, resume=store is not None
@@ -1006,8 +993,67 @@ def _build_specs(args, scale):
     return specs
 
 
+def _run_flag_problem(args) -> str | None:
+    """The message for the first invalid run flag, or None when all hold."""
+    import math
+
+    if args.jobs < 1:
+        return "--jobs must be at least 1"
+    if args.retries < 0:
+        return "--retries must be non-negative"
+    if not 0 <= args.backoff_s < math.inf:
+        return "--backoff-s must be non-negative and finite"
+    # The lease flags exist on ``campaign run`` only.
+    for name in ("timeout_s", "telemetry_cadence_us", "lease_ttl_s"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < math.inf:
+            return f"--{name.replace('_', '-')} must be positive and finite"
+    if getattr(args, "lease_batch", 1) < 1:
+        return "--lease-batch must be at least 1"
+    return None
+
+
+def _launch(args, execute) -> int:
+    """The one launch path of ``sweep`` and ``campaign run``.
+
+    Every run flag is checked before the grid is built, so ``--dry-run``
+    approves exactly what the real run accepts; a dry run then prints
+    the grid and opens no store.  Otherwise ``execute(specs, scale,
+    retry, progress)`` runs the command and returns its exit code, and a
+    ValueError or SweepExecutionError it raises exits 2.
+    """
+    problem = _run_flag_problem(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
+    scale = resolve_scale(args.scale)
+    specs = _build_specs(args, scale)
+    if specs is None:
+        return 2
+    if args.dry_run:
+        for spec in specs:
+            print(f"{spec.short_hash}  {spec.label()}")
+        print(f"{len(specs)} specs")
+        return 0
+
+    from .sweep import RetryPolicy, SweepExecutionError
+
+    retry = RetryPolicy(
+        max_attempts=args.retries + 1, backoff_base_s=args.backoff_s
+    )
+    # Default: live progress only when someone is watching stderr.
+    progress = (
+        args.progress if args.progress is not None else sys.stderr.isatty()
+    )
+    try:
+        return execute(specs, scale, retry, progress)
+    except (ValueError, SweepExecutionError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+
+
 def cmd_sweep(args) -> int:
-    from .sweep import SCENARIOS, ResultStore, SweepRunner
+    from .sweep import SCENARIOS
 
     if args.list_scenarios:
         print("scenarios:")
@@ -1021,61 +1067,32 @@ def cmd_sweep(args) -> int:
             if params:
                 print(f"  {'':<15} params: {params}")
         return 0
+    return _launch(args, functools.partial(_run_sweep, args))
 
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
-    scale = resolve_scale(args.scale)
-    specs = _build_specs(args, scale)
-    if specs is None:
-        return 2
 
-    if args.dry_run:
-        for spec in specs:
-            print(f"{spec.short_hash}  {spec.label()}")
-        print(f"{len(specs)} specs")
-        return 0
+def _run_sweep(args, specs, scale, retry, progress) -> int:
+    from .sweep import SweepRunner
 
-    from .sweep import RetryPolicy, SweepExecutionError
-
-    if args.retries < 0:
-        print("--retries must be non-negative", file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
-    if args.telemetry_cadence_us <= 0:
-        print("--telemetry-cadence-us must be positive", file=sys.stderr)
-        return 2
-    # Default: live progress only when someone is watching stderr.
-    progress = (
-        args.progress if args.progress is not None else sys.stderr.isatty()
+    runner = SweepRunner(
+        jobs=args.jobs,
+        store=store,
+        resume=args.resume,
+        # Logs go to stderr, so verbose no longer corrupts --json stdout.
+        verbose=True,
+        timeout_s=args.timeout_s,
+        retry=retry,
+        on_error=args.on_error,
+        quarantine=args.quarantine,
+        telemetry=args.telemetry,
+        telemetry_cadence_ns=int(args.telemetry_cadence_us * 1000),
+        progress=progress,
     )
-    store = ResultStore(args.store)
-    try:
-        runner = SweepRunner(
-            jobs=args.jobs,
-            store=store,
-            resume=args.resume,
-            # Logs go to stderr, so verbose no longer corrupts --json stdout.
-            verbose=True,
-            timeout_s=args.timeout_s,
-            retry=RetryPolicy(
-                max_attempts=args.retries + 1,
-                backoff_base_s=args.backoff_s,
-            ),
-            on_error=args.on_error,
-            quarantine=args.quarantine,
-            telemetry=args.telemetry,
-            telemetry_cadence_ns=int(args.telemetry_cadence_us * 1000),
-            progress=progress,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     try:
         with runner:
             summaries = runner.run(specs)
-    except (ValueError, SweepExecutionError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         print(
             f"\ninterrupted — {runner.executed} completed run(s) are in "
@@ -1087,11 +1104,9 @@ def cmd_sweep(args) -> int:
     failed = sorted(runner.failed_hashes())
     manifest_path = None
     if runner.telemetry_path is not None:
-        from pathlib import Path
-
         from .telemetry import default_manifest_path, write_manifest
 
-        manifest_path = default_manifest_path(Path(args.store))
+        manifest_path = default_manifest_path(store.path)
         write_manifest(manifest_path, runner.build_manifest())
     if args.json:
         rows = []
@@ -1209,58 +1224,22 @@ def cmd_campaign(args) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    from pathlib import Path
+    return _launch(args, functools.partial(_run_campaign_worker, args))
 
-    from .sweep import (
-        ResultStore,
-        RetryPolicy,
-        SweepExecutionError,
-        default_worker_id,
-        run_campaign,
-    )
 
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print("--retries must be non-negative", file=sys.stderr)
-        return 2
-    if args.telemetry_cadence_us <= 0:
-        print("--telemetry-cadence-us must be positive", file=sys.stderr)
-        return 2
-    if args.lease_ttl_s <= 0:
-        print("--lease-ttl-s must be positive", file=sys.stderr)
-        return 2
-    if args.lease_batch < 1:
-        print("--lease-batch must be at least 1", file=sys.stderr)
-        return 2
-    scale = resolve_scale(args.scale)
-    specs = _build_specs(args, scale)
-    if specs is None:
-        return 2
-    if args.dry_run:
-        for spec in specs:
-            print(f"{spec.short_hash}  {spec.label()}")
-        print(f"{len(specs)} specs")
-        return 0
+def _run_campaign_worker(args, specs, scale, retry, progress) -> int:
+    from .sweep import default_worker_id, run_campaign
 
     cache_from = []
     for path in args.cache_from or []:
-        if not Path(path).exists():
-            print(f"no such cache store: {path}", file=sys.stderr)
+        source = _open_store(path, must_exist=True)
+        if source is None:
             return 2
-        cache_from.append(ResultStore(path))
-    try:
-        store = ResultStore(
-            args.store, backend=args.backend, shards=args.shards
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        cache_from.append(source)
+    store = _open_store(args.store)
+    if store is None:
         return 2
     worker = args.worker_id if args.worker_id else default_worker_id()
-    progress = (
-        args.progress if args.progress is not None else sys.stderr.isatty()
-    )
     try:
         report = run_campaign(
             specs,
@@ -1272,19 +1251,13 @@ def _cmd_campaign_run(args) -> int:
             jobs=args.jobs,
             verbose=True,
             timeout_s=args.timeout_s,
-            retry=RetryPolicy(
-                max_attempts=args.retries + 1,
-                backoff_base_s=args.backoff_s,
-            ),
+            retry=retry,
             on_error=args.on_error,
             quarantine=args.quarantine,
             telemetry=args.telemetry,
             telemetry_cadence_ns=int(args.telemetry_cadence_us * 1000),
             progress=progress,
         )
-    except (ValueError, SweepExecutionError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         print(
             f"\ninterrupted — completed runs are already in {args.store}; "
@@ -1319,14 +1292,12 @@ def _cmd_campaign_run(args) -> int:
 
 
 def _cmd_campaign_status(args) -> int:
-    from pathlib import Path
+    from .sweep import campaign_status
 
-    from .sweep import ResultStore, campaign_status
-
-    if not Path(args.path).exists():
-        print(f"no such store: {args.path}", file=sys.stderr)
+    store = _open_store(args.path, must_exist=True)
+    if store is None:
         return 2
-    status = campaign_status(ResultStore(args.path))
+    status = campaign_status(store)
     if args.json:
         print(json.dumps(status, indent=2))
         return 0
@@ -1350,22 +1321,14 @@ def _cmd_campaign_status(args) -> int:
 
 
 def _cmd_campaign_merge(args) -> int:
-    from pathlib import Path
-
-    from .sweep import ResultStore
-
     sources = []
     for path in args.sources:
-        if not Path(path).exists():
-            print(f"no such store: {path}", file=sys.stderr)
+        source = _open_store(path, must_exist=True)
+        if source is None:
             return 2
-        sources.append(ResultStore(path))
-    try:
-        destination = ResultStore(
-            args.into, backend=args.backend, shards=args.shards
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        sources.append(source)
+    destination = _open_store(args.into)
+    if destination is None:
         return 2
     appended = destination.merge(sources)
     print(
@@ -1376,40 +1339,15 @@ def _cmd_campaign_merge(args) -> int:
     return 0
 
 
-def _store_size_bytes(path) -> int:
-    """On-disk footprint of a store path (a file, or a sharded dir)."""
-    if path.is_dir():
-        return sum(
-            child.stat().st_size
-            for child in path.rglob("*")
-            if child.is_file()
-        )
-    try:
-        return path.stat().st_size
-    except FileNotFoundError:
-        return 0
-
-
 def cmd_store(args) -> int:
-    from pathlib import Path
-
-    from .sweep import ResultStore
-
-    if not Path(args.path).exists():
-        print(f"no such store: {args.path}", file=sys.stderr)
-        return 2
-    try:
-        store = ResultStore(
-            args.path, backend=args.backend, shards=args.shards
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    store = _open_store(args.path, must_exist=True)
+    if store is None:
         return 2
 
     if args.store_command == "compact":
-        before = _store_size_bytes(Path(args.path))
+        before = store.path.stat().st_size
         dropped = store.compact()
-        after = _store_size_bytes(Path(args.path))
+        after = store.path.stat().st_size
         print(
             f"compacted {args.path}: {dropped} row(s) dropped, "
             f"{before - after} bytes reclaimed, "

@@ -12,9 +12,9 @@ The layer between the fast engine and the experiments (DESIGN.md §8):
   per-spec seeding.
 * :mod:`~repro.sweep.store` — :class:`ResultStore`, the store keyed by
   spec hash that makes sweeps resumable, with per-row checksums and
-  atomic compaction, over pluggable byte backends
-  (:mod:`~repro.sweep.backends`: single-file JSONL, sharded JSONL,
-  SQLite).
+  atomic compaction, over two byte backends picked by the store's path
+  (:mod:`~repro.sweep.backends`: SQLite for ``.db``/``.sqlite``/
+  ``.sqlite3``, a single JSONL file otherwise).
 * :mod:`~repro.sweep.campaign` — :func:`run_campaign`, the work-queue
   lease mode that lets N independent workers drain one grid into one
   store (DESIGN.md §17).
@@ -26,12 +26,7 @@ The layer between the fast engine and the experiments (DESIGN.md §8):
   injection for testing all of the above.
 """
 
-from .backends import (
-    BACKENDS,
-    detect_backend_kind,
-    make_backend,
-    sidecar_path,
-)
+from .backends import detect_backend_kind, make_backend, sidecar_path
 from .campaign import (
     CampaignReport,
     campaign_status,
@@ -63,7 +58,6 @@ from .spec import SPEC_VERSION, RunSpec, freeze_params, system_spec_fields
 from .store import ResultStore, StoreError, StoreReport
 
 __all__ = [
-    "BACKENDS",
     "COLLECTORS",
     "CampaignReport",
     "ChaosError",

@@ -23,13 +23,14 @@ safe without a coordinator (DESIGN.md §17):
 
 Lease state lives next to the results: in the ``leases`` table of a
 SQLite store, or in a ``leases.jsonl`` sidecar (guarded by an
-``flock``-ed lock file) for JSONL and sharded stores.
+``flock``-ed lock file) for JSONL stores.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import socket
 import time
@@ -160,17 +161,14 @@ class FileLeases(LeaseStore):
     lock file across the read-fold-append sequence so two workers cannot
     claim the same spec; where ``fcntl`` is unavailable the lock is a
     no-op and the content-hash idempotence of the store bounds the
-    damage at redundant execution.
+    damage at redundant execution.  A snapshot takes no lock and so
+    writes nothing: the log only grows by whole-line appends, and a torn
+    trailing line is skipped.
     """
 
-    def __init__(
-        self,
-        store_path,
-        kind: str | None = None,
-        clock=time.time,
-    ) -> None:
-        self.path = sidecar_path(store_path, LEASES_NAME, kind)
-        self.lock_path = sidecar_path(store_path, LEASES_LOCK_NAME, kind)
+    def __init__(self, store_path, clock=time.time) -> None:
+        self.path = sidecar_path(store_path, LEASES_NAME)
+        self.lock_path = sidecar_path(store_path, LEASES_LOCK_NAME)
         self._clock = clock
 
     @contextlib.contextmanager
@@ -251,15 +249,14 @@ class FileLeases(LeaseStore):
             )
 
     def snapshot(self) -> dict[str, tuple[str, float]]:
-        with self._locked():
-            return self._table()
+        return self._table()
 
 
 def make_lease_store(store: ResultStore) -> LeaseStore:
     """The lease store matching a result store's backend."""
     if isinstance(store.backend, SqliteBackend):
         return SqliteLeases(store.backend)
-    return FileLeases(store.path, kind=store.backend_kind)
+    return FileLeases(store.path)
 
 
 @dataclass
@@ -315,14 +312,14 @@ def run_campaign(
 
     Launched N times against the same store (serially or concurrently),
     the store converges to the same ``content_digest()`` as a single
-    serial sweep of the grid.  ``cache_from`` stores (any backend) are
+    serial sweep of the grid.  ``cache_from`` stores (either backend) are
     consulted first: rows for grid specs this store lacks are imported
     verbatim, so a superset campaign re-executes only what is genuinely
     new.  ``runner_kwargs`` pass through to :class:`SweepRunner`
     (``jobs``, ``retry``, ``on_error``, ``telemetry``, ...).
     """
-    if lease_ttl_s <= 0:
-        raise ValueError("lease_ttl_s must be positive")
+    if not 0 < lease_ttl_s < math.inf:
+        raise ValueError("lease_ttl_s must be positive and finite")
     if lease_batch < 1:
         raise ValueError("lease_batch must be at least 1")
     if worker is None:

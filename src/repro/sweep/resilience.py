@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 import traceback as traceback_module
@@ -116,14 +117,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be at least 1")
-        if self.max_backoff_s < 0:
-            raise ValueError("max_backoff_s must be non-negative")
-        if self.jitter_frac < 0:
-            raise ValueError("jitter_frac must be non-negative")
+        for name in ("backoff_base_s", "max_backoff_s", "jitter_frac"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not 1 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be at least 1 and finite")
 
     def delay_s(self, attempt: int, spec_hash: str) -> float:
         """Backoff before retrying after failed attempt ``attempt``."""
@@ -259,9 +257,8 @@ def default_quarantine_path(store_path: str | Path) -> Path:
 
     ``sweep.jsonl -> sweep.quarantine.jsonl`` (the legacy derivation),
     but a SQLite store keeps its suffix (``camp.db ->
-    camp.db.quarantine.jsonl``) and a sharded directory holds the
-    sidecar inside itself — the old ``.jsonl`` suffix-swap silently
-    mangled both.
+    camp.db.quarantine.jsonl``), which the old ``.jsonl`` suffix-swap
+    silently mangled.
     """
     return sidecar_path(store_path, "quarantine.jsonl")
 

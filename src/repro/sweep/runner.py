@@ -18,6 +18,7 @@ tests/test_sweep.py asserts exactly that.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import random
 import sys
@@ -581,8 +582,8 @@ class SweepRunner:
             raise ValueError("jobs must be at least 1")
         if resume and store is None:
             raise ValueError("resume requires a result store")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite")
         if on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"unknown on_error mode {on_error!r}; "

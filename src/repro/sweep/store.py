@@ -1,4 +1,4 @@
-"""Content-addressed result store with resume support and pluggable backends.
+"""Content-addressed result store with resume support over two backends.
 
 One logical row per completed run::
 
@@ -9,16 +9,16 @@ One logical row per completed run::
 per-row checksums, torn-line tolerance, last-row-per-hash resolution,
 and the :meth:`~ResultStore.content_digest` convergence contract — while
 a :class:`~repro.sweep.backends.ResultStoreBackend` owns the bytes.
-Three backends share this facade (DESIGN.md §17):
+The store's path picks one of two backends (DESIGN.md §17):
 
-* ``jsonl`` (default) — the original single-file append-only JSONL,
-  byte-identical to the pre-backend format.  Appending a line is the
-  only write, so concurrent sweeps at worst duplicate a run — they never
-  corrupt each other (the last row per hash wins on load).
-* ``sharded`` — a directory of hash-sharded JSONL files with per-shard
-  checksums, for grids too large for one file.
-* ``sqlite`` — one row per hash in a WAL-mode SQLite file, safe for many
-  concurrent campaign workers.
+* ``sqlite`` for ``.db``/``.sqlite``/``.sqlite3`` — one row per hash in
+  a WAL-mode SQLite file, safe for many concurrent campaign workers.
+* ``jsonl`` for any other path — the original single-file append-only
+  JSONL, byte-identical to the pre-backend format.  Appending a line is
+  the only write, so concurrent sweeps at worst duplicate a run — they
+  never corrupt each other (the last row per hash wins on load).
+
+An existing directory is refused with a :class:`ValueError`.
 
 The hash is the spec's canonical content hash
 (:meth:`repro.sweep.spec.RunSpec.content_hash`), so a store entry is
@@ -33,11 +33,11 @@ it; a mismatch — a torn append, a partial ``compact()``, disk corruption
 path (the run re-executes on resume), raised with the line number in
 strict mode.  Rows written before checksums existed still load (counted
 as ``legacy``).  ``compact()`` is atomic per backend (tmp + fsync +
-``os.replace`` for file backends, one transaction for SQLite), so a
+``os.replace`` for JSONL, one transaction for SQLite), so a
 crash mid-compact never leaves a half-written store.  Compaction also
 canonicalizes: last row per hash, canonically ordered, checksums
 (re)computed, torn lines dropped.  ``merge()`` pulls absent rows in from
-other stores of any backend — the cross-campaign cache-reuse primitive.
+other stores of either backend — the cross-campaign cache-reuse primitive.
 
 Float fidelity: summaries round-trip bit-exactly because ``json`` emits
 CPython's shortest round-trip ``repr`` for floats.  The determinism
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..sim.metrics import RunSummary
-from .backends import ResultStoreBackend, make_backend, sidecar_path
+from .backends import make_backend, sidecar_path
 from .spec import RunSpec
 
 STORE_VERSION = 1
@@ -91,19 +91,15 @@ class StoreReport:
 
 
 class ResultStore:
-    """Append-only result store keyed by spec content hash."""
+    """Append-only result store keyed by spec content hash.
 
-    def __init__(
-        self,
-        path: str | Path,
-        backend: str | ResultStoreBackend | None = None,
-        shards: int | None = None,
-    ) -> None:
+    The path picks the backend (:func:`~repro.sweep.backends.make_backend`);
+    an existing directory raises :class:`ValueError`.
+    """
+
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        if isinstance(backend, ResultStoreBackend):
-            self.backend = backend
-        else:
-            self.backend = make_backend(self.path, kind=backend, shards=shards)
+        self.backend = make_backend(self.path)
         self.skipped_rows = 0
         self._cache_sig: tuple | None = None
         self._cache: dict[str, RunSummary] = {}
@@ -113,12 +109,12 @@ class ResultStore:
         return self.backend.kind
 
     def exists(self) -> bool:
-        """Whether the backing file/directory/database exists."""
+        """Whether the backing JSONL file or SQLite database exists."""
         return self.backend.exists()
 
     def sidecar(self, name: str) -> Path:
         """This store's sidecar path (quarantine, manifest, leases)."""
-        return sidecar_path(self.path, name, kind=self.backend.kind)
+        return sidecar_path(self.path, name)
 
     # ------------------------------------------------------------------
     # reading
@@ -175,7 +171,7 @@ class ResultStore:
         mismatches (parseable but corrupted) from legacy rows (valid,
         written before checksums existed), with ``location:line``
         positions for everything wrong, plus any backend-level corruption
-        (shard digests, SQLite quick_check) — the engine behind ``repro
+        (SQLite quick_check) — the engine behind ``repro
         store verify``.
         """
         report = StoreReport()
@@ -235,8 +231,8 @@ class ResultStore:
     def _summaries(self) -> dict[str, RunSummary]:
         """The {hash: summary} index, parsed at most once per store state.
 
-        Cached against the backend's signature (file stat, shard stats,
-        or SQLite data_version): repeated :meth:`get` calls cost one
+        Cached against the backend's signature (file stat or SQLite
+        data_version): repeated :meth:`get` calls cost one
         :meth:`rows` pass total, while a write from another process
         changes the signature and triggers a reparse.  :meth:`put` and
         :meth:`compact` invalidate explicitly.
@@ -305,8 +301,8 @@ class ResultStore:
         """Atomically rewrite the store in canonical form.
 
         Canonical form: the last row per hash, canonically ordered for
-        the backend (sorted by hash for JSONL, by (shard, hash) for
-        sharded, the primary key for SQLite), every row checksummed
+        the backend (sorted by hash for JSONL, the primary key for
+        SQLite), every row checksummed
         (legacy rows are upgraded), torn lines dropped.  Returns the
         number of rows dropped (superseded duplicates plus torn lines).
         The rewrite is atomic per backend — a crash at any instant leaves
@@ -342,7 +338,7 @@ class ResultStore:
         sources: Iterable["ResultStore"],
         only_hashes: set[str] | None = None,
     ) -> int:
-        """Pull rows this store lacks from other stores (any backend).
+        """Pull rows this store lacks from other stores (either backend).
 
         For every hash absent here, the first source holding it wins and
         its latest row is appended verbatim — existing rows are never

@@ -25,9 +25,9 @@ MANIFEST_VERSION = 1
 def default_manifest_path(store_path: str | Path) -> Path:
     """The manifest sidecar for a store, whatever its backend.
 
-    ``campaign.jsonl -> campaign.manifest.json``; non-``.jsonl`` stores
-    (SQLite files, sharded directories) get backend-aware derivations
-    instead of the old suffix string-replacement.
+    ``campaign.jsonl -> campaign.manifest.json``; any other store path
+    (``campaign.db`` included) gets the name appended whole instead of
+    the old suffix string-replacement (``campaign.db.manifest.json``).
     """
     # Imported lazily: repro.sweep imports repro.telemetry at load time,
     # so a module-level import here would complete the cycle.

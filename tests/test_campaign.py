@@ -1,10 +1,11 @@
-"""Tests for pluggable store backends and campaign lease mode.
+"""Tests for the two store backends and campaign lease mode.
 
 The load-bearing properties (DESIGN.md §17):
 
 * the same logical content yields bit-identical ``content_digest()``
-  whichever backend holds it — single-file JSONL, sharded JSONL, SQLite;
-* compact and merge are idempotent and crash-safe on every backend;
+  whichever backend holds it — single-file JSONL or SQLite;
+* a directory is refused as a store, with the ``cat`` that converts it;
+* compact and merge are idempotent and crash-safe on both backends;
 * N concurrent lease-mode workers execute each spec exactly once and
   converge on the serial digest, including when a worker is killed
   mid-lease (the chaos-harness case);
@@ -22,20 +23,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.sweep import (
     ResultStore,
     RunSpec,
     SweepRunner,
     default_quarantine_path,
     run_campaign,
-    sidecar_path,
 )
-from repro.sweep.backends import (
-    JsonlBackend,
-    ShardedJsonlBackend,
-    SqliteBackend,
-    detect_backend_kind,
-)
+from repro.sweep.backends import SqliteBackend, detect_backend_kind
 from repro.sweep.campaign import (
     FileLeases,
     SqliteLeases,
@@ -70,35 +66,46 @@ def serial_digest(specs, tmp_path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
+def directory_message(path: Path) -> str:
+    return (
+        f"{path} is a directory; a result store is one JSONL file, or "
+        "SQLite for .db/.sqlite/.sqlite3 (convert a directory store "
+        f"with: cat {path}/shard-*.jsonl > {path}.jsonl)"
+    )
+
+
 class TestBackendSelection:
     def test_detects_by_suffix_and_disk_state(self, tmp_path):
         assert detect_backend_kind("campaign.jsonl") == "jsonl"
         assert detect_backend_kind("campaign.db") == "sqlite"
         assert detect_backend_kind("campaign.sqlite3") == "sqlite"
         assert detect_backend_kind("anything.txt") == "jsonl"
-        shard_dir = tmp_path / "campdir"
-        shard_dir.mkdir()
-        assert detect_backend_kind(shard_dir) == "sharded"
+        store_dir = tmp_path / "campdir"
+        store_dir.mkdir()
+        with pytest.raises(ValueError) as excinfo:
+            detect_backend_kind(store_dir)
+        assert str(excinfo.value) == directory_message(store_dir)
 
-    def test_explicit_backend_pins_kind(self, tmp_path):
-        store = ResultStore(tmp_path / "flat", backend="sharded", shards=4)
-        assert store.backend_kind == "sharded"
-        assert isinstance(store.backend, ShardedJsonlBackend)
+    def test_directory_refused_by_the_store_and_every_command(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "old.db"  # a SQLite suffix does not help
+        store_dir.mkdir()
+        with pytest.raises(ValueError) as excinfo:
+            ResultStore(store_dir)
+        assert str(excinfo.value) == directory_message(store_dir)
+        grid = ["--scale", "micro", "--load", "0.5", "--seed", "1"]
+        for argv in (
+            ["store", "verify", str(store_dir)],
+            ["run", "fig6", "--scale", "micro", "--store", str(store_dir)],
+            ["campaign", "run", *grid, "--store", str(store_dir)],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.strip() == directory_message(store_dir)
+        assert list(store_dir.iterdir()) == []
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            ResultStore(tmp_path / "x.jsonl", backend="csv")
-
-    def test_reopening_sharded_store_keeps_shard_count(self, tmp_path):
-        path = tmp_path / "sharded"
-        store = ResultStore(path, backend="sharded", shards=4)
-        store.put(tiny_spec(), _summary_of(tiny_spec()))
-        again = ResultStore(path)
-        assert again.backend.num_shards == 4
-        with pytest.raises(ValueError, match="sharded 4 ways"):
-            ResultStore(path, backend="sharded", shards=8)
-
-    def test_sidecars_never_lose_non_jsonl_suffixes(self, tmp_path):
+    def test_sidecars_never_lose_non_jsonl_suffixes(self):
         # The satellite fix: the old derivation string-replaced ".jsonl"
         # and mangled SQLite paths into their own data files.
         assert default_quarantine_path("camp.jsonl") == Path(
@@ -113,35 +120,14 @@ class TestBackendSelection:
         assert default_manifest_path("campaign.db") == Path(
             "campaign.db.manifest.json"
         )
-        shard_dir = tmp_path / "sharded"
-        shard_dir.mkdir()
-        assert default_quarantine_path(shard_dir) == (
-            shard_dir / "quarantine.jsonl"
-        )
-        assert default_manifest_path(shard_dir) == (
-            shard_dir / "manifest.json"
-        )
-
-    def test_sharded_sidecars_invisible_to_the_shard_reader(self, tmp_path):
-        store = ResultStore(tmp_path / "dir", backend="sharded", shards=2)
-        spec = tiny_spec()
-        store.put(spec, _summary_of(spec))
-        sidecar = sidecar_path(store.path, "quarantine.jsonl")
-        sidecar.write_text("{not json at all\n")
-        fresh = ResultStore(store.path)
-        assert fresh.verify().ok
-        assert len(fresh.rows()) == 1
-
-
-def _summary_of(spec: RunSpec):
-    from repro.sweep import execute_spec
-
-    return execute_spec(spec)
 
 
 # ---------------------------------------------------------------------------
 # cross-backend equivalence
 # ---------------------------------------------------------------------------
+
+
+STORE_NAMES = {"jsonl": "s.jsonl", "sqlite": "s.db"}
 
 
 class TestBackendEquivalence:
@@ -158,27 +144,25 @@ class TestBackendEquivalence:
         for spec in specs:
             store.put(spec, summaries[spec.content_hash], elapsed_s=0.5)
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sharded", "sqlite"])
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_same_content_same_digest_every_backend(
         self, tmp_path, executed, backend
     ):
         specs, summaries, golden = executed
-        suffix = {"jsonl": "s.jsonl", "sharded": "sdir", "sqlite": "s.db"}
-        store = ResultStore(
-            tmp_path / suffix[backend], backend=backend, shards=3
-        )
+        store = ResultStore(tmp_path / STORE_NAMES[backend])
+        assert store.backend_kind == backend
         self._populate(store, specs, summaries)
         assert store.content_digest() == golden
         report = store.verify()
         assert report.ok
         assert report.unique_hashes == len(specs)
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sharded", "sqlite"])
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_compact_preserves_digest_and_is_idempotent(
         self, tmp_path, executed, backend
     ):
         specs, summaries, golden = executed
-        store = ResultStore(tmp_path / "c", backend=backend, shards=3)
+        store = ResultStore(tmp_path / STORE_NAMES[backend])
         self._populate(store, specs, summaries)
         # Supersede one row.  Append-only backends keep both rows until
         # compact drops the stale one; SQLite upserts at write time, so
@@ -190,7 +174,7 @@ class TestBackendEquivalence:
         assert store.content_digest() == golden
         assert store.verify().ok
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sharded", "sqlite"])
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_merge_is_idempotent_and_digest_preserving(
         self, tmp_path, executed, backend
     ):
@@ -201,43 +185,12 @@ class TestBackendEquivalence:
         right = ResultStore(tmp_path / "right.db")
         # Overlap: right holds one of left's specs too.
         self._populate(right, specs[half - 1 :], summaries)
-        merged = ResultStore(tmp_path / "m", backend=backend, shards=3)
+        merged = ResultStore(tmp_path / f"m-{STORE_NAMES[backend]}")
         appended = merged.merge([left, right])
         assert appended == len(specs)
         assert merged.content_digest() == golden
         assert merged.merge([left, right]) == 0  # idempotent
         assert merged.content_digest() == golden
-
-    def test_sharded_compact_crash_leaves_store_readable(
-        self, tmp_path, executed, monkeypatch
-    ):
-        specs, summaries, golden = executed
-        store = ResultStore(tmp_path / "crash", backend="sharded", shards=3)
-        self._populate(store, specs, summaries)
-        store.put(specs[0], summaries[specs[0].content_hash], elapsed_s=9.0)
-
-        import repro.sweep.backends as backends_module
-
-        real_replace = backends_module.os.replace
-        calls = {"n": 0}
-
-        def crashing_replace(src, dst):
-            # Let the first shard land, then die: the canonical
-            # mixed-old-and-new-shards crash state.
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise OSError("simulated crash mid-compaction")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(backends_module.os, "replace", crashing_replace)
-        with pytest.raises(OSError):
-            store.compact()
-        monkeypatch.setattr(backends_module.os, "replace", real_replace)
-
-        survivor = ResultStore(store.path)
-        assert survivor.content_digest() == golden
-        assert survivor.compact() >= 0  # re-compact finishes the job
-        assert survivor.verify().ok
 
     def test_sqlite_rewrite_rolls_back_on_error(self, tmp_path, executed):
         specs, summaries, golden = executed
@@ -252,20 +205,6 @@ class TestBackendEquivalence:
             store.backend.rewrite(poisoned_rows())
         assert store.content_digest() == golden
         assert store.verify().ok
-
-    def test_sharded_detects_truncation_since_compact(
-        self, tmp_path, executed
-    ):
-        specs, summaries, _ = executed
-        store = ResultStore(tmp_path / "trunc", backend="sharded", shards=1)
-        self._populate(store, specs, summaries)
-        store.compact()
-        shard = store.backend.shard_path(0)
-        data = shard.read_bytes()
-        shard.write_bytes(data[: len(data) // 2])
-        report = ResultStore(store.path).verify()
-        assert not report.ok
-        assert any("truncated" in problem for problem in report.problems)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +338,7 @@ class TestCampaignSerial:
 
     def test_cache_from_works_across_backends(self, tmp_path):
         specs = grid_specs(2)
-        prior = ResultStore(tmp_path / "prior", backend="sharded", shards=2)
+        prior = ResultStore(tmp_path / "prior.db")
         SweepRunner(store=prior).run(specs)
         golden = prior.content_digest()
         store = ResultStore(tmp_path / "fleet.jsonl")
@@ -430,8 +369,11 @@ class TestCampaignSerial:
 
     def test_validates_lease_parameters(self, tmp_path):
         store = ResultStore(tmp_path / "fleet.db")
-        with pytest.raises(ValueError, match="lease_ttl_s"):
-            run_campaign([], store, lease_ttl_s=0.0)
+        # SQLite stores a nan expiry as NULL, which the lease table refuses.
+        for ttl in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError) as excinfo:
+                run_campaign([], store, lease_ttl_s=ttl)
+            assert str(excinfo.value) == "lease_ttl_s must be positive and finite"
         with pytest.raises(ValueError, match="lease_batch"):
             run_campaign([], store, lease_batch=0)
 
@@ -614,6 +556,23 @@ def test_campaign_status_reports_completion_and_leases(tmp_path):
     (lease,) = status["active_leases"].values()
     assert lease["owner"] == "straggler"
     assert 0 < lease["expires_in_s"] <= 300
+
+
+def test_campaign_status_writes_nothing(tmp_path, capsys):
+    """Status reads the lease log without the claim lock, so it leaves
+    the store's directory as it found it (here: an archived store whose
+    lock file was not kept)."""
+    store = ResultStore(tmp_path / "t1.jsonl")
+    SweepRunner(store=store).run(grid_specs(1))
+    leases = FileLeases(store.path)
+    leases.claim(["f" * 64], "straggler", ttl_s=300.0, limit=1)
+    leases.lock_path.unlink()
+    before = sorted(os.listdir(tmp_path))
+    assert main(["campaign", "status", str(store.path)]) == 0
+    out = capsys.readouterr().out
+    assert "1 completed spec(s)" in out
+    assert "held by straggler" in out
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_campaign_writes_a_per_worker_manifest(tmp_path):

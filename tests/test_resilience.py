@@ -100,6 +100,15 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError, match="backoff_factor"):
             RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(ValueError, match="backoff_factor"):
+            RetryPolicy(backoff_factor=float("inf"))
+        for name in ("backoff_base_s", "max_backoff_s", "jitter_frac"):
+            for value in (-1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError) as excinfo:
+                    RetryPolicy(**{name: value})
+                assert str(excinfo.value) == (
+                    f"{name} must be non-negative and finite"
+                )
         with pytest.raises(ValueError, match="attempt numbers"):
             RetryPolicy().delay_s(0, "abc")
 
@@ -212,8 +221,12 @@ class TestSerialResilience:
             SweepRunner(on_error="explode")
 
     def test_nonpositive_timeout_rejected(self):
-        with pytest.raises(ValueError, match="timeout_s"):
-            SweepRunner(timeout_s=0)
+        # nan <= 0 is false: without the finite check a nan deadline
+        # never expires.
+        for timeout_s in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError) as excinfo:
+                SweepRunner(timeout_s=timeout_s)
+            assert str(excinfo.value) == "timeout_s must be positive and finite"
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.variants import SCHEDULERS
 from repro.experiments import TINY
 from repro.experiments.common import make_topology, sim_config, workload_for
@@ -1364,6 +1365,32 @@ class TestStoreCli:
         assert "no such store" in proc.stderr
 
 
+BAD_RUN_FLAGS = [
+    (["--jobs", "0"], "--jobs must be at least 1"),
+    (["--retries", "-1"], "--retries must be non-negative"),
+    (["--backoff-s", "-1"], "--backoff-s must be non-negative and finite"),
+    (["--backoff-s", "inf"], "--backoff-s must be non-negative and finite"),
+    (["--timeout-s", "0"], "--timeout-s must be positive and finite"),
+    (["--timeout-s", "nan"], "--timeout-s must be positive and finite"),
+    (
+        ["--telemetry-cadence-us", "0"],
+        "--telemetry-cadence-us must be positive and finite",
+    ),
+    (
+        ["--telemetry-cadence-us", "inf"],
+        "--telemetry-cadence-us must be positive and finite",
+    ),
+    (
+        ["--telemetry-cadence-us", "nan"],
+        "--telemetry-cadence-us must be positive and finite",
+    ),
+    (["--lease-ttl-s", "nan"], "--lease-ttl-s must be positive and finite"),
+    (["--lease-batch", "0"], "--lease-batch must be at least 1"),
+]
+"""Every run flag's bad values and exact messages (the lease flags exist
+on ``campaign run`` only)."""
+
+
 class TestSweepCliResilience:
     """The fault-tolerance flags, minus chaos (chaos CLI runs live in
     tests/test_chaos.py)."""
@@ -1398,4 +1425,34 @@ class TestSweepCliResilience:
             "--store", str(tmp_path / "s.jsonl"), "--timeout-s", "0",
         )
         assert proc.returncode == 2
-        assert "timeout_s" in proc.stderr
+        assert proc.stderr.strip() == "--timeout-s must be positive and finite"
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            pytest.param(
+                command, flags, message, id=f"{command} {' '.join(flags)}"
+            )
+            for command in ("sweep", "campaign run")
+            for flags, message in BAD_RUN_FLAGS
+            if command == "campaign run" or "--lease" not in flags[0]
+        ],
+    )
+    def test_bad_run_flag_exits_2_before_anything_runs(
+        self, command, flags, message, dry_run, tmp_path, capsys
+    ):
+        """Both launch paths check every run flag before the dry run, so
+        a bad value is one message and exit 2 in either mode: no
+        traceback, no run and no store."""
+        store = tmp_path / "s.db"
+        argv = [
+            *command.split(), "--scale", "micro", "--load", "0.5",
+            "--seed", "1", "--duration-ms", "0.05", "--store", str(store),
+            *flags,
+        ]
+        assert main(argv + ["--dry-run"] if dry_run else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+        assert list(tmp_path.iterdir()) == []
