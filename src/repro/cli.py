@@ -1004,10 +1004,15 @@ def _run_flag_problem(args) -> str | None:
     if not 0 <= args.backoff_s < math.inf:
         return "--backoff-s must be non-negative and finite"
     # The lease flags exist on ``campaign run`` only.
-    for name in ("timeout_s", "telemetry_cadence_us", "lease_ttl_s"):
+    for name in ("timeout_s", "lease_ttl_s"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             return f"--{name.replace('_', '-')} must be positive and finite"
+    # The cadence runs in whole nanoseconds.
+    if not args.telemetry_cadence_us >= 0.001:
+        return "--telemetry-cadence-us must be at least 0.001"
+    if args.telemetry_cadence_us == math.inf:
+        return "--telemetry-cadence-us must be finite"
     if getattr(args, "lease_batch", 1) < 1:
         return "--lease-batch must be at least 1"
     return None
@@ -1017,15 +1022,17 @@ def _launch(args, execute) -> int:
     """The one launch path of ``sweep`` and ``campaign run``.
 
     Every run flag is checked before the grid is built, so ``--dry-run``
-    approves exactly what the real run accepts; a dry run then prints
-    the grid and opens no store.  Otherwise ``execute(specs, scale,
-    retry, progress)`` runs the command and returns its exit code, and a
+    approves exactly what the real run accepts, and the checked cadence
+    becomes ``args.telemetry_cadence_ns``; a dry run then prints the grid
+    and opens no store.  Otherwise ``execute(specs, scale, retry,
+    progress)`` runs the command and returns its exit code, and a
     ValueError or SweepExecutionError it raises exits 2.
     """
     problem = _run_flag_problem(args)
     if problem is not None:
         print(problem, file=sys.stderr)
         return 2
+    args.telemetry_cadence_ns = int(args.telemetry_cadence_us * 1000)
     scale = resolve_scale(args.scale)
     specs = _build_specs(args, scale)
     if specs is None:
@@ -1087,7 +1094,7 @@ def _run_sweep(args, specs, scale, retry, progress) -> int:
         on_error=args.on_error,
         quarantine=args.quarantine,
         telemetry=args.telemetry,
-        telemetry_cadence_ns=int(args.telemetry_cadence_us * 1000),
+        telemetry_cadence_ns=args.telemetry_cadence_ns,
         progress=progress,
     )
     try:
@@ -1255,7 +1262,7 @@ def _run_campaign_worker(args, specs, scale, retry, progress) -> int:
             on_error=args.on_error,
             quarantine=args.quarantine,
             telemetry=args.telemetry,
-            telemetry_cadence_ns=int(args.telemetry_cadence_us * 1000),
+            telemetry_cadence_ns=args.telemetry_cadence_ns,
             progress=progress,
         )
     except KeyboardInterrupt:

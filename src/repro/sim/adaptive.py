@@ -221,6 +221,7 @@ class AdaptiveSimulator(StepKernel):
     # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
+    step_counter = "slices"
     run = StepKernel.run
     run_until_complete = StepKernel.run_until_complete
     summary = StepKernel.summary
@@ -237,16 +238,15 @@ class AdaptiveSimulator(StepKernel):
         return not self._demand_seen and not any(self._direct_pending)
 
     def on_skip(self, n: int) -> None:
-        # Preserve counter totals: each skipped slice would have counted
-        # one "slices" tick, and each skipped recompute boundary one
+        # Each skipped recompute boundary would also have run one
         # identity recompute.
+        super().on_skip(n)
         period = self.adaptive.recompute_slices
         first = self._step + (-self._step % period)
-        target = self._step + n
-        if first < target:
-            self._recomputes += 1 + (target - 1 - first) // period
+        recomputes = len(range(first, self._step + n, period))
+        self._recomputes += recomputes
         if self._tracer is not None:
-            self._tracer.count("slices", n)
+            self._tracer.count("recomputes", recomputes)
 
     # ------------------------------------------------------------------
     # one slice

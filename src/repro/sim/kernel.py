@@ -22,7 +22,10 @@ its step length is known, and plugs in through:
   one, and the run loops discard what it returns;
 * ``_enqueue(flow)`` — put one arriving flow into the engine's queues;
 * ``is_idle()`` — the engine's own fast-forward preconditions;
-* ``on_skip(n)`` — bookkeeping for ``n`` steps about to be skipped;
+* ``step_counter`` — the tracer counter one step ticks once, which the
+  kernel also ticks for every skipped step;
+* ``on_skip(n)`` — any further bookkeeping for ``n`` steps about to be
+  skipped;
 * ``epoch_clock`` — whether arrivals are injected through the step's
   end (the negotiator epochs) or only up to its start (the slot
   engines), which also decides whether summaries report an epoch length.
@@ -42,6 +45,10 @@ from .source import MaterializedFlowSource, StreamingFlowSource
 
 class StepKernel:
     """Step clock, run loops, idle fast-forward, flow source and tracker."""
+
+    step_counter: str
+    # The engine's EngineTracer, if one is attached.
+    _tracer = None
 
     def __init__(
         self,
@@ -116,8 +123,12 @@ class StepKernel:
         """Account for ``n`` idle steps about to be skipped.
 
         Called with the clock still on the first skipped step, so an
-        engine keeps counter totals equal to a stepped run's.
+        engine keeps counter totals equal to a stepped run's.  An idle
+        step ticks ``step_counter`` and nothing else; an engine whose
+        idle steps count more extends this.
         """
+        if self._tracer is not None:
+            self._tracer.count(self.step_counter, n)
 
     # ------------------------------------------------------------------
     # clock accessors

@@ -137,6 +137,7 @@ class ObliviousSimulator(StepKernel):
     # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
+    step_counter = "slots"
     run = StepKernel.run
     run_until_complete = StepKernel.run_until_complete
     summary = StepKernel.summary
@@ -144,13 +145,6 @@ class ObliviousSimulator(StepKernel):
     def is_idle(self) -> bool:
         """The fabric holds no staged or relayed bytes."""
         return not any(self._stage_pending) and not any(self._relay_pending)
-
-    def on_skip(self, n: int) -> None:
-        # Keep counter *totals* identical to a stepped run: every skipped
-        # slot would have counted exactly one "slots" tick and served zero
-        # cells.
-        if self._tracer is not None:
-            self._tracer.count("slots", n)
 
     # ------------------------------------------------------------------
     # one slot

@@ -158,6 +158,7 @@ class RotorSimulator(StepKernel):
     # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
+    step_counter = "slices"
     run = StepKernel.run
     run_until_complete = StepKernel.run_until_complete
     summary = StepKernel.summary
@@ -165,12 +166,6 @@ class RotorSimulator(StepKernel):
     def is_idle(self) -> bool:
         """The fabric holds no direct or relay bytes."""
         return not any(self._direct_pending) and not any(self._relay_pending)
-
-    def on_skip(self, n: int) -> None:
-        # Preserve counter totals: each skipped slice would have counted
-        # one "slices" tick and moved no packets.
-        if self._tracer is not None:
-            self._tracer.count("slices", n)
 
     # ------------------------------------------------------------------
     # one slice

@@ -231,6 +231,7 @@ class VectorizedNegotiaToRSimulator(StepKernel):
     # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
+    step_counter = "epochs"
     run = StepKernel.run
     run_until_complete = StepKernel.run_until_complete
     summary = StepKernel.summary

@@ -200,6 +200,21 @@ class TestDemandTracking:
         # One port lit once for the (0, 1) circuit; nothing else changed.
         assert sim.reconfigured_ports == 1
 
+    def test_skipped_lead_in_counts_its_identity_recomputes(self):
+        """Fast-forward skips the idle slices before the first arrival;
+        the engine still counts each recompute boundary among them."""
+        runs = []
+        for fast_forward in (True, False):
+            sim = AdaptiveSimulator(
+                sim_config(MICRO, idle_fast_forward=fast_forward),
+                make_topology(MICRO, "thinclos"),
+                [Flow(0, 0, 1, 50_000, 30_000.0)],
+            )
+            sim.run(MICRO.duration_ns)
+            runs.append((sim.recomputes, sim.reconfigured_ports))
+            assert (sim.fast_forwarded_slices > 0) == fast_forward
+        assert runs[0] == runs[1]
+
     def test_hot_pair_gets_more_capacity_than_under_rotor(self):
         """The demand-tracking property this engine exists for: on a
         skewed matrix the hot pair sees more direct service than the

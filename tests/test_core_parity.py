@@ -1,4 +1,4 @@
-"""Differential tests: the vectorized cores against their scalar oracles.
+"""Differential tests: the vectorized core against its scalar oracle.
 
 DESIGN.md section 15 promises that ``SimConfig.core`` is a pure
 performance switch — on a fixed seed the vectorized NegotiaToR core
@@ -6,11 +6,11 @@ produces bit-identical results to the scalar reference engine, down to
 each epoch's match set.  These tests enforce that promise with
 hypothesis-generated traces pushed through both cores, with and without
 link failures, in materialized and streaming tracker modes, on both the
-parallel network and thin-clos.  The oblivious, rotor and adaptive
-baselines have a single path, so for them the remaining choice — idle
-fast-forward on or off — is fuzzed the same way.  The default
-``core="auto"`` is covered too: it must pick a core from observable
-inputs only, never warn, and leave the baselines on their one path.
+parallel network and thin-clos.  The default ``core="auto"`` is covered
+too: it must pick a core from observable inputs only, never warn, and
+leave the baselines on their one path.  Each core's own invariants
+(conservation, streaming, fast-forward on against off, for the
+baselines too) live in tests/test_invariants.py.
 
 There are no exceptions: streaming-mode FCT accumulators fold each
 step's completions in canonical (completed_ns, fid) order (see
@@ -63,19 +63,15 @@ def _topology(fabric: str):
 fabrics = st.sampled_from(["parallel", "thinclos"])
 
 
-def _flows(
-    draw_pairs: list[tuple[int, int, int, int]], start_ns: float = 0.0
-) -> list[Flow]:
+def _flows(draw_pairs: list[tuple[int, int, int, int]]) -> list[Flow]:
     """Materialize hypothesis-drawn (src, dst_offset, bytes, gap) tuples.
-
-    The first arrival lands ``start_ns`` plus its own gap after time zero.
 
     Engines mutate ``Flow`` objects in place (``remaining_bytes``,
     ``completed_ns``), so every simulator must get its own freshly-built
     list — call this once per engine, never share the result.
     """
     flows = []
-    arrival = start_ns
+    arrival = 0.0
     for fid, (src, dst_off, size, gap_ns) in enumerate(draw_pairs):
         dst = (src + 1 + dst_off) % NUM_TORS
         arrival += float(gap_ns)
@@ -261,112 +257,6 @@ class TestNegotiatorParity:
             totals[core] = sink.of_kind("run-end")[-1]["counters"]
         assert totals["scalar"] == totals["vectorized"]
         assert totals["scalar"]["epochs"] > 0
-
-
-class TestBaselineFastForwardParity:
-    """The oblivious, rotor and adaptive engines run one path; the one
-    choice left is idle fast-forward, which must not change any result.
-
-    Traces start after an idle gap, so the fast-forward run really skips
-    steps, and each run gets its own topology drawn from both fabrics:
-    the parallel network rotates its schedule every cycle, so a link
-    table read for the wrong cycle changes the result, and a skipping
-    run reaches its rotations in a different order than a stepping one.
-    """
-
-    @staticmethod
-    def _runs(engine, pairs, seed, idle_ns, fabric, plan=None):
-        """(fast-forwarding, stepping) instances of one engine."""
-        sims = []
-        for fast_forward in (True, False):
-            extra = {}
-            if plan is not None:
-                extra["failure_plan"] = FailurePlan(list(plan.events))
-            sims.append(
-                engine(
-                    _config(seed, "auto", fast_forward=fast_forward),
-                    _topology(fabric),
-                    _flows(pairs, start_ns=float(idle_ns)),
-                    **extra,
-                )
-            )
-        return sims
-
-    @staticmethod
-    def _assert_identical(skipping, stepping):
-        assert skipping.fast_forwarded_steps > 0
-        assert stepping.fast_forwarded_steps == 0
-        assert skipping.steps == stepping.steps
-        assert skipping.summary().to_dict() == stepping.summary().to_dict()
-        assert {f.fid: f.completed_ns for f in skipping.tracker.flows} == {
-            f.fid: f.completed_ns for f in stepping.tracker.flows
-        }
-
-    @staticmethod
-    def _plan(seed):
-        plan, _ = random_failure_plan(
-            NUM_TORS, PORTS, 0.1, 40_000.0, 300_000.0, random.Random(seed)
-        )
-        return plan
-
-    @given(
-        pairs=flow_tuples,
-        seed=st.integers(0, 2**16),
-        idle_ns=st.integers(20_000, 400_000),
-        fabric=fabrics,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_oblivious_fast_forward_bit_identical(
-        self, pairs, seed, idle_ns, fabric
-    ):
-        skipping, stepping = self._runs(
-            ObliviousSimulator, pairs, seed, idle_ns, fabric
-        )
-        assert skipping.run_until_complete(max_ns=1e12)
-        assert stepping.run_until_complete(max_ns=1e12)
-        self._assert_identical(skipping, stepping)
-
-    @given(
-        pairs=flow_tuples,
-        seed=st.integers(0, 2**16),
-        idle_ns=st.integers(20_000, 400_000),
-        failures=st.booleans(),
-        fabric=fabrics,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_rotor_fast_forward_bit_identical(
-        self, pairs, seed, idle_ns, failures, fabric
-    ):
-        plan = self._plan(seed) if failures else None
-        skipping, stepping = self._runs(
-            RotorSimulator, pairs, seed, idle_ns, fabric, plan
-        )
-        skipping.run(3e6)
-        stepping.run(3e6)
-        self._assert_identical(skipping, stepping)
-
-    @given(
-        pairs=flow_tuples,
-        seed=st.integers(0, 2**16),
-        idle_ns=st.integers(20_000, 400_000),
-        failures=st.booleans(),
-        fabric=fabrics,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_adaptive_fast_forward_bit_identical(
-        self, pairs, seed, idle_ns, failures, fabric
-    ):
-        """The skipping run must also account for every identity
-        recompute it skipped."""
-        plan = self._plan(seed) if failures else None
-        skipping, stepping = self._runs(
-            AdaptiveSimulator, pairs, seed, idle_ns, fabric, plan
-        )
-        done = skipping.run_until_complete(max_ns=5e6)
-        assert stepping.run_until_complete(max_ns=5e6) == done
-        self._assert_identical(skipping, stepping)
-        assert skipping.recomputes == stepping.recomputes
-        assert skipping.reconfigured_ports == stepping.reconfigured_ports
 
 
 class TestFactoryDispatch:

@@ -18,7 +18,6 @@ from repro import (
     NegotiaToRSimulator,
     ParallelNetwork,
     SimConfig,
-    ThinClos,
     epoch_config_without_piggyback,
     expected_match_ratio,
     poisson_workload,
@@ -185,25 +184,6 @@ class TestScheduledPath:
 
 
 class TestConservation:
-    @pytest.mark.parametrize("topology_cls", ["parallel", "thinclos"])
-    def test_bytes_are_conserved(self, topology_cls):
-        config = tiny_config()
-        topo = (
-            ParallelNetwork(8, 2)
-            if topology_cls == "parallel"
-            else ThinClos(8, 2, 4)
-        )
-        flows = poisson_workload(
-            hadoop(), 0.8, 8, config.host_aggregate_gbps, 200_000,
-            random.Random(5),
-        )
-        sim = NegotiaToRSimulator(config, topo, flows)
-        sim.run(200_000)
-        injected = sum(f.size_bytes for f in flows)
-        left = sum(f.remaining_bytes for f in flows)
-        assert sim.tracker.delivered_bytes + left == injected
-        assert sim.total_queued_bytes == left
-
     def test_no_delivery_before_arrival_plus_propagation(self):
         config = tiny_config()
         flows = poisson_workload(

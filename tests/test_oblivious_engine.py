@@ -112,19 +112,6 @@ class TestVLBSemantics:
 
 
 class TestConservation:
-    def test_bytes_conserved_under_load(self):
-        config = tiny_config()
-        flows = poisson_workload(
-            hadoop(), 0.9, 8, config.host_aggregate_gbps, 150_000,
-            random.Random(3),
-        )
-        sim = make_sim(flows, config=config)
-        sim.run(150_000)
-        injected = sum(f.size_bytes for f in flows)
-        left = sum(f.remaining_bytes for f in flows)
-        assert sim.tracker.delivered_bytes + left == injected
-        assert sim.total_queued_bytes == left
-
     def test_no_delivery_before_arrival(self):
         config = tiny_config()
         flows = poisson_workload(

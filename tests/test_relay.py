@@ -102,18 +102,6 @@ class TestRelayMechanics:
         assert flows[0].remaining_bytes == 0
         assert sim.tracker.delivered_bytes == 300 * KB
 
-    def test_byte_conservation_with_relay(self):
-        cfg = config()
-        flows = poisson_workload(
-            hadoop(), 0.8, N, cfg.host_aggregate_gbps, 300_000,
-            random.Random(17),
-        )
-        sim = SelectiveRelaySimulator(cfg, ThinClos(N, S, W), flows)
-        sim.run(300_000)
-        injected = sum(f.size_bytes for f in flows)
-        left = sum(f.remaining_bytes for f in flows)
-        assert sim.tracker.delivered_bytes + left == injected
-
     def test_small_backlog_requests_no_relay(self):
         policy = RelayPolicy(relay_threshold_bytes=100 * KB)
         sink = MemorySink()

@@ -36,6 +36,7 @@ from repro.sweep import (
     build_workload,
     execute_spec,
     freeze_params,
+    system_spec_fields,
 )
 from repro.sweep.spec import (
     SYSTEM_PARAM_FIELDS,
@@ -990,9 +991,13 @@ class TestStoreIntegrity:
 
 class TestSweepRunner:
     def test_parallel_bit_identical_to_serial(self):
-        """The acceptance contract: jobs=4 == jobs=1 over >= 8 specs."""
-        specs = grid_specs()
+        """The acceptance contract: jobs=4 == jobs=1 over >= 8 specs,
+        plus one spec per registered system."""
+        specs = grid_specs() + [
+            tiny_spec(load=0.5, **system_spec_fields(name)) for name in SYSTEMS
+        ]
         assert len(specs) >= 8
+        assert len({spec.content_hash for spec in specs}) == len(specs)
         serial = SweepRunner(jobs=1).run(specs)
         parallel = SweepRunner(jobs=4).run(specs)
         assert set(serial) == set(parallel)
@@ -1372,18 +1377,20 @@ BAD_RUN_FLAGS = [
     (["--backoff-s", "inf"], "--backoff-s must be non-negative and finite"),
     (["--timeout-s", "0"], "--timeout-s must be positive and finite"),
     (["--timeout-s", "nan"], "--timeout-s must be positive and finite"),
+    # Below 1 ns the cadence would truncate to 0 ns.
     (
-        ["--telemetry-cadence-us", "0"],
-        "--telemetry-cadence-us must be positive and finite",
+        ["--telemetry-cadence-us", "1e-4"],
+        "--telemetry-cadence-us must be at least 0.001",
     ),
     (
-        ["--telemetry-cadence-us", "inf"],
-        "--telemetry-cadence-us must be positive and finite",
+        ["--telemetry-cadence-us", "0"],
+        "--telemetry-cadence-us must be at least 0.001",
     ),
     (
         ["--telemetry-cadence-us", "nan"],
-        "--telemetry-cadence-us must be positive and finite",
+        "--telemetry-cadence-us must be at least 0.001",
     ),
+    (["--telemetry-cadence-us", "inf"], "--telemetry-cadence-us must be finite"),
     (["--lease-ttl-s", "nan"], "--lease-ttl-s must be positive and finite"),
     (["--lease-batch", "0"], "--lease-batch must be at least 1"),
 ]
