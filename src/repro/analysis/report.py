@@ -13,7 +13,7 @@ from collections.abc import Iterable
 
 from .. import golden
 from ..experiments import EXPERIMENT_MODULES, current_scale
-from ..experiments.common import ExperimentResult, ExperimentScale
+from ..experiments.common import ExperimentResult, ExperimentScale, format_cell
 from ..sweep import SweepRunner
 
 
@@ -47,21 +47,11 @@ def result_to_markdown(result: ExperimentResult) -> str:
     out.write("| " + " | ".join(result.headers) + " |\n")
     out.write("|" + "|".join("---" for _ in result.headers) + "|\n")
     for row in result.rows:
-        cells = [_markdown_cell(value) for value in row]
+        cells = [format_cell(value) for value in row]
         out.write("| " + " | ".join(cells) + " |\n")
     for note in result.notes:
         out.write(f"\n*{note}*\n")
     return out.getvalue()
-
-
-def _markdown_cell(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.01:
-            return f"{value:.3g}"
-        return f"{value:.3f}".rstrip("0").rstrip(".")
-    return str(value)
 
 
 def build_report(

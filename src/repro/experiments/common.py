@@ -434,7 +434,7 @@ class ExperimentResult:
 
     def render(self) -> str:
         """Human-readable fixed-width table plus notes."""
-        cells = [[_format_cell(v) for v in row] for row in self.rows]
+        cells = [[format_cell(v) for v in row] for row in self.rows]
         widths = [
             max(len(self.headers[i]), *(len(row[i]) for row in cells))
             if cells
@@ -464,7 +464,8 @@ def _jsonable(value):
     return str(value)
 
 
-def _format_cell(value) -> str:
+def format_cell(value) -> str:
+    """One table cell as text: floats to about three significant digits."""
     if isinstance(value, float):
         if value == 0:
             return "0"

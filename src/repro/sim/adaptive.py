@@ -17,12 +17,12 @@ fabric:
 * **Schedules toward the heavy entries** — the estimated matrix feeds a
   greedy max-weight matching over the port planes: entries are visited
   heaviest-first (ties broken by (src, dst) for determinism) and claim a
-  circuit on a plane where both endpoints are free.  On topologies that
-  pin an ordered pair to a single plane (thin-clos
-  :meth:`~repro.topology.base.FlatTopology.data_port`) only that plane
-  is considered, so every circuit the matching emits is physically
-  realizable.  A pair that stays hot keeps its circuit across recomputes
-  and pays nothing; only ports whose assignment *changed* go dark for
+  circuit on their pair's plane when both endpoints are free there.
+  Thin-clos pins each ordered pair to one plane
+  (:meth:`~repro.topology.base.FlatTopology.data_port`), so every
+  circuit the matching emits is physically realizable.  A pair that
+  stays hot keeps its circuit across recomputes and pays nothing; only
+  ports whose assignment *changed* go dark for
   ``reconfiguration_delay_ns`` — the demand-aware engine's defining
   advantage over the rotor, whose every slice pays the delay.
 * **Covers the residual demand** — each cycle, ``residual_ports`` of the
@@ -32,22 +32,16 @@ fabric:
   cycle to cycle: plane ``p`` is on rotation duty in cycle ``c`` iff
   ``(p - c) % ports_per_tor < residual_ports``.  The planes' rotations
   jointly connect every ordered pair once per cycle, so every pair —
-  including those that lose the matching, and on thin-clos the pairs
-  pinned to a plane currently on rotation duty — is periodically
-  connected and sparse demand is never starved.  A plane returning from
-  rotation duty must re-establish its demand circuits and pays one
-  reconfiguration delay from the cycle boundary.
+  including those that lose the matching and those pinned to a plane
+  currently on rotation duty — is periodically connected and sparse
+  demand is never starved.  A plane returning from rotation duty must
+  re-establish its demand circuits and pays one reconfiguration delay
+  from the cycle boundary.
 
-The engine reuses the shared substrate end to end, exactly as the rotor
-did: segment queues (:class:`~repro.sim.queues.PiasDestQueue`, PIAS bands
-at sources), the failure model and event plans (:mod:`repro.sim.failures`
-— a transmission is lost when its (tor, port) link is down), the
-bandwidth recorder, the telemetry ``tracer=`` hook, and both flow-source
-modes (``stream=True`` pairs a lazy arrival-ordered iterator with the
-bounded-memory tracker, DESIGN.md section 11).  All traffic is one-hop:
-demand-aware circuits serve their pair directly and the residual rotation
-serves whatever backlog waits for the connected peer, so there is no
-relay buffer and conservation is per-source-queue exact.
+All traffic is one-hop: demand-aware circuits serve their pair directly
+and the residual rotation serves whatever backlog waits for the
+connected peer, so the kernel's relay queues stay empty and
+conservation is per-source-queue exact.
 """
 
 from __future__ import annotations
@@ -57,15 +51,14 @@ from collections.abc import Iterable
 from time import perf_counter
 
 from ..topology.base import FlatTopology
-from .config import AdaptiveConfig, SimConfig, transmit_ns
+from .config import AdaptiveConfig, SimConfig
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow
-from .kernel import StepKernel
+from .kernel import CircuitKernel, StepKernel
 from .metrics import BandwidthRecorder
-from .queues import PiasDestQueue
 
 
-class AdaptiveSimulator(StepKernel):
+class AdaptiveSimulator(CircuitKernel):
     """Slice-driven demand-aware fabric over a finite set of flows.
 
     ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
@@ -85,54 +78,31 @@ class AdaptiveSimulator(StepKernel):
         stream: bool = False,
         tracer=None,
     ) -> None:
-        if topology.num_tors != config.num_tors:
-            raise ValueError("topology and config disagree on num_tors")
-        if topology.ports_per_tor != config.ports_per_tor:
-            raise ValueError("topology and config disagree on ports_per_tor")
-        self.config = config
-        self.topology = topology
         self.adaptive = adaptive or AdaptiveConfig()
+        self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
+        super().__init__(
+            config,
+            topology,
+            flows,
+            step_ns=self.slice_ns,
+            bandwidth_recorder=bandwidth_recorder,
+            stream=stream,
+            tracer=tracer,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
+        )
         if self.adaptive.residual_ports > config.ports_per_tor:
             raise ValueError(
                 "residual_ports cannot exceed ports_per_tor "
                 f"({self.adaptive.residual_ports} > {config.ports_per_tor})"
             )
-
-        packet_bytes = (
-            config.epoch.data_header_bytes + config.epoch.data_payload_bytes
-        )
-        self._tx_ns = transmit_ns(packet_bytes, config.uplink_gbps)
-        self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
-        self.payload_bytes = config.epoch.data_payload_bytes
-        self.cycle_slots = topology.predefined_slots
-        super().__init__(
-            config,
-            flows,
-            step_ns=self.slice_ns,
-            stream=stream,
-            fast_forward=config.idle_fast_forward,
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-        )
-
-        n = config.num_tors
-        if config.priority_queue_enabled:
-            self._band_limits = tuple(config.pias_thresholds)
-        else:
-            self._band_limits = ()
-        # Per (source, destination) direct queues with PIAS bands: bytes
-        # wait here until a demand-aware circuit or the residual rotation
-        # connects the pair.  All traffic is one-hop — no relay buffers.
-        self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._direct_pending = [0] * n
-        self.bandwidth = bandwidth_recorder
         # Observational telemetry hooks (DESIGN.md section 14): a tracer
         # times direct service in place, so the slice loop is the same
         # with and without one.
-        self._tracer = tracer
         if tracer is not None:
             self._serve_direct = tracer.timed(self._serve_direct, "drain")
 
+        n = config.num_tors
         # Demand estimation and the circuit schedule.
         self._est = [[0.0] * n for _ in range(n)]
         self._window = [[0] * n for _ in range(n)]
@@ -172,15 +142,6 @@ class AdaptiveSimulator(StepKernel):
 
     slices = StepKernel.steps
     fast_forwarded_slices = StepKernel.fast_forwarded_steps
-
-    @property
-    def total_queued_bytes(self) -> int:
-        """Bytes waiting in source queues (the fabric holds nothing else)."""
-        return sum(self._direct_pending)
-
-    def direct_bytes_at(self, tor: int) -> int:
-        """Bytes currently queued for transmission at one ToR."""
-        return self._direct_pending[tor]
 
     @property
     def recomputes(self) -> int:
@@ -235,7 +196,7 @@ class AdaptiveSimulator(StepKernel):
         exact.  Once any arrival lands, the EWMA carries state between
         recomputes and slices are always stepped.
         """
-        return not self._demand_seen and not any(self._direct_pending)
+        return not self._demand_seen and super().is_idle()
 
     def on_skip(self, n: int) -> None:
         # Each skipped recompute boundary would also have run one
@@ -300,21 +261,15 @@ class AdaptiveSimulator(StepKernel):
                         else "demand_packets",
                         used,
                     )
-        self.tracker.flush_completions()
-        self._step += 1
-        if tracer is not None:
-            tracer.count("slices")
-            if tracer.gauge_due(int(self.now_ns)):
-                tracer.sample(
-                    int(self.now_ns),
-                    queued_bytes=self.total_queued_bytes,
-                    active_circuits=sum(
-                        1
-                        for row in self._schedule
-                        for peer in row
-                        if peer is not None
-                    ),
-                )
+        self._end_step()
+
+    def _gauges(self) -> dict[str, int]:
+        return {
+            "queued_bytes": self.total_queued_bytes,
+            "active_circuits": sum(
+                1 for row in self._schedule for peer in row if peer is not None
+            ),
+        }
 
     step = step_slice
 
@@ -414,12 +369,12 @@ class AdaptiveSimulator(StepKernel):
         schedule is frozen, so the engine's behavior is piecewise-static
         and exactly reproducible.  Matching is greedy max-weight over the
         port planes: heaviest estimated entries first (ties by
-        (src, dst)), an entry claims the lowest-indexed plane where both
-        its endpoints are free — restricted to the pair's single feasible
-        plane on topologies whose :meth:`data_port` pins it (thin-clos) —
-        and a pair holds at most one demand-aware circuit.  Ports whose
-        assignment changed (including newly lit and newly darkened ones)
-        go dark for ``reconfiguration_delay_ns`` from ``now_ns``.
+        (src, dst)), an entry claims the one plane thin-clos's
+        :meth:`data_port` pins its pair to when both its endpoints are
+        free there, so a pair holds at most one demand-aware circuit.
+        Ports whose assignment changed (including newly lit and newly
+        darkened ones) go dark for ``reconfiguration_delay_ns`` from
+        ``now_ns``.
         """
         n = self.config.num_tors
         alpha = self.adaptive.ewma_alpha
@@ -455,15 +410,12 @@ class AdaptiveSimulator(StepKernel):
             [None] * n for _ in range(ports)
         ]
         for _neg_weight, src, dst in entries:
-            pinned = data_port(src, dst)
-            planes = range(ports) if pinned is None else (pinned,)
-            for plane in planes:
-                if src_used[plane][src] or dst_used[plane][dst]:
-                    continue
-                src_used[plane][src] = True
-                dst_used[plane][dst] = True
-                assignment[plane][src] = dst
-                break
+            plane = data_port(src, dst)
+            if src_used[plane][src] or dst_used[plane][dst]:
+                continue
+            src_used[plane][src] = True
+            dst_used[plane][dst] = True
+            assignment[plane][src] = dst
         for port in range(ports):
             plane_assignment = assignment[port]
             for tor in range(n):
@@ -475,67 +427,12 @@ class AdaptiveSimulator(StepKernel):
         return changed
 
     # ------------------------------------------------------------------
-    # slice timing
-    # ------------------------------------------------------------------
-
-    def _packet_start_ns(self, slice_start_ns: float, k: int) -> float:
-        """Start of the k-th packet opportunity inside one slice."""
-        return slice_start_ns + k * self._tx_ns
-
-    def _packet_deliver_ns(self, slice_start_ns: float, k: int) -> float:
-        """Arrival time of the k-th packet at the receiving ToR."""
-        return (
-            self._packet_start_ns(slice_start_ns, k)
-            + self._tx_ns
-            + self.config.propagation_ns
-        )
-
-    # ------------------------------------------------------------------
     # arrivals
     # ------------------------------------------------------------------
 
     def _enqueue(self, flow: Flow) -> None:
-        queue = self._direct[flow.src].get(flow.dst)
-        if queue is None:
-            queue = PiasDestQueue(
-                self._band_limits, enabled=bool(self._band_limits)
-            )
-            self._direct[flow.src][flow.dst] = queue
-        queue.enqueue_flow(flow)
-        self._direct_pending[flow.src] += flow.size_bytes
+        super()._enqueue(flow)
         # The demand observation the next recompute folds in.
         self._window[flow.src][flow.dst] += flow.size_bytes
         self._window_bytes += flow.size_bytes
         self._demand_seen = True
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-
-    def _serve_direct(
-        self, tor: int, peer: int, start_ns: float, offset: int, budget: int
-    ) -> int:
-        """Drain the (tor, peer) backlog in PIAS order; returns slots used."""
-        queue = self._direct[tor].get(peer)
-        if queue is None or queue.is_empty:
-            return 0
-        sent = 0
-
-        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
-            nonlocal sent
-            sent += num_bytes
-            deliver_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
-            self.tracker.deliver(flow, num_bytes, deliver_ns)
-            if self.bandwidth is not None:
-                self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
-
-        used = queue.drain_slots(
-            num_slots=budget - offset,
-            payload_bytes=self.payload_bytes,
-            slot_start_ns=lambda k: self._packet_start_ns(
-                start_ns, offset + k
-            ),
-            deliver=deliver,
-        )
-        self._direct_pending[tor] -= sent
-        return used

@@ -29,6 +29,10 @@ its step length is known, and plugs in through:
 * ``epoch_clock`` — whether arrivals are injected through the step's
   end (the negotiator epochs) or only up to its start (the slot
   engines), which also decides whether summaries report an epoch length.
+
+The three circuit baselines (oblivious, rotor, adaptive) subclass
+:class:`CircuitKernel`, which adds the queues, delivery paths and step
+tail they share.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .config import SimConfig
+from ..topology.base import FlatTopology
+from ..topology.thinclos import ThinClos
+from .config import SimConfig, transmit_ns
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow, FlowTracker
-from .metrics import RunSummary
+from .metrics import BandwidthRecorder, RunSummary
+from .queues import PiasDestQueue
 from .source import MaterializedFlowSource, StreamingFlowSource
 
 
@@ -326,3 +333,258 @@ class StepKernel:
             mice_fct_p99_ns=mice_p99,
             mice_fct_mean_ns=mice_mean,
         )
+
+
+class CircuitKernel(StepKernel):
+    """What the oblivious, rotor and adaptive baselines share.
+
+    Each step the three engines ride circuits of the thin-clos fabric
+    and differ only in what a connected (ToR, peer) link serves; this
+    class owns everything around that policy:
+
+    * the fabric checks and packet constants: ``_tx_ns`` per data
+      packet, ``payload_bytes`` per cell, ``cycle_slots`` per rotation
+      of the predefined schedule, and the PIAS band limits;
+    * per-(ToR, peer) first-hop queues with PIAS bands (``_direct``) and
+      per-(intermediate, destination) single-band relay queues
+      (``_relay``), each with a per-ToR byte counter;
+    * the one-hop ``_enqueue``, ``_deliver`` at the destination and
+      ``_hand_over`` to an intermediate;
+    * packet timing inside a step: packet ``k`` starts ``lead_ns + k *
+      _tx_ns`` after the step does (the lead is the rotor's
+      reconfiguration delay, 0 on the adaptive engine; the oblivious
+      engine times its one-cell slot whole), ``_transmit`` drains a
+      queue over such packets, and ``_serve_direct`` is its call on a
+      first-hop queue;
+    * the step tail, :meth:`_end_step`.
+    """
+
+    def __init__(
+        self,
+        config: SimConfig,
+        topology: FlatTopology,
+        flows: Iterable[Flow],
+        *,
+        step_ns: float,
+        lead_ns: float = 0.0,
+        bandwidth_recorder: BandwidthRecorder | None = None,
+        stream: bool = False,
+        tracer=None,
+        failure_model: LinkFailureModel | None = None,
+        failure_plan: FailurePlan | None = None,
+    ) -> None:
+        if not isinstance(topology, ThinClos):
+            raise ValueError(
+                "the circuit baselines follow thin-clos's AWGR schedule; "
+                f"got {type(topology).__name__}"
+            )
+        if topology.num_tors != config.num_tors:
+            raise ValueError("topology and config disagree on num_tors")
+        if topology.ports_per_tor != config.ports_per_tor:
+            raise ValueError("topology and config disagree on ports_per_tor")
+        self.config = config
+        self.topology = topology
+        super().__init__(
+            config,
+            flows,
+            step_ns=step_ns,
+            stream=stream,
+            fast_forward=config.idle_fast_forward,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
+        )
+        epoch = config.epoch
+        self._tx_ns = transmit_ns(
+            epoch.data_header_bytes + epoch.data_payload_bytes,
+            config.uplink_gbps,
+        )
+        self._lead_ns = lead_ns
+        self.payload_bytes = epoch.data_payload_bytes
+        self.cycle_slots = topology.predefined_slots
+        if config.priority_queue_enabled:
+            self._band_limits = tuple(config.pias_thresholds)
+        else:
+            self._band_limits = ()
+        n = config.num_tors
+        self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
+        self._direct_pending = [0] * n
+        self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
+        self._relay_pending = [0] * n
+        self.bandwidth = bandwidth_recorder
+        self._tracer = tracer
+
+    # ------------------------------------------------------------------
+    # queues
+    # ------------------------------------------------------------------
+
+    @property
+    def total_queued_bytes(self) -> int:
+        """Bytes waiting at sources plus bytes in flight at intermediates."""
+        return sum(self._direct_pending) + sum(self._relay_pending)
+
+    def direct_bytes_at(self, tor: int) -> int:
+        """Bytes currently waiting for their first hop at one ToR."""
+        return self._direct_pending[tor]
+
+    def relay_bytes_at(self, tor: int) -> int:
+        """Bytes currently buffered at one intermediate ToR."""
+        return self._relay_pending[tor]
+
+    def is_idle(self) -> bool:
+        """The fabric holds no direct or relay bytes."""
+        return not any(self._direct_pending) and not any(self._relay_pending)
+
+    def _direct_queue(self, tor: int, peer: int) -> PiasDestQueue:
+        """The (tor, peer) first-hop queue, made on first use."""
+        queue = self._direct[tor].get(peer)
+        if queue is None:
+            queue = self._direct[tor][peer] = PiasDestQueue(
+                self._band_limits, enabled=bool(self._band_limits)
+            )
+        return queue
+
+    def _enqueue(self, flow: Flow) -> None:
+        """Queue an arriving flow for the one hop to its destination."""
+        self._direct_queue(flow.src, flow.dst).enqueue_flow(flow)
+        self._direct_pending[flow.src] += flow.size_bytes
+
+    def _deliver(self, flow: Flow, num_bytes: int, deliver_ns: float) -> None:
+        """Credit bytes that reached their destination ToR."""
+        self.tracker.deliver(flow, num_bytes, deliver_ns)
+        if self.bandwidth is not None:
+            self.bandwidth.record(("rx", flow.dst), num_bytes, deliver_ns)
+
+    def _hand_over(
+        self,
+        flow: Flow,
+        num_bytes: int,
+        via: int,
+        arrival_ns: float,
+        eligible_ns: float,
+    ) -> None:
+        """Buffer first-hop bytes at intermediate ``via`` for the second.
+
+        The caller has taken them off its first-hop counter.  Relayed
+        bytes lose their PIAS class: the relay queue has one band.
+        """
+        queue = self._relay[via].get(flow.dst)
+        if queue is None:
+            queue = self._relay[via][flow.dst] = PiasDestQueue((), False)
+        queue.enqueue_bytes(flow, num_bytes, band=0, eligible_ns=eligible_ns)
+        self._relay_pending[via] += num_bytes
+        if self.bandwidth is not None:
+            self.bandwidth.record(("relay", via), num_bytes, arrival_ns)
+
+    # ------------------------------------------------------------------
+    # packets inside a step
+    # ------------------------------------------------------------------
+
+    def _packet_start_ns(self, start_ns: float, k: int) -> float:
+        """Start of the k-th packet opportunity of the step at ``start_ns``."""
+        return start_ns + self._lead_ns + k * self._tx_ns
+
+    def _packet_deliver_ns(self, start_ns: float, k: int) -> float:
+        """Arrival time of the k-th packet at the receiving ToR."""
+        return (
+            self._packet_start_ns(start_ns, k)
+            + self._tx_ns
+            + self.config.propagation_ns
+        )
+
+    def _transmit(
+        self,
+        queue: PiasDestQueue,
+        start_ns: float,
+        offset: int,
+        budget: int,
+        *,
+        band: int | None = None,
+        via: int | None = None,
+    ) -> tuple[int, int]:
+        """Send from one queue over packets ``offset`` to ``budget - 1``
+        of the step at ``start_ns``; returns (packets used, bytes sent).
+
+        ``band=None`` drains in PIAS order (direct queues); an explicit
+        band restricts the drain to it *and* stops at an ineligible head
+        instead of idling packets away — which is what the relay step
+        needs: a relay chunk handed over this very step is eligible only
+        from the next step boundary, and burning the budget waiting for
+        it would starve the pair's direct backlog.  The bytes are
+        delivered, or with ``via`` handed over to that intermediate.
+        """
+        sent = 0
+
+        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
+            nonlocal sent
+            sent += num_bytes
+            arrival_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
+            if via is None:
+                self._deliver(flow, num_bytes, arrival_ns)
+            else:
+                # Store-and-forward: a relayed chunk becomes forwardable at
+                # the next step boundary at the earliest, so the outcome
+                # never depends on the order ToRs are iterated in.
+                self._hand_over(
+                    flow,
+                    num_bytes,
+                    via,
+                    arrival_ns,
+                    max(arrival_ns, start_ns + self._step_ns),
+                )
+
+        def slot_start(k: int) -> float:
+            return self._packet_start_ns(start_ns, offset + k)
+
+        if band is None:
+            used = queue.drain_slots(
+                num_slots=budget - offset,
+                payload_bytes=self.payload_bytes,
+                slot_start_ns=slot_start,
+                deliver=deliver,
+            )
+        else:
+            used = queue.drain_band_slots(
+                band=band,
+                num_slots=budget - offset,
+                payload_bytes=self.payload_bytes,
+                slot_start_ns=slot_start,
+                deliver=deliver,
+            )
+        return used, sent
+
+    def _serve_direct(
+        self, tor: int, peer: int, start_ns: float, offset: int, budget: int
+    ) -> int:
+        """Direct one-hop transmissions to the connected peer, PIAS order;
+        returns the packets used."""
+        if offset >= budget:
+            return 0
+        queue = self._direct[tor].get(peer)
+        if queue is None or queue.is_empty:
+            return 0
+        used, sent = self._transmit(queue, start_ns, offset, budget)
+        self._direct_pending[tor] -= sent
+        return used
+
+    # ------------------------------------------------------------------
+    # the step tail
+    # ------------------------------------------------------------------
+
+    def _gauges(self) -> dict[str, int]:
+        """The gauges the tracer samples at its cadence."""
+        return {
+            "queued_bytes": self.total_queued_bytes,
+            "relay_bytes": sum(self._relay_pending),
+        }
+
+    def _end_step(self) -> None:
+        """Close a step: fold completions, advance the clock, count the
+        step and sample the gauges when due."""
+        self.tracker.flush_completions()
+        self._step += 1
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.count(self.step_counter)
+            now_ns = int(self.now_ns)
+            if tracer.gauge_due(now_ns):
+                tracer.sample(now_ns, **self._gauges())

@@ -36,17 +36,18 @@ from time import perf_counter
 from ..topology.base import FlatTopology
 from .config import SimConfig, transmit_ns
 from .flows import Flow
-from .kernel import StepKernel
+from .kernel import CircuitKernel, StepKernel
 from .metrics import BandwidthRecorder
-from .queues import PiasDestQueue
 
 
-class ObliviousSimulator(StepKernel):
+class ObliviousSimulator(CircuitKernel):
     """Slot-driven rotor + VLB simulator over a finite set of flows.
 
-    ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
-    iterator with a bounded-memory tracker, mirroring
-    :class:`~repro.sim.network.NegotiaToRSimulator`'s streaming mode.
+    The kernel's first-hop queues are the VLB stage queues, one per
+    (source, intermediate).  ``stream=True`` consumes ``flows`` lazily
+    from an arrival-ordered iterator with a bounded-memory tracker,
+    mirroring :class:`~repro.sim.network.NegotiaToRSimulator`'s
+    streaming mode.
     """
 
     def __init__(
@@ -58,49 +59,32 @@ class ObliviousSimulator(StepKernel):
         stream: bool = False,
         tracer=None,
     ) -> None:
-        if topology.num_tors != config.num_tors:
-            raise ValueError("topology and config disagree on num_tors")
-        if topology.ports_per_tor != config.ports_per_tor:
-            raise ValueError("topology and config disagree on ports_per_tor")
-        self.config = config
-        self.topology = topology
-        self._rng = random.Random(config.seed + 0x0B11)
-
         packet_bytes = (
             config.epoch.data_header_bytes + config.epoch.data_payload_bytes
         )
         self.slot_ns = config.epoch.guard_ns + transmit_ns(
             packet_bytes, config.uplink_gbps
         )
-        self.payload_bytes = config.epoch.data_payload_bytes
-        self.cycle_slots = topology.predefined_slots
         # Idle slots are fast-forwarded (DESIGN.md section 7): oblivious
         # fabrics never fail a link and draw randomness only at injection,
         # so a slot with nothing staged or relayed changes no state.
         super().__init__(
             config,
+            topology,
             flows,
             step_ns=self.slot_ns,
+            bandwidth_recorder=bandwidth_recorder,
             stream=stream,
-            fast_forward=config.idle_fast_forward,
+            tracer=tracer,
         )
-
+        self._rng = random.Random(config.seed + 0x0B11)
         n = config.num_tors
         # Each source's candidate VLB intermediates: every other ToR.
         self._others = [[t for t in range(n) if t != src] for src in range(n)]
-        # Per (source, intermediate) VLB stage queues with PIAS bands: a
-        # cell waits here until the rotor offers its assigned intermediate.
-        self._stage: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._stage_pending = [0] * n
-        # Per (intermediate, final destination) relay queues, single band.
-        self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._relay_pending = [0] * n
-        self.bandwidth = bandwidth_recorder
         # Observational telemetry hooks (DESIGN.md section 14).  A tracer
         # times the two per-link sends in place, attributing second-hop
         # relay service to "relay" and first-hop staged service to
         # "drain", so the slot loop is the same with and without one.
-        self._tracer = tracer
         if tracer is not None:
             self._send_relay = tracer.timed(
                 self._send_relay, "relay", "relay_cells"
@@ -109,42 +93,15 @@ class ObliviousSimulator(StepKernel):
                 self._send_staged, "drain", "direct_cells"
             )
 
-        if config.priority_queue_enabled:
-            self._band_limits = tuple(config.pias_thresholds)
-        else:
-            self._band_limits = ()
-
-    # ------------------------------------------------------------------
-    # public accessors
-    # ------------------------------------------------------------------
-
-    @property
-    def total_queued_bytes(self) -> int:
-        """Bytes staged at sources plus bytes in flight at intermediates."""
-        return sum(self._stage_pending) + sum(self._relay_pending)
-
-    def relay_bytes_at(self, tor: int) -> int:
-        """Bytes currently buffered at one intermediate ToR."""
-        return self._relay_pending[tor]
-
-    def staged_bytes_at(self, tor: int) -> int:
-        """Fresh bytes currently staged at one source ToR."""
-        return self._stage_pending[tor]
-
-    fast_forwarded_slots = StepKernel.fast_forwarded_steps
-
     # ------------------------------------------------------------------
     # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
+    fast_forwarded_slots = StepKernel.fast_forwarded_steps
     step_counter = "slots"
     run = StepKernel.run
     run_until_complete = StepKernel.run_until_complete
     summary = StepKernel.summary
-
-    def is_idle(self) -> bool:
-        """The fabric holds no staged or relayed bytes."""
-        return not any(self._stage_pending) and not any(self._relay_pending)
 
     # ------------------------------------------------------------------
     # one slot
@@ -168,25 +125,16 @@ class ObliviousSimulator(StepKernel):
         # Active sets: a ToR with no staged and no relayed bytes cannot
         # send on any port, so skipping it leaves every queue, counter and
         # delivery unchanged.
-        stage_pending = self._stage_pending
+        direct_pending = self._direct_pending
         relay_pending = self._relay_pending
 
         for tor in range(self.config.num_tors):
-            if not stage_pending[tor] and not relay_pending[tor]:
+            if not direct_pending[tor] and not relay_pending[tor]:
                 continue
             for _port, peer in links[tor]:
                 if not self._send_relay(tor, peer, start_ns, deliver_ns):
                     self._send_staged(tor, peer, start_ns, deliver_ns)
-        self.tracker.flush_completions()
-        self._step += 1
-        if tracer is not None:
-            tracer.count("slots")
-            if tracer.gauge_due(int(self.now_ns)):
-                tracer.sample(
-                    int(self.now_ns),
-                    queued_bytes=self.total_queued_bytes,
-                    relay_bytes=sum(self._relay_pending),
-                )
+        self._end_step()
 
     step = step_slot
 
@@ -237,16 +185,12 @@ class ObliviousSimulator(StepKernel):
                     size = min(payload, remaining)
                     self._stage_bytes(src, intermediate, flow, size, band)
                     remaining -= size
-        self._stage_pending[src] += flow.size_bytes
+        self._direct_pending[src] += flow.size_bytes
 
     def _stage_bytes(self, src, intermediate, flow, size, band):
-        queue = self._stage[src].get(intermediate)
-        if queue is None:
-            queue = PiasDestQueue(
-                self._band_limits, enabled=bool(self._band_limits)
-            )
-            self._stage[src][intermediate] = queue
-        queue.enqueue_bytes(flow, size, band=band, eligible_ns=flow.arrival_ns)
+        self._direct_queue(src, intermediate).enqueue_bytes(
+            flow, size, band=band, eligible_ns=flow.arrival_ns
+        )
 
     # ------------------------------------------------------------------
     # per-slot transmissions
@@ -264,36 +208,25 @@ class ObliviousSimulator(StepKernel):
             return False
         flow, num_bytes = cell
         self._relay_pending[tor] -= num_bytes
-        self.tracker.deliver(flow, num_bytes, deliver_ns)
-        if self.bandwidth is not None:
-            self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
+        self._deliver(flow, num_bytes, deliver_ns)
         return True
 
     def _send_staged(
         self, tor: int, peer: int, now_ns: float, deliver_ns: float
     ) -> bool:
         """First hop: send a staged cell whose assigned intermediate is ``peer``."""
-        queue = self._stage[tor].get(peer)
+        queue = self._direct[tor].get(peer)
         if queue is None:
             return False
         cell = queue.drain_single_packet(self.payload_bytes, now_ns)
         if cell is None:
             return False
         flow, num_bytes = cell
-        self._stage_pending[tor] -= num_bytes
+        self._direct_pending[tor] -= num_bytes
         if flow.dst == peer:
             # The random intermediate is the destination: zero-length
             # second hop, the cell is delivered.
-            self.tracker.deliver(flow, num_bytes, deliver_ns)
-            if self.bandwidth is not None:
-                self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
-            return True
-        relay_queue = self._relay[peer].get(flow.dst)
-        if relay_queue is None:
-            relay_queue = PiasDestQueue(thresholds=(), enabled=False)
-            self._relay[peer][flow.dst] = relay_queue
-        relay_queue.enqueue_bytes(flow, num_bytes, band=0, eligible_ns=deliver_ns)
-        self._relay_pending[peer] += num_bytes
-        if self.bandwidth is not None:
-            self.bandwidth.record(("relay", peer), num_bytes, deliver_ns)
+            self._deliver(flow, num_bytes, deliver_ns)
+        else:
+            self._hand_over(flow, num_bytes, peer, deliver_ns, deliver_ns)
         return True

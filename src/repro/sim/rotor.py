@@ -29,12 +29,8 @@ with **no negotiation phase at all**.  It differs from the Sirius-flavored
      data loses its PIAS class at the intermediate, which is exactly the
      mice-behind-elephants pathology the paper ascribes to rotor fabrics.
 
-The engine reuses the shared substrate end to end: segment queues
-(:class:`~repro.sim.queues.PiasDestQueue`), the failure model and event
-plans (:mod:`repro.sim.failures` — a transmission is lost when its
-(tor, port) link is down at the slice it rides), the bandwidth recorder,
-and both flow-source modes (``stream=True`` pairs a lazy arrival-ordered
-iterator with the bounded-memory tracker, DESIGN.md section 11).
+Under a failure plan (:mod:`repro.sim.failures`) a transmission is lost
+when its (tor, port) link is down at the slice it rides.
 
 The schedule itself comes from the topology's predefined round-robin
 rotation: within one cycle of ``predefined_slots`` matchings every ordered
@@ -49,15 +45,14 @@ from collections.abc import Iterable
 from time import perf_counter
 
 from ..topology.base import FlatTopology
-from .config import RotorConfig, SimConfig, transmit_ns
+from .config import RotorConfig, SimConfig
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow
-from .kernel import StepKernel
+from .kernel import CircuitKernel, StepKernel
 from .metrics import BandwidthRecorder
-from .queues import PiasDestQueue
 
 
-class RotorSimulator(StepKernel):
+class RotorSimulator(CircuitKernel):
     """Slice-driven rotor fabric over a finite set of flows.
 
     ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
@@ -77,52 +72,26 @@ class RotorSimulator(StepKernel):
         stream: bool = False,
         tracer=None,
     ) -> None:
-        if topology.num_tors != config.num_tors:
-            raise ValueError("topology and config disagree on num_tors")
-        if topology.ports_per_tor != config.ports_per_tor:
-            raise ValueError("topology and config disagree on ports_per_tor")
-        self.config = config
-        self.topology = topology
         self.rotor = rotor or RotorConfig()
-
-        packet_bytes = (
-            config.epoch.data_header_bytes + config.epoch.data_payload_bytes
-        )
-        self._tx_ns = transmit_ns(packet_bytes, config.uplink_gbps)
         self.slice_ns = self.rotor.slice_ns(config.epoch, config.uplink_gbps)
-        self.payload_bytes = config.epoch.data_payload_bytes
-        self.cycle_slots = topology.predefined_slots
         # Idle slices are fast-forwarded while the fabric is empty and
         # failure detection is in steady state (DESIGN.md section 7).
         super().__init__(
             config,
+            topology,
             flows,
             step_ns=self.slice_ns,
+            lead_ns=self.rotor.reconfiguration_delay_ns,
+            bandwidth_recorder=bandwidth_recorder,
             stream=stream,
-            fast_forward=config.idle_fast_forward,
+            tracer=tracer,
             failure_model=failure_model,
             failure_plan=failure_plan,
         )
-
-        n = config.num_tors
-        if config.priority_queue_enabled:
-            self._band_limits = tuple(config.pias_thresholds)
-        else:
-            self._band_limits = ()
-        # Per (source, destination) direct queues with PIAS bands: bytes
-        # wait here until the rotor connects the pair (or, with VLB, until
-        # leftover capacity offloads lowest-band bytes through a detour).
-        self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._direct_pending = [0] * n
-        # Per (intermediate, final destination) relay queues, single band.
-        self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._relay_pending = [0] * n
-        self.bandwidth = bandwidth_recorder
         # Observational telemetry hooks (DESIGN.md section 14).  A tracer
         # times the three RotorLB stages in place — relay (second hop),
         # drain (direct) and offload (VLB) — so the slice loop is the same
         # with and without one.
-        self._tracer = tracer
         if tracer is not None:
             self._serve_relay = tracer.timed(
                 self._serve_relay, "relay", "relay_packets"
@@ -135,37 +104,15 @@ class RotorSimulator(StepKernel):
             )
 
     # ------------------------------------------------------------------
-    # public accessors
+    # kernel bindings (sim/kernel.py, DESIGN.md section 7)
     # ------------------------------------------------------------------
 
     slices = StepKernel.steps
     fast_forwarded_slices = StepKernel.fast_forwarded_steps
-
-    @property
-    def total_queued_bytes(self) -> int:
-        """Bytes waiting at sources plus bytes in flight at intermediates."""
-        return sum(self._direct_pending) + sum(self._relay_pending)
-
-    def direct_bytes_at(self, tor: int) -> int:
-        """Bytes currently queued for direct transmission at one ToR."""
-        return self._direct_pending[tor]
-
-    def relay_bytes_at(self, tor: int) -> int:
-        """Bytes currently buffered at one intermediate ToR."""
-        return self._relay_pending[tor]
-
-    # ------------------------------------------------------------------
-    # kernel bindings (sim/kernel.py, DESIGN.md section 7)
-    # ------------------------------------------------------------------
-
     step_counter = "slices"
     run = StepKernel.run
     run_until_complete = StepKernel.run_until_complete
     summary = StepKernel.summary
-
-    def is_idle(self) -> bool:
-        """The fabric holds no direct or relay bytes."""
-        return not any(self._direct_pending) and not any(self._relay_pending)
 
     # ------------------------------------------------------------------
     # one slice
@@ -207,105 +154,13 @@ class RotorSimulator(StepKernel):
                 used += self._serve_direct(tor, peer, start_ns, used, budget)
                 if self.rotor.vlb_relay and used < budget:
                     self._offload_indirect(tor, peer, start_ns, used, budget)
-        self.tracker.flush_completions()
-        self._step += 1
-        if tracer is not None:
-            tracer.count("slices")
-            if tracer.gauge_due(int(self.now_ns)):
-                tracer.sample(
-                    int(self.now_ns),
-                    queued_bytes=self.total_queued_bytes,
-                    relay_bytes=sum(self._relay_pending),
-                )
+        self._end_step()
 
     step = step_slice
 
     # ------------------------------------------------------------------
-    # slice timing
+    # the RotorLB service steps the kernel does not own
     # ------------------------------------------------------------------
-
-    def _packet_start_ns(self, slice_start_ns: float, k: int) -> float:
-        """Start of the k-th packet opportunity inside one slice."""
-        return (
-            slice_start_ns
-            + self.rotor.reconfiguration_delay_ns
-            + k * self._tx_ns
-        )
-
-    def _packet_deliver_ns(self, slice_start_ns: float, k: int) -> float:
-        """Arrival time of the k-th packet at the receiving ToR."""
-        return (
-            self._packet_start_ns(slice_start_ns, k)
-            + self._tx_ns
-            + self.config.propagation_ns
-        )
-
-    # ------------------------------------------------------------------
-    # arrivals
-    # ------------------------------------------------------------------
-
-    def _enqueue(self, flow: Flow) -> None:
-        queue = self._direct[flow.src].get(flow.dst)
-        if queue is None:
-            queue = PiasDestQueue(
-                self._band_limits, enabled=bool(self._band_limits)
-            )
-            self._direct[flow.src][flow.dst] = queue
-        queue.enqueue_flow(flow)
-        self._direct_pending[flow.src] += flow.size_bytes
-
-    # ------------------------------------------------------------------
-    # the three RotorLB service steps
-    # ------------------------------------------------------------------
-
-    def _transmit(
-        self,
-        queue: PiasDestQueue,
-        peer: int,
-        start_ns: float,
-        offset: int,
-        budget: int,
-        *,
-        band: int | None = None,
-    ) -> tuple[int, int]:
-        """Drain one queue toward the connected peer; (slots used, bytes).
-
-        ``band=None`` drains in PIAS order (direct queues); an explicit
-        band restricts the drain to it *and* stops at an ineligible head
-        instead of idling slots away — which is what the relay step needs:
-        a relay chunk handed over this very slice is eligible only from
-        the next slice boundary, and burning the budget waiting for it
-        would starve the pair's direct backlog.
-        """
-        sent = 0
-
-        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
-            nonlocal sent
-            sent += num_bytes
-            deliver_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
-            self.tracker.deliver(flow, num_bytes, deliver_ns)
-            if self.bandwidth is not None:
-                self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
-
-        def slot_start(k: int) -> float:
-            return self._packet_start_ns(start_ns, offset + k)
-
-        if band is None:
-            used = queue.drain_slots(
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=slot_start,
-                deliver=deliver,
-            )
-        else:
-            used = queue.drain_band_slots(
-                band=band,
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=slot_start,
-                deliver=deliver,
-            )
-        return used, sent
 
     def _serve_relay(
         self, tor: int, peer: int, start_ns: float, offset: int, budget: int
@@ -314,23 +169,8 @@ class RotorSimulator(StepKernel):
         queue = self._relay[tor].get(peer)
         if queue is None or queue.is_empty:
             return 0
-        used, sent = self._transmit(
-            queue, peer, start_ns, offset, budget, band=0
-        )
+        used, sent = self._transmit(queue, start_ns, offset, budget, band=0)
         self._relay_pending[tor] -= sent
-        return used
-
-    def _serve_direct(
-        self, tor: int, peer: int, start_ns: float, offset: int, budget: int
-    ) -> int:
-        """Direct one-hop transmissions to the connected peer, PIAS order."""
-        if offset >= budget:
-            return 0
-        queue = self._direct[tor].get(peer)
-        if queue is None or queue.is_empty:
-            return 0
-        used, sent = self._transmit(queue, peer, start_ns, offset, budget)
-        self._direct_pending[tor] -= sent
         return used
 
     def _offload_indirect(
@@ -355,43 +195,10 @@ class RotorSimulator(StepKernel):
             queue = queues.get(dst)
             if queue is None or queue.is_empty:
                 continue
-            moved = 0
-            relay_queue = self._relay[peer].get(dst)
-
-            def hand_over(flow: Flow, num_bytes: int, last_slot: int) -> None:
-                nonlocal moved, relay_queue
-                moved += num_bytes
-                arrival_ns = self._packet_deliver_ns(
-                    start_ns, offset + last_slot
-                )
-                if relay_queue is None:
-                    relay_queue = PiasDestQueue(thresholds=(), enabled=False)
-                    self._relay[peer][dst] = relay_queue
-                # Store-and-forward: a relayed chunk becomes forwardable at
-                # the next slice boundary at the earliest, so the outcome
-                # never depends on the order ToRs are iterated in.
-                relay_queue.enqueue_bytes(
-                    flow,
-                    num_bytes,
-                    band=0,
-                    eligible_ns=max(arrival_ns, start_ns + self.slice_ns),
-                )
-                if self.bandwidth is not None:
-                    self.bandwidth.record(
-                        ("relay", peer), num_bytes, arrival_ns
-                    )
-
-            used = queue.drain_band_slots(
-                band=lowest_band,
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=lambda k: self._packet_start_ns(
-                    start_ns, offset + k
-                ),
-                deliver=hand_over,
+            used, moved = self._transmit(
+                queue, start_ns, offset, budget, band=lowest_band, via=peer
             )
-            # The bytes changed ToRs but stayed in the fabric: they move
+            # The bytes changed ToRs but stayed in the fabric: they moved
             # from the source's direct backlog to the peer's relay buffer.
             self._direct_pending[tor] -= moved
-            self._relay_pending[peer] += moved
             offset += used

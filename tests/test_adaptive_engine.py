@@ -44,10 +44,10 @@ NUM_TORS = MICRO.num_tors
 PORTS = MICRO.ports_per_tor
 
 
-def _sim(flows, *, topology="thinclos", adaptive=None, pq=True, **kwargs):
+def _sim(flows, *, adaptive=None, pq=True, **kwargs):
     return AdaptiveSimulator(
         sim_config(MICRO, priority_queue_enabled=pq),
-        make_topology(MICRO, topology),
+        make_topology(MICRO, "thinclos"),
         flows,
         adaptive=adaptive,
         **kwargs,
@@ -145,12 +145,6 @@ class TestResidualDuty:
         the matching may never grant them — eventually completes."""
         flows = _all_pairs_flows(50_000)
         sim = _sim(flows)
-        assert sim.run_until_complete(max_ns=100 * MICRO.duration_ns)
-        assert sim.tracker.all_complete
-
-    def test_no_pair_starves_on_parallel(self):
-        flows = _all_pairs_flows(50_000)
-        sim = _sim(flows, topology="parallel")
         assert sim.run_until_complete(max_ns=100 * MICRO.duration_ns)
         assert sim.tracker.all_complete
 

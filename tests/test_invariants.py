@@ -6,9 +6,10 @@ offers.  The engine list is read from ``SYSTEMS`` when the tests are
 collected: every entry on every fabric in ``TOPOLOGIES`` that its engine
 accepts (an engine refuses a fabric by raising when it is built), once
 per core it runs on, each built through the entry's own ``build`` as
-``run_system`` builds it; a fabric an entry registers, or a core, that
-drops out of the list fails a test.  The entry's capability fields gate
-each property, so a new registry entry is checked with no test edit:
+``run_system`` builds it; a test fails unless the accepted fabrics are
+exactly the ones each entry registers, and every core is in the list.
+The entry's capability fields gate each property, so a new registry
+entry is checked with no test edit:
 
 * **conservation** — after every ``step()``, delivered plus queued bytes
   equal the bytes of the flows that have arrived by the kernel's
@@ -19,6 +20,9 @@ each property, so a new registry entry is checked with no test edit:
 * **fast-forward on equals off** — through either run loop, the same
   steps, summary and per-flow FCTs, and with a tracer attached the same
   run-end counter totals (DESIGN.md section 7).
+
+Hypothesis does not shrink a failing example here: each one is two to
+four full engine runs, so a report shows the example as generated.
 
 ``REPRO_CORE`` is cleared for the whole module, so every core runs here
 whatever it is set to.
@@ -33,7 +37,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.common import (
@@ -127,12 +131,13 @@ def _label(engine: Engine) -> str:
     return engine.label
 
 
-def _examples(engine: Engine, registered: int) -> settings:
-    """Hypothesis settings: ``registered`` examples on a fabric specs run
-    the entry on, 10 on one its engine merely accepts.  The per-engine
-    copies gave each engine 40 per property."""
-    count = registered if engine.fabric in engine.entry.topologies else 10
-    return settings(max_examples=count, deadline=None)
+def _examples(count: int) -> settings:
+    """Hypothesis settings: ``count`` examples, none of them shrunk."""
+    return settings(
+        max_examples=count,
+        deadline=None,
+        phases=[phase for phase in Phase if phase is not Phase.shrink],
+    )
 
 
 def _flows(records, start_ns: float = 0.0) -> list[Flow]:
@@ -156,10 +161,14 @@ def _no_core_override():
 
 def test_every_registered_fabric_and_core_is_checked():
     """A builder that stops accepting a fabric its entry registers, or a
-    core that stops running, must fail here, not drop its cases."""
+    core that stops running, must fail here, not drop its cases; one
+    that accepts a fabric no spec can reach must fail too."""
     checked = {(engine.system, engine.fabric) for engine in ENGINES}
-    for system, entry in SYSTEMS.items():
-        assert {(system, fabric) for fabric in entry.topologies} <= checked
+    assert checked == {
+        (system, fabric)
+        for system, entry in SYSTEMS.items()
+        for fabric in entry.topologies
+    }
     cores = set(CORES) - {"auto"}
     assert {(e.fabric, e.core) for e in ENGINES} == set(
         itertools.product(TOPOLOGIES, cores)
@@ -298,7 +307,7 @@ flow_records = st.lists(
     "engine", [engine for engine in ENGINES if engine.entry.stream], ids=_label
 )
 def test_streaming_equals_materialized(engine):
-    @_examples(engine, 40)
+    @_examples(40)
     @given(records=flow_records, data=st.data())
     def check(records, data):
         extra = {}
@@ -355,7 +364,7 @@ def test_fast_forward_on_equals_off(engine):
     between flows too.  Both run loops are compared: to completion, and
     to a run limit the skipping run jumps to once the fabric drains."""
 
-    @_examples(engine, 30)
+    @_examples(30)
     @given(
         records=late_records,
         idle_ns=st.integers(20_000, 400_000),

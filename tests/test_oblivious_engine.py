@@ -47,11 +47,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ObliviousSimulator(tiny_config(), ThinClos(16, 4, 4), [])
 
-    def test_works_on_parallel_topology_too(self):
-        config = tiny_config()
-        sim = ObliviousSimulator(config, ParallelNetwork(8, 2), [flow()])
-        sim.run_until_complete(max_ns=100_000)
-        assert sim.tracker.all_complete
+    def test_parallel_topology_rejected(self):
+        """The rotation follows thin-clos's AWGRs, the only fabric the
+        oblivious system is registered on."""
+        with pytest.raises(ValueError, match="thin-clos"):
+            ObliviousSimulator(tiny_config(), ParallelNetwork(8, 2), [flow()])
 
 
 class TestVLBSemantics:
@@ -144,7 +144,7 @@ class TestRelayPriority:
         sim._relay[0][4] = rq
         sim._relay_pending[0] += 1115
         sim._stage_bytes(0, 4, staged_flow, 1115, band=0)
-        sim._stage_pending[0] += 1115
+        sim._direct_pending[0] += 1115
         sim.step_slot()
         assert relay_flow.completed
         assert not staged_flow.completed

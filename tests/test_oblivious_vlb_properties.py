@@ -34,9 +34,9 @@ class TestSpreading:
         flow = Flow(fid=0, src=0, dst=1, size_bytes=size, arrival_ns=0.0)
         sim = make_sim([flow], pq=pq, seed=seed)
         sim._inject_arrivals(0.0)
-        assert sim.staged_bytes_at(0) == size
+        assert sim.direct_bytes_at(0) == size
         total = sum(
-            queue.pending_bytes for queue in sim._stage[0].values()
+            queue.pending_bytes for queue in sim._direct[0].values()
         )
         assert total == size
 
@@ -54,8 +54,8 @@ class TestSpreading:
         flow = Flow(fid=0, src=2, dst=5, size_bytes=size, arrival_ns=0.0)
         sim = make_sim([flow], pq=False, seed=seed)
         sim._inject_arrivals(0.0)
-        assert len(sim._stage[2]) == n - 1
-        per_queue = [q.pending_bytes for q in sim._stage[2].values()]
+        assert len(sim._direct[2]) == n - 1
+        per_queue = [q.pending_bytes for q in sim._direct[2].values()]
         # Even split within one byte of each other.
         assert max(per_queue) - min(per_queue) <= 1
 
@@ -70,8 +70,8 @@ class TestSpreading:
         flow = Flow(fid=0, src=2, dst=5, size_bytes=size, arrival_ns=0.0)
         sim = make_sim([flow], seed=seed)
         sim._inject_arrivals(0.0)
-        assert len(sim._stage[2]) == n - 1
-        band0_totals = [q.band_bytes(0) for q in sim._stage[2].values()]
+        assert len(sim._direct[2]) == n - 1
+        band0_totals = [q.band_bytes(0) for q in sim._direct[2].values()]
         assert sorted(band0_totals, reverse=True)[0] == 1000
         assert sum(band0_totals) == 1000
 
@@ -82,7 +82,7 @@ class TestSpreading:
         flow = Flow(fid=0, src=0, dst=3, size_bytes=size, arrival_ns=0.0)
         sim = make_sim([flow], seed=seed)
         sim._inject_arrivals(0.0)
-        assert len(sim._stage[0]) == 1
+        assert len(sim._direct[0]) == 1
 
     def test_spreading_is_seed_deterministic(self):
         def stage_map(seed):
@@ -91,7 +91,7 @@ class TestSpreading:
             sim._inject_arrivals(0.0)
             return {
                 peer: queue.pending_bytes
-                for peer, queue in sim._stage[0].items()
+                for peer, queue in sim._direct[0].items()
             }
 
         assert stage_map(7) == stage_map(7)

@@ -35,10 +35,10 @@ NUM_TORS = MICRO.num_tors
 PORTS = MICRO.ports_per_tor
 
 
-def _sim(flows, *, topology="thinclos", rotor=None, pq=True, **kwargs):
+def _sim(flows, *, rotor=None, pq=True, **kwargs):
     return RotorSimulator(
         sim_config(MICRO, priority_queue_enabled=pq),
-        make_topology(MICRO, topology),
+        make_topology(MICRO, "thinclos"),
         flows,
         rotor=rotor,
         **kwargs,
@@ -89,10 +89,9 @@ class TestRotorConfig:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("topology_kind", ["thinclos", "parallel"])
 @pytest.mark.parametrize("cycle", [0, 1, 5])
-def test_cycle_covers_all_destinations_exactly_once(topology_kind, cycle):
-    sim = _sim([], topology=topology_kind)
+def test_cycle_covers_all_destinations_exactly_once(cycle):
+    sim = _sim([])
     topology = sim.topology
     for tor in range(NUM_TORS):
         peers = Counter()
@@ -103,7 +102,7 @@ def test_cycle_covers_all_destinations_exactly_once(topology_kind, cycle):
                     peers[peer] += 1
         assert peers == Counter(
             {other: 1 for other in range(NUM_TORS) if other != tor}
-        ), f"cycle {cycle} of {topology_kind} misses/repeats a destination"
+        ), f"cycle {cycle} misses/repeats a destination"
 
 
 def test_cycle_coverage_is_failure_independent():
