@@ -27,7 +27,7 @@ failures naturally translate into missing requests or grants.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Collection, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -177,7 +177,7 @@ class NegotiaToRMatcher:
         requests: Mapping[int, object],
         rx_usable: PortPredicate | None,
         tx_usable: PortPredicate | None,
-    ) -> list[tuple[int, int]]:
+    ) -> Iterable[tuple[int, int]]:
         ring = self._grant_rings[dst]
         if rx_usable is None:
             ports: Collection[int] = self._all_ports
@@ -195,8 +195,7 @@ class NegotiaToRMatcher:
         if tx_usable is None or not any(
             not tx_usable(src, port) for src in candidates for port in ports
         ):
-            picks = ring.deal(candidates, len(ports))
-            return list(zip(ports, picks))
+            return zip(ports, ring.deal(candidates, len(ports)))
         # A source with a failed egress port must not be granted that port:
         # fall back to per-port picks over per-port candidate sets.
         assigned = []
@@ -256,12 +255,19 @@ class NegotiaToRMatcher:
         buckets = self._accept_buckets
         for src, grants in grants_by_src.items():
             rings = self._accept_rings[src]
-            if len(grants) == 1:
-                # Most sources hold a single grant: no grouping needed.
-                dst, port = grants[0]
-                if tx_usable is None or tx_usable(src, port):
-                    if rings[port].pick_one(dst) is not None:
-                        matches.append(Match(src, port, dst))
+            last = -1
+            for _dst, port in grants:
+                if port <= last:
+                    break
+                last = port
+            else:
+                # Strictly increasing ports (a single grant, or one
+                # destination dealt every port): each port holds one
+                # grant and grant order is port order, so no grouping.
+                for dst, port in grants:
+                    if tx_usable is None or tx_usable(src, port):
+                        if rings[port].pick_one(dst) is not None:
+                            matches.append(Match(src, port, dst))
                 continue
             used = []
             for dst, port in grants:

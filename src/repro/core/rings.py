@@ -148,6 +148,13 @@ class RoundRobinRing:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
+        if len(candidates) == 1:
+            # A lone requester takes every pick: the pointer moves once,
+            # past it, as pick_one moves it.
+            (member,) = candidates
+            if count == 0 or self.pick_one(member) is None:
+                return []
+            return [member] * count
         ordered = self.ordered_candidates(candidates)
         if not ordered or count == 0:
             return []

@@ -512,10 +512,28 @@ class CircuitKernel(StepKernel):
         it would starve the pair's direct backlog.  The bytes are
         delivered, or with ``via`` handed over to that intermediate.
         """
+        # The grid's slot k + offset starts where _packet_start_ns says,
+        # operand grouping included.
+        base_ns = start_ns + self._lead_ns
+        if band is None:
+            chunks, used = queue.drain_slots(
+                budget - offset,
+                self.payload_bytes,
+                base_ns,
+                self._tx_ns,
+                first=offset,
+            )
+        else:
+            chunks, used = queue.drain_band_slots(
+                band,
+                budget - offset,
+                self.payload_bytes,
+                base_ns,
+                self._tx_ns,
+                first=offset,
+            )
         sent = 0
-
-        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
-            nonlocal sent
+        for flow, num_bytes, last_slot in chunks:
             sent += num_bytes
             arrival_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
             if via is None:
@@ -531,25 +549,6 @@ class CircuitKernel(StepKernel):
                     arrival_ns,
                     max(arrival_ns, start_ns + self._step_ns),
                 )
-
-        def slot_start(k: int) -> float:
-            return self._packet_start_ns(start_ns, offset + k)
-
-        if band is None:
-            used = queue.drain_slots(
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=slot_start,
-                deliver=deliver,
-            )
-        else:
-            used = queue.drain_band_slots(
-                band=band,
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=slot_start,
-                deliver=deliver,
-            )
         return used, sent
 
     def _serve_direct(

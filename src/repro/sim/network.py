@@ -49,6 +49,13 @@ from .metrics import BandwidthRecorder, MatchRatioRecorder
 from .queues import PiasDestQueue
 
 
+def _every_grant_arrives(
+    grants_by_src: dict[int, list[tuple[int, int]]],
+) -> dict[int, list[tuple[int, int]]]:
+    """Grant delivery while no link is down: nothing is lost."""
+    return grants_by_src
+
+
 class NegotiaToRSimulator(StepKernel):
     """Simulates a NegotiaToR fabric over a finite set of flows."""
 
@@ -203,27 +210,38 @@ class NegotiaToRSimulator(StepKernel):
             t_phase = perf_counter()
 
         self._apply_failures(start_ns)
+        failures = self.failures
 
         # Arrivals before the epoch are visible to the REQUEST decision.
         self._inject_arrivals(start_ns)
         fresh_requests = self._compute_requests(start_ns)
-        delivered_requests = self._deliver_requests(fresh_requests, epoch)
-
+        # Scheduling messages are lost only on a link that is actually down.
+        failed = failures.any_failed
         matches, grants_answered, accepts = self.scheduler.advance(
-            delivered_requests,
-            deliver_grants=lambda grants: self._deliver_grants(grants, epoch),
-            rx_usable=self._rx_usable(start_ns),
-            tx_usable=(
-                self.failures.detected_egress_ok
-                if self.failures.any_detected
+            (
+                self._deliver_requests(fresh_requests, epoch)
+                if failed
+                else fresh_requests
+            ),
+            deliver_grants=(
+                (lambda grants: self._deliver_grants(grants, epoch))
+                if failed
+                else _every_grant_arrives
+            ),
+            rx_usable=(
+                self._rx_usable(start_ns)
+                if self._rx_buffers is not None or failures.any_detected
                 else None
+            ),
+            tx_usable=(
+                failures.detected_egress_ok if failures.any_detected else None
             ),
         )
         if self.match_recorder is not None and grants_answered > 0:
             self.match_recorder.record(epoch, grants_answered, accepts)
 
         # Arrivals inside the epoch become eligible at their arrival time.
-        self._inject_arrivals(start_ns + timing.epoch_ns)
+        self._inject_arrivals(start_ns + self._step_ns)
 
         if tracer is not None:
             now = perf_counter()
@@ -329,11 +347,9 @@ class NegotiaToRSimulator(StepKernel):
 
         A request from src to dst rides the (slot, port) link of their
         predefined meeting; it is lost when that link is actually down.
-        With no actual failure the requests pass through untouched.
+        Called only while some link is down.
         """
         failures = self.failures
-        if not failures.any_failed:
-            return requests_by_dst
         delivered: dict[int, dict[int, object]] = {}
         topology = self.topology
         for dst, srcs in requests_by_dst.items():
@@ -347,9 +363,10 @@ class NegotiaToRSimulator(StepKernel):
     def _deliver_grants(
         self, grants_by_src: dict[int, list[tuple[int, int]]], epoch: int
     ) -> dict[int, list[tuple[int, int]]]:
-        """Route GRANTs (dst -> src messages) through the predefined phase."""
-        if not self.failures.any_failed:
-            return grants_by_src
+        """Route GRANTs (dst -> src messages) through the predefined phase.
+
+        Called only while some link is down.
+        """
         delivered: dict[int, list[tuple[int, int]]] = {}
         failures = self.failures
         topology = self.topology
@@ -419,14 +436,19 @@ class NegotiaToRSimulator(StepKernel):
         check = failures.any_failed
         tracker = self.tracker
         scheduler = self.scheduler
+        record = self._rx_buffers is not None or self.bandwidth is not None
 
         # A pair may be matched on several ports (parallel network): its
         # queue is drained over the union of the ports' slots, filling all
         # ports of a timeslot before moving to the next (in-order delivery,
         # section 3.6.5).
         ports_by_pair: dict[tuple[int, int], list[int]] = {}
-        for match in matches:
-            ports_by_pair.setdefault((match.src, match.dst), []).append(match.port)
+        for src, port, dst in matches:
+            ports = ports_by_pair.get((src, dst))
+            if ports is None:
+                ports_by_pair[src, dst] = [port]
+            else:
+                ports.append(port)
 
         slot_ns = timing.scheduled_slot_ns
         phase_start = start_ns + timing.predefined_ns
@@ -441,22 +463,18 @@ class NegotiaToRSimulator(StepKernel):
             if queue.is_empty:
                 continue
             lanes = len(ports)
-            sent = 0
-
-            def deliver(flow: Flow, num_bytes: int, last_virtual_slot: int) -> None:
-                nonlocal sent
-                sent += num_bytes
-                slot_index = last_virtual_slot // lanes
-                deliver_ns = phase_start + (slot_index + 1) * slot_ns + propagation
-                tracker.deliver(flow, num_bytes, deliver_ns)
-                self._record_bandwidth(src, dst, num_bytes, deliver_ns)
-
-            queue.drain_slots(
-                num_slots=timing.scheduled_slots * lanes,
-                payload_bytes=payload,
-                slot_start_ns=lambda v: phase_start + (v // lanes) * slot_ns,
-                deliver=deliver,
+            chunks, _used = queue.drain_slots(
+                timing.scheduled_slots * lanes, payload, phase_start, slot_ns, lanes
             )
+            sent = 0
+            for flow, num_bytes, last_slot in chunks:
+                sent += num_bytes
+                deliver_ns = (
+                    phase_start + (last_slot // lanes + 1) * slot_ns + propagation
+                )
+                tracker.deliver(flow, num_bytes, deliver_ns)
+                if record:
+                    self._record_bandwidth(src, dst, num_bytes, deliver_ns)
             if sent:
                 scheduler.observe_sent(src, dst, sent)
                 self._queued_bytes -= sent
@@ -469,8 +487,9 @@ class NegotiaToRSimulator(StepKernel):
     def _rx_usable(self, now_ns: float):
         """GRANT-side admission: detected failures plus buffer headroom.
 
-        Returns None — "every port usable" — in the common unconstrained
-        case so the matcher can skip per-port predicate calls entirely.
+        Called only when receiver buffers are modelled or a failure is
+        detected; with neither, every port is usable and ``step_epoch``
+        passes None so the matcher skips per-port predicate calls.
         """
         buffers = self._rx_buffers
         constrained = self.failures.any_detected
@@ -538,10 +557,11 @@ class NegotiaToRSimulator(StepKernel):
                 timing.scheduled_slots,
                 max(1, max_bytes // payload),
             )
+            chunks, _used = queue.drain_band_slots(
+                lowest_band, slots, payload, phase_start, slot_ns
+            )
             moved = 0
-
-            def hand_over(flow: Flow, num_bytes: int, last_slot: int) -> None:
-                nonlocal moved
+            for flow, num_bytes, last_slot in chunks:
                 moved += num_bytes
                 arrival_ns = (
                     phase_start + (last_slot + 1) * slot_ns + propagation
@@ -553,14 +573,6 @@ class NegotiaToRSimulator(StepKernel):
                     self.bandwidth.record(
                         ("relay", intermediate), num_bytes, arrival_ns
                     )
-
-            queue.drain_band_slots(
-                band=lowest_band,
-                num_slots=slots,
-                payload_bytes=payload,
-                slot_start_ns=lambda v: phase_start + v * slot_ns,
-                deliver=hand_over,
-            )
             if moved:
                 # The bytes changed queues but stayed in the fabric, so the
                 # total backlog counter is untouched; only the per-pair

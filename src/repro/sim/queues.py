@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .flows import Flow
 
 INFINITY = float("inf")
+
+Chunk = tuple[Flow, int, int]
+"""One contiguous run a drain served: ``(flow, bytes, last_slot)``."""
 
 
 @dataclass(slots=True)
@@ -182,32 +185,42 @@ class PiasDestQueue:
         self,
         num_slots: int,
         payload_bytes: int,
-        slot_start_ns: Callable[[int], float],
-        deliver: Callable[[Flow, int, int], None],
-    ) -> int:
+        base_ns: float,
+        step_ns: float,
+        lanes: int = 1,
+        first: int = 0,
+    ) -> tuple[list[Chunk], int]:
         """Serve up to ``num_slots`` timeslots from this queue.
 
-        Each timeslot carries one packet of at most ``payload_bytes`` from the
-        head segment of the highest eligible band at that slot's start time.
-        ``deliver(flow, nbytes, last_slot)`` is invoked once per contiguous
-        chunk; ``last_slot`` is the slot index carrying the chunk's final byte
-        (the caller converts it to a wall-clock delivery time).  Returns the
-        number of slots actually used.
+        Slot ``v`` starts at ``base_ns + ((first + v) // lanes) * step_ns``:
+        ``lanes`` slots share each start (the ports of one scheduled
+        timeslot), and ``first`` offsets the grid when a step's earlier
+        packets went to other queues.  Each slot carries one packet of at
+        most ``payload_bytes`` from the head segment of the highest band
+        eligible at that slot's start.
 
-        Elephant segments are consumed in bulk: a run of slots serving the
-        same segment is interrupted only when the segment empties, a
-        higher-priority head becomes eligible, or the phase ends.
+        Returns the served chunks and the number of slots used.  A chunk
+        is ``(flow, bytes, last_slot)``, ``last_slot`` being the slot that
+        carries the chunk's final byte (the caller converts it to a
+        delivery time).  Elephant segments are consumed in bulk: a run of
+        slots serving the same segment is interrupted only when the
+        segment empties, a higher-priority head becomes eligible, or the
+        phase ends.
         """
+        served: list[Chunk] = []
         slot = 0
         while slot < num_slots:
-            now = slot_start_ns(slot)
+            now = base_ns + ((first + slot) // lanes) * step_ns
             band = self.head_band(now)
             if band is None:
                 wake = self.next_eligibility()
                 if wake == INFINITY:
                     break
                 # Idle until the first slot that can see the new arrival.
-                while slot < num_slots and slot_start_ns(slot) < wake:
+                while (
+                    slot < num_slots
+                    and base_ns + ((first + slot) // lanes) * step_ns < wake
+                ):
                     slot += 1
                 continue
             head = self._bands[band][0]
@@ -216,49 +229,53 @@ class PiasDestQueue:
             preempt = self.next_eligibility(above_band=band)
             if preempt != INFINITY:
                 # Higher-priority data arrives mid-run: stop at the first
-                # slot that starts at or after its eligibility.
+                # slot that starts at or after its eligibility.  Every
+                # higher head was ineligible at ``now``, this slot's start
+                # on the same grid, so ``preempt > now`` and the loop
+                # advances at least once.
                 capped = slot
-                while capped < slot + run and slot_start_ns(capped) < preempt:
+                while (
+                    capped < slot + run
+                    and base_ns + ((first + capped) // lanes) * step_ns < preempt
+                ):
                     capped += 1
                 run = capped - slot
-                if run == 0:
-                    # The current slot itself should serve the higher band
-                    # next iteration (possible only via float edge cases).
-                    run = 1
             flow, taken = self.pop_bytes(band, run * payload_bytes)
             last_slot = slot + math.ceil(taken / payload_bytes) - 1
-            deliver(flow, taken, last_slot)
+            served.append((flow, taken, last_slot))
             slot += run
-        return slot
+        return served, slot
 
     def drain_band_slots(
         self,
         band: int,
         num_slots: int,
         payload_bytes: int,
-        slot_start_ns: Callable[[int], float],
-        deliver: Callable[[Flow, int, int], None],
-    ) -> int:
-        """Like :meth:`drain_slots` but restricted to one priority band.
+        base_ns: float,
+        step_ns: float,
+        first: int = 0,
+    ) -> tuple[list[Chunk], int]:
+        """Like :meth:`drain_slots` but restricted to one priority band,
+        on a one-lane grid, and stopping at an ineligible head.
 
         The traffic-aware selective relay (appendix A.2.2) only ever relays
         lowest-band (elephant) data; mice bands must stay untouched so they
         keep their direct one-hop path.
         """
+        served: list[Chunk] = []
         slot = 0
         segments = self._bands[band]
         while slot < num_slots and segments:
             head = segments[0]
-            now = slot_start_ns(slot)
-            if head.eligible_ns > now:
+            if head.eligible_ns > base_ns + (first + slot) * step_ns:
                 break
             slots_for_segment = math.ceil(head.bytes_remaining / payload_bytes)
             run = min(num_slots - slot, slots_for_segment)
             flow, taken = self.pop_bytes(band, run * payload_bytes)
             last_slot = slot + math.ceil(taken / payload_bytes) - 1
-            deliver(flow, taken, last_slot)
+            served.append((flow, taken, last_slot))
             slot += run
-        return slot
+        return served, slot
 
     def drain_single_packet(
         self, payload_bytes: int, now_ns: float

@@ -40,6 +40,7 @@ class EmpiricalCDF:
         if sizes[0] < 1:
             raise ValueError("flow sizes must be at least one byte")
         self._sizes = sizes
+        self._log_sizes = [math.log(s) for s in sizes]
         self._probs = probs
         self.name = name
 
@@ -57,14 +58,19 @@ class EmpiricalCDF:
         """Inverse CDF at ``u`` in [0, 1]."""
         if not 0.0 <= u <= 1.0:
             raise ValueError("quantile argument must be in [0, 1]")
-        index = bisect.bisect_left(self._probs, u)
+        return self._inverse(u)
+
+    def _inverse(self, u: float) -> float:
+        """:meth:`quantile` without the range check."""
+        probs = self._probs
+        index = bisect.bisect_left(probs, u)
         if index == 0:
             return self._sizes[0]
-        lo_p, hi_p = self._probs[index - 1], self._probs[index]
-        lo_s, hi_s = self._sizes[index - 1], self._sizes[index]
-        fraction = (u - lo_p) / (hi_p - lo_p)
+        lo_p = probs[index - 1]
+        lo_log = self._log_sizes[index - 1]
+        fraction = (u - lo_p) / (probs[index] - lo_p)
         return math.exp(
-            math.log(lo_s) + fraction * (math.log(hi_s) - math.log(lo_s))
+            lo_log + fraction * (self._log_sizes[index] - lo_log)
         )
 
     def cdf(self, size_bytes: float) -> float:
@@ -74,16 +80,14 @@ class EmpiricalCDF:
         if size_bytes >= self._sizes[-1]:
             return 1.0
         index = bisect.bisect_right(self._sizes, size_bytes)
-        lo_s, hi_s = self._sizes[index - 1], self._sizes[index]
+        lo_log, hi_log = self._log_sizes[index - 1], self._log_sizes[index]
         lo_p, hi_p = self._probs[index - 1], self._probs[index]
-        fraction = (math.log(size_bytes) - math.log(lo_s)) / (
-            math.log(hi_s) - math.log(lo_s)
-        )
+        fraction = (math.log(size_bytes) - lo_log) / (hi_log - lo_log)
         return lo_p + fraction * (hi_p - lo_p)
 
     def sample(self, rng: random.Random) -> int:
         """Draw one flow size (at least 1 byte)."""
-        return max(1, round(self.quantile(rng.random())))
+        return max(1, round(self._inverse(rng.random())))
 
     def mean(self) -> float:
         """Exact mean flow size under log-uniform interpolation.

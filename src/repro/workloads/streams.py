@@ -31,7 +31,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from ..sim.flows import Flow
-from .generators import network_arrival_rate_per_ns, uniform_pair
+from .generators import network_arrival_rate_per_ns
 
 
 def _arrival_key(flow: Flow) -> tuple[float, int]:
@@ -90,31 +90,46 @@ def _poisson_arrivals(
     duration right after, so a duration-bounded stream ends having drawn
     the one gap that overshoots and a count-bounded one draws nothing
     past its last flow.
+
+    The gap and the pair are ``rng.expovariate(rate)`` and
+    :func:`~repro.workloads.generators.uniform_pair` without their call
+    layers: the same ``random()`` and ``getrandbits()`` calls, in the
+    same order, with the same arithmetic.
     """
     if duration_ns is not None and not 0 < duration_ns < math.inf:
         raise ValueError("duration must be positive and finite")
     if num_flows is not None and num_flows <= 0:
         raise ValueError("flow count must be positive")
+    if num_tors < 2:
+        raise ValueError("a flow needs two distinct ToRs")
     rate = network_arrival_rate_per_ns(
         load, size_dist.mean(), num_tors, host_aggregate_gbps
     )
     if fids is None:
         fids = itertools.count()
+    uniform = rng.random
+    getrandbits = rng.getrandbits
+    sample = size_dist.sample
+    log = math.log
+    # randrange(n) draws bit_length(n) bits until the value is below n.
+    src_bits = num_tors.bit_length()
+    peers = num_tors - 1
+    dst_bits = peers.bit_length()
     t = 0.0
     emitted = 0
     while num_flows is None or emitted < num_flows:
-        t += rng.expovariate(rate)
+        t += -log(1.0 - uniform()) / rate
         if duration_ns is not None and t >= duration_ns:
             return
-        src, dst = uniform_pair(num_tors, rng)
-        yield Flow(
-            fid=next(fids),
-            src=src,
-            dst=dst,
-            size_bytes=size_dist.sample(rng),
-            arrival_ns=t,
-            tag=tag,
-        )
+        src = getrandbits(src_bits)
+        while src >= num_tors:
+            src = getrandbits(src_bits)
+        dst = getrandbits(dst_bits)
+        while dst >= peers:
+            dst = getrandbits(dst_bits)
+        if dst >= src:
+            dst += 1
+        yield Flow(next(fids), src, dst, sample(rng), t, tag)
         emitted += 1
 
 

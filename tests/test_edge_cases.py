@@ -32,37 +32,29 @@ class TestDrainBandSlots:
     def test_only_requested_band_is_touched(self):
         queue = PiasDestQueue((1000, 10000))
         queue.enqueue_flow(make_flow(50_000))
-        out = []
-        queue.drain_band_slots(
-            band=2, num_slots=5, payload_bytes=1115,
-            slot_start_ns=lambda s: float(s),
-            deliver=lambda f, b, s: out.append((b, s)),
+        chunks, _used = queue.drain_band_slots(
+            band=2, num_slots=5, payload_bytes=1115, base_ns=0.0, step_ns=1.0
         )
-        assert sum(b for b, _ in out) == 5 * 1115
+        assert sum(b for _f, b, _s in chunks) == 5 * 1115
         assert queue.band_bytes(0) == 1000  # untouched
         assert queue.band_bytes(1) == 9000  # untouched
 
     def test_respects_eligibility(self):
         queue = PiasDestQueue((1000, 10000))
         queue.enqueue_flow(make_flow(50_000, arrival=100.0))
-        out = []
-        used = queue.drain_band_slots(
+        chunks, used = queue.drain_band_slots(
             band=2, num_slots=5, payload_bytes=1115,
-            slot_start_ns=lambda s: float(s),  # all slots before 100 ns
-            deliver=lambda f, b, s: out.append(b),
+            base_ns=0.0, step_ns=1.0,  # all slots before 100 ns
         )
-        assert used == 0 and out == []
+        assert used == 0 and chunks == []
 
     def test_stops_when_band_empties(self):
         queue = PiasDestQueue((1000, 10000))
         queue.enqueue_flow(make_flow(12_000))  # band 2 holds 2000 B
-        out = []
-        used = queue.drain_band_slots(
-            band=2, num_slots=10, payload_bytes=1115,
-            slot_start_ns=lambda s: float(s),
-            deliver=lambda f, b, s: out.append(b),
+        chunks, used = queue.drain_band_slots(
+            band=2, num_slots=10, payload_bytes=1115, base_ns=0.0, step_ns=1.0
         )
-        assert sum(out) == 2000
+        assert sum(b for _f, b, _s in chunks) == 2000
         assert used == math.ceil(2000 / 1115)
 
     @given(size=st.integers(10_001, 100_000), slots=st.integers(1, 40))
@@ -71,13 +63,10 @@ class TestDrainBandSlots:
         queue = PiasDestQueue((1000, 10000))
         queue.enqueue_flow(make_flow(size))
         band2_before = queue.band_bytes(2)
-        drained = []
-        queue.drain_band_slots(
-            band=2, num_slots=slots, payload_bytes=1115,
-            slot_start_ns=lambda s: float(s),
-            deliver=lambda f, b, s: drained.append(b),
+        chunks, _used = queue.drain_band_slots(
+            band=2, num_slots=slots, payload_bytes=1115, base_ns=0.0, step_ns=1.0
         )
-        assert queue.band_bytes(2) + sum(drained) == band2_before
+        assert queue.band_bytes(2) + sum(b for _f, b, _s in chunks) == band2_before
 
 
 class TestTruncatedCDF:

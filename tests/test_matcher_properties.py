@@ -153,6 +153,26 @@ def _reference_accept(matcher, grants_by_src, tx_usable):
     return matches
 
 
+def _dealt_every_port(topology, src, dealers, offset):
+    """Grants to ``src`` on every port from ``dealers`` destinations per
+    port, grouped by destination as GRANT issues them.
+
+    On the parallel network every port hears every source, so this is
+    ``dealers`` destinations each dealing ``src`` every port; on
+    thin-clos each port's dealers come from the group that port reaches.
+    """
+    num_tors = topology.num_tors
+    dealt = []
+    for port in range(topology.ports_per_tor):
+        reachable = sorted(
+            topology.reachable_dsts(src, port),
+            key=lambda dst: (dst - offset) % num_tors,
+        )
+        for rank, dst in enumerate(reachable[:dealers]):
+            dealt.append((rank, port, dst))
+    return [(dst, port) for _rank, port, dst in sorted(dealt)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(["parallel", "thinclos"]),
@@ -160,10 +180,12 @@ def _reference_accept(matcher, grants_by_src, tx_usable):
     failures=st.booleans(),
 )
 def test_accept_step_equals_per_port_pick_reference(kind, seed, failures):
-    """ACCEPT's single-member picks change no decision: over several
-    epochs of random grants (one grant per source, one per port, and
-    contended ports), accept_step and the per-port ``pick`` reference
-    agree on every match and leave every ACCEPT ring pointer equal."""
+    """ACCEPT's ungrouped paths change no decision: over several epochs
+    of random grants (one grant per source, one per port, and contended
+    ports) plus a source dealt every port by one destination and one
+    dealt every port by two, accept_step and the per-port ``pick``
+    reference agree on every match and leave every ACCEPT ring pointer
+    equal."""
     rng = random.Random(seed)
     shapes = PARALLEL_SHAPES if kind == "parallel" else THINCLOS_SHAPES
     topology, num_tors, ports = _build(kind, rng.choice(shapes))
@@ -176,13 +198,29 @@ def test_accept_step_equals_per_port_pick_reference(kind, seed, failures):
     tx_usable = (lambda tor, port: (tor, port) not in failed) if failed else None
     for _epoch in range(6):
         density = rng.choice((0.1, 0.4, 0.9))
-        # Each (dst, port) grants at most once, to a source that port hears.
-        grants_by_src: dict[int, list[tuple[int, int]]] = {}
+        # ACCEPT resolves each source on its own rings, so the two dealt
+        # sources are built as GRANT would deal them alone: one takes
+        # the ungrouped path (strictly increasing ports), the other the
+        # bucket path (every port it hears twice is contended).
+        lone, shared = rng.sample(range(num_tors), 2)
+        grants_by_src: dict[int, list[tuple[int, int]]] = {
+            lone: _dealt_every_port(topology, lone, 1, rng.randrange(num_tors)),
+            shared: _dealt_every_port(
+                topology, shared, 2, rng.randrange(num_tors)
+            ),
+        }
+        lone_ports = [port for _dst, port in grants_by_src[lone]]
+        assert lone_ports == sorted(set(lone_ports))
+        shared_ports = [port for _dst, port in grants_by_src[shared]]
+        assert len(set(shared_ports)) < len(shared_ports)
+        # The random grants around them: each (dst, port) grants at most
+        # once, to a source that port hears.
         for dst in range(num_tors):
             for port in range(ports):
                 if rng.random() < density:
                     src = rng.choice(topology.reachable_srcs(dst, port))
-                    grants_by_src.setdefault(src, []).append((dst, port))
+                    if src not in (lone, shared):
+                        grants_by_src.setdefault(src, []).append((dst, port))
         assert fast.accept_step(grants_by_src, tx_usable) == _reference_accept(
             slow, grants_by_src, tx_usable
         )

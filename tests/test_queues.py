@@ -201,16 +201,15 @@ class TestDrainSlots:
     def test_single_small_flow_uses_one_slot(self):
         q = PiasDestQueue(THRESHOLDS)
         q.enqueue_flow(make_flow(500))
-        out = []
-        used = q.drain_slots(10, 1115, lambda s: float(s), lambda f, b, s: out.append((f.fid, b, s)))
-        assert out == [(0, 500, 0)]
+        chunks, used = q.drain_slots(10, 1115, 0.0, 1.0)
+        assert [(f.fid, b, s) for f, b, s in chunks] == [(0, 500, 0)]
         assert used == 1
 
     def test_elephant_bulk_drain_matches_slot_math(self):
         q = PiasDestQueue(THRESHOLDS)
         q.enqueue_flow(make_flow(50000))
-        out = []
-        q.drain_slots(100, 1115, lambda s: float(s), lambda f, b, s: out.append((b, s)))
+        chunks, _used = q.drain_slots(100, 1115, 0.0, 1.0)
+        out = [(b, s) for _f, b, s in chunks]
         # band 0: 1000 B -> slot 0; band 1: 9000 B -> slots 1-9 (ceil 8.07);
         # band 2: 40000 B -> 36 slots.
         assert out[0] == (1000, 0)
@@ -220,21 +219,20 @@ class TestDrainSlots:
     def test_phase_end_truncates(self):
         q = PiasDestQueue(THRESHOLDS)
         q.enqueue_flow(make_flow(50000))
-        out = []
-        used = q.drain_slots(5, 1115, lambda s: float(s), lambda f, b, s: out.append((b, s)))
+        chunks, used = q.drain_slots(5, 1115, 0.0, 1.0)
         assert used == 5
         # Slot 0 carries the whole 1000 B band-0 segment (one packet per
         # slot, packets never mix bands), slots 1-4 carry full band-1 packets.
         drained = 1000 + 4 * 1115
-        assert sum(b for b, _ in out) == drained
+        assert sum(b for _f, b, _s in chunks) == drained
         assert q.pending_bytes == 50000 - drained
 
     def test_waits_for_eligibility(self):
         q = PiasDestQueue(THRESHOLDS)
         q.enqueue_flow(make_flow(500, arrival=2.5))
-        out = []
-        q.drain_slots(10, 1115, lambda s: float(s), lambda f, b, s: out.append((f.fid, b, s)))
-        assert out == [(0, 500, 3)]  # first slot starting at/after 2.5
+        chunks, _used = q.drain_slots(10, 1115, 0.0, 1.0)
+        # First slot starting at/after 2.5.
+        assert [(f.fid, b, s) for f, b, s in chunks] == [(0, 500, 3)]
 
     def test_preemption_by_late_mice(self):
         """An elephant's bulk run is interrupted when mice become eligible."""
@@ -243,30 +241,36 @@ class TestDrainSlots:
         q.pop_bytes(0, 1000)
         q.pop_bytes(1, 9000)  # only band 2 remains
         q.enqueue_flow(make_flow(200, arrival=4.5, fid=1))
-        out = []
-        q.drain_slots(20, 1115, lambda s: float(s), lambda f, b, s: out.append((f.fid, b, s)))
+        chunks, _used = q.drain_slots(20, 1115, 0.0, 1.0)
+        out = [(f.fid, b, s) for f, b, s in chunks]
         # Elephant runs slots 0-4, mice at slot 5, elephant resumes.
         assert out[0] == (0, 5 * 1115, 4)
         assert out[1] == (1, 200, 5)
         assert out[2][0] == 0
 
-    @given(flows=flow_strategy, num_slots=st.integers(1, 60))
+    @given(
+        flows=flow_strategy,
+        num_slots=st.integers(1, 60),
+        lanes=st.sampled_from((1, 2)),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_chunked_drain_equals_per_slot_reference(self, flows, num_slots):
-        """drain_slots is an exact bulk version of one-packet-per-slot."""
+    def test_chunked_drain_equals_per_slot_reference(
+        self, flows, num_slots, lanes
+    ):
+        """drain_slots is an exact bulk version of one-packet-per-slot,
+        on one lane and on two lanes sharing each slot start (the
+        scheduled phase's grid for a pair matched on several ports)."""
         payload = 1115
         fast_q = PiasDestQueue(THRESHOLDS)
         slow_q = PiasDestQueue(THRESHOLDS)
         for fid, (size, arrival) in enumerate(flows):
             fast_q.enqueue_flow(make_flow(size, arrival, fid=fid))
             slow_q.enqueue_flow(make_flow(size, arrival, fid=fid))
-        slot_time = lambda s: s * 1.0
-        fast_out = []
-        fast_q.drain_slots(
-            num_slots, payload, slot_time,
-            lambda f, b, s: fast_out.append((f.fid, b, s)),
+        chunks, _used = fast_q.drain_slots(num_slots, payload, 0.0, 1.0, lanes)
+        fast_out = [(f.fid, b, s) for f, b, s in chunks]
+        slow_out = reference_drain(
+            slow_q, num_slots, payload, lambda v: 0.0 + (v // lanes) * 1.0
         )
-        slow_out = reference_drain(slow_q, num_slots, payload, slot_time)
         assert aggregate(fast_out) == aggregate(slow_out)
         assert fast_q.pending_bytes == slow_q.pending_bytes
 
@@ -278,55 +282,18 @@ class TestDrainSlots:
         for fid, (size, arrival) in enumerate(flows):
             q.enqueue_flow(make_flow(size, arrival, fid=fid))
             total += size
-        drained = []
-        q.drain_slots(1000, 1115, lambda s: s * 1.0, lambda f, b, s: drained.append(b))
-        assert sum(drained) + q.pending_bytes == total
+        chunks, _used = q.drain_slots(1000, 1115, 0.0, 1.0)
+        assert sum(b for _f, b, _s in chunks) + q.pending_bytes == total
 
 
 class TestDrainSlotsPreemptionEdge:
-    """The ``run = 0 -> run = 1`` guard in :meth:`PiasDestQueue.drain_slots`.
+    """A higher band's arrival caps a lower band's run.
 
-    With an exact slot clock the guard is unreachable: if a higher band's
-    head were eligible at the current slot's start, ``head_band`` would have
-    chosen it.  But ``slot_start_ns`` is caller-supplied and may carry float
-    rounding, so the same slot index can evaluate below the preemption time
-    in ``head_band`` and at/above it in the run-capping loop — the guard
-    then forces one packet of progress instead of looping forever.
+    Each slot start is one expression of the queue's slot grid, so the
+    band ``head_band`` picks at a slot's start is the band the run cap
+    sees at that start: a higher head that was ineligible there preempts
+    at a later slot, never at the current one.
     """
-
-    def test_inconsistent_slot_clock_forces_single_packet_run(self):
-        q = PiasDestQueue(THRESHOLDS)
-        mice = make_flow(600, arrival=100.0, fid=1)
-        q.enqueue_flow(mice)  # 600 bytes in band 0, eligible at 100.0
-        elephant = make_flow(50_000, arrival=0.0, fid=2)
-        q.enqueue_bytes(elephant, 5000, band=2, eligible_ns=0.0)
-
-        calls = {0: 0}
-
-        def jittery_slot_start(slot):
-            if slot == 0:
-                # First evaluation (head_band's `now`) lands just below the
-                # band-0 eligibility; re-evaluations land exactly on it,
-                # mimicking a float-rounding inconsistency.
-                calls[0] += 1
-                return 99.99999999999 if calls[0] == 1 else 100.0
-            return 100.0 + slot * 90.0
-
-        served = []
-        used = q.drain_slots(
-            num_slots=10,
-            payload_bytes=1000,
-            slot_start_ns=jittery_slot_start,
-            deliver=lambda f, b, s: served.append((f.fid, b, s)),
-        )
-
-        # Slot 0 hits the edge: head_band picks band 2, the cap loop sees
-        # slot 0 already at the preemption time (run would be 0), and the
-        # guard serves exactly one band-2 packet.  Band 0 then preempts.
-        assert calls[0] >= 2
-        assert served == [(2, 1000, 0), (1, 600, 1), (2, 4000, 5)]
-        assert used == 6
-        assert q.is_empty
 
     def test_consistent_clock_caps_run_at_preemption(self):
         # The ordinary mid-epoch preemption: a higher-band arrival caps the
@@ -335,13 +302,10 @@ class TestDrainSlotsPreemptionEdge:
         q.enqueue_bytes(make_flow(50_000, fid=2), 10_000, band=2, eligible_ns=0.0)
         q.enqueue_flow(make_flow(600, arrival=270.0, fid=1))
 
-        served = []
-        used = q.drain_slots(
-            num_slots=10,
-            payload_bytes=1000,
-            slot_start_ns=lambda v: v * 90.0,
-            deliver=lambda f, b, s: served.append((f.fid, b, s)),
+        chunks, used = q.drain_slots(
+            num_slots=10, payload_bytes=1000, base_ns=0.0, step_ns=90.0
         )
+        served = [(f.fid, b, s) for f, b, s in chunks]
         assert served == [(2, 3000, 2), (1, 600, 3), (2, 6000, 9)]
         assert used == 10
         assert q.pending_bytes == 1000

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rings import RoundRobinRing, build_rings
@@ -120,6 +120,11 @@ class TestDeal:
         count=st.integers(1, 24),
         form=st.sampled_from(["set", "list", "dict"]),
     )
+    # A lone candidate takes deal()'s one-requester path: a member dealt
+    # every pick, a non-member dealt none, and a member dealt zero picks.
+    @example(size=128, start=127, drawn=[5], count=8, form="dict")
+    @example(size=16, start=3, drawn=[100], count=8, form="dict")
+    @example(size=16, start=3, drawn=[7], count=0, form="set")
     @settings(max_examples=300)
     def test_deal_equals_repeated_picks(self, size, start, drawn, count, form):
         """ordered_candidates() and deal() are shortcuts for repeated

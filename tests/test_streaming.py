@@ -266,13 +266,17 @@ class TestStreamGenerators:
             (heavy_poisson_stream, _count_loop, 300),
         ],
     )
+    @pytest.mark.parametrize("num_tors", [8, 12, 128])
     def test_shared_loop_keeps_each_draw_sequence(
-        self, stream, reference, bound
+        self, stream, reference, bound, num_tors
     ):
         """The Hadoop CDF draws for sizes (FixedSize draws nothing), so
         equal flows and equal final RNG states pin the whole draw order,
-        including the one overshooting gap a duration bound draws."""
-        args = (hadoop(), 0.4, NUM_TORS, MICRO.host_aggregate_gbps, bound)
+        including the one overshooting gap a duration bound draws.  The
+        fabric sizes make ``randrange`` reject a different share of its
+        bit draws for the pair: 8 of 16 for 8 ToRs' sources, 4 of 16 for
+        12, and 128 of 256 for 128."""
+        args = (hadoop(), 0.4, num_tors, MICRO.host_aggregate_gbps, bound)
         rng, reference_rng = random.Random(5), random.Random(5)
         flows = list(stream(*args, rng, tag="t"))
         assert len(flows) > 100, "vacuous without flows"
