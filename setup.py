@@ -18,11 +18,8 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        # The tier-1 suite needs only pytest + hypothesis; the engine
-        # hot-path benchmark (benchmarks/bench_engine_hotpath.py)
-        # additionally needs pytest-benchmark.
+        # The tier-1 suite needs only pytest + hypothesis.
         "test": ["pytest", "hypothesis"],
-        "bench": ["pytest", "pytest-benchmark"],
     },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -19,6 +19,9 @@ Commands:
 * ``sweep`` — run a grid of scenario x load x seed x system points through
   the sweep orchestrator: parallel fan-out (``--jobs``), a result store,
   and ``--resume`` to skip cached points (DESIGN.md section 8).
+  ``--stream`` pulls each workload lazily through the bounded-memory
+  tracker (DESIGN.md section 11), so a ``heavy-poisson`` scenario can
+  run a million flows in flat memory.
   Fault tolerance for unattended campaigns (DESIGN.md section 13):
   ``--timeout-s`` kills hung workers, ``--retries``/``--backoff-s`` retry
   failed specs with exponential backoff, and ``--on-error quarantine``
@@ -33,12 +36,12 @@ Commands:
 * ``store`` — integrity tooling for result stores: ``verify`` checks
   every row's checksum and reports torn lines, ``compact`` atomically
   rewrites the store in canonical deduplicated form.
-* ``bench`` — the engine hot-path benchmark suite behind BENCH_engine.json
-  (DESIGN.md section 10); ``--profile`` prints per-phase wall-time
-  breakdowns via the telemetry tracer.
 * ``trace`` — analyze a telemetry JSONL captured with ``sweep
-  --telemetry``: per-phase time shares, slowest specs, retry histograms,
-  queue-depth percentiles (DESIGN.md section 14).
+  --telemetry``: per-phase time shares of every engine, slowest specs,
+  retry histograms, queue-depth percentiles (DESIGN.md section 14).
+
+Timing lives outside the CLI: ``benchmarks/e2e/run.py`` measures the
+paper-scale workloads and compares two commits (DESIGN.md section 10).
 
 Every store path a command takes picks its backend by name:
 ``.db``/``.sqlite``/``.sqlite3`` is SQLite, any other path one JSONL
@@ -65,12 +68,11 @@ Examples::
     python -m repro campaign merge --into merged.db fleet.db old.jsonl
     python -m repro store verify campaign.jsonl --digest
     python -m repro store compact campaign.jsonl
-    python -m repro bench --scenario sparse --fabric 64x8
-    python -m repro bench --check 0.5   # fail if any scenario regressed 2x
+    python -m repro sweep --stream --scale micro --load 0.5 \\
+        --scenario heavy-poisson:num_flows=1000000 --duration-ms 40
     python -m repro sweep --scale tiny --jobs 4 --telemetry events.jsonl \\
         --progress --store campaign.jsonl
     python -m repro trace events.jsonl          # phase shares, retries, ETA
-    python -m repro bench --profile --scenario incast --fabric 16x4
 """
 
 from __future__ import annotations
@@ -531,112 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-pq", action="store_true", help="disable PIAS priority queues"
     )
     simulate.add_argument("--seed", type=int, default=None)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the engine hot-path benchmark suite (or, with --scale, "
-        "the streaming million-flow scale benchmark)",
-    )
-    bench.add_argument(
-        "--scale",
-        action="store_true",
-        help="run the streaming scale benchmark (heavy-poisson flows pulled "
-        "lazily through the bounded-memory engine) instead of the "
-        "hot-path suite, tracking BENCH_scale.json",
-    )
-    bench.add_argument(
-        "--flows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scale-bench trace size in flows (default 1,000,000)",
-    )
-    bench.add_argument(
-        "--engine",
-        metavar="ENGINE",
-        default=None,
-        help="scale-bench engine under test: negotiator (default), rotor "
-        "(the RotorNet-style baseline on thin-clos), or adaptive (the "
-        "demand-aware baseline on thin-clos)",
-    )
-    bench.add_argument(
-        "--scale-load",
-        type=float,
-        default=None,
-        metavar="L",
-        help="scale-bench offered load (default 0.5)",
-    )
-    bench.add_argument(
-        "--scale-file",
-        default="BENCH_scale.json",
-        help="tracked scale baseline file (default: BENCH_scale.json)",
-    )
-    bench.add_argument(
-        "--budget-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="exit non-zero if the scale run exceeds this wall-clock budget",
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="SCENARIO",
-        default=None,
-        help="scenario to run (repeatable; default: all)",
-    )
-    bench.add_argument(
-        "--fabric",
-        action="append",
-        dest="fabrics",
-        metavar="TORSxPORTS",
-        default=None,
-        help="fabric to run, e.g. 64x8 (repeatable; default: 16x4 64x8 "
-        "128x8 — with --scale: one fabric, default 8x2)",
-    )
-    bench.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        help="disable idle-epoch fast-forward for this run",
-    )
-    bench.add_argument(
-        "--core",
-        choices=["auto", "scalar", "vectorized"],
-        default=None,
-        help="NegotiaToR engine core override for this run (default: "
-        "SimConfig default 'auto', or the REPRO_CORE environment "
-        "variable; the baseline engines have one path); the report names "
-        "the core that actually ran",
-    )
-    bench.add_argument(
-        "--bench-file",
-        default="BENCH_engine.json",
-        help="tracked baseline file (default: BENCH_engine.json)",
-    )
-    bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record this run as the baseline in the bench file",
-    )
-    bench.add_argument(
-        "--record",
-        action="store_true",
-        help="record this run as 'current' (and its vs-baseline speedup)",
-    )
-    bench.add_argument(
-        "--check",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit non-zero if any scenario runs slower than RATIO x baseline",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="trace the hot-path run and print a per-phase wall-time "
-        "breakdown per scenario (not comparable to recorded baselines)",
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -1459,251 +1355,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_bench_scale(args, fabrics) -> int:
-    """The streaming million-flow scale benchmark (``bench --scale``)."""
-    from . import perf, scalebench
-
-    if fabrics and len(fabrics) > 1:
-        print("--scale runs one fabric; pass a single --fabric",
-              file=sys.stderr)
-        return 2
-    if args.scenarios:
-        print("--scenario names hot-path suites; --scale always runs "
-              "heavy-poisson", file=sys.stderr)
-        return 2
-    if args.bench_file != "BENCH_engine.json":
-        print("--bench-file tracks the hot-path suite; with --scale use "
-              "--scale-file", file=sys.stderr)
-        return 2
-    tors, ports = fabrics[0] if fabrics else (
-        scalebench.DEFAULT_TORS, scalebench.DEFAULT_PORTS
-    )
-    try:
-        result = scalebench.run_scale_bench(
-            args.flows if args.flows is not None else scalebench.DEFAULT_FLOWS,
-            tors,
-            ports,
-            load=(
-                args.scale_load
-                if args.scale_load is not None
-                else scalebench.DEFAULT_LOAD
-            ),
-            fast_forward=not args.no_fast_forward,
-            engine=args.engine or "negotiator",
-            core=args.core,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(scalebench.format_result(result))
-    if not result.completed:
-        print("scale bench hit its simulated-time cap before all flows "
-              "completed (overloaded point?)", file=sys.stderr)
-        return 1
-
-    bench = perf.BenchFile.load(args.scale_file)
-    # --check compares against the baseline that existed when the run
-    # started (--update-baseline must not blind it), while the recorded
-    # speedup tracks the stored baseline — 1.0 when both are recorded in
-    # one invocation, mirroring the hot-path suite.
-    baseline_before = bench.entries.get(result.key, {}).get("baseline")
-    dirty = False
-    if args.update_baseline:
-        bench.record_baseline(result)
-        dirty = True
-    if args.record:
-        bench.record_current(result)
-        # BenchFile derives speedup from epochs/sec (the hot-path metric);
-        # the scale gate is flows/sec, so keep the recorded trajectory
-        # consistent with what --check enforces.
-        stored = bench.entries[result.key].get("baseline")
-        if stored and stored.get("flows_per_sec"):
-            bench.entries[result.key]["speedup"] = round(
-                result.flows_per_sec / stored["flows_per_sec"], 3
-            )
-        dirty = True
-    if dirty:
-        bench.write()
-        print(f"wrote {args.scale_file}")
-
-    status = 0
-    if args.budget_s is not None and result.wall_s > args.budget_s:
-        print(
-            f"scale bench blew its wall-clock budget: {result.wall_s:.1f}s "
-            f"> {args.budget_s:g}s",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.check is not None:
-        if baseline_before is None:
-            print(
-                f"warning: no scale baseline for {result.key} "
-                f"in {args.scale_file}; not checked",
-                file=sys.stderr,
-            )
-        elif result.flows_per_sec < args.check * baseline_before["flows_per_sec"]:
-            print(
-                f"perf regression: {result.flows_per_sec:,.0f} flows/s < "
-                f"{args.check:g} x baseline "
-                f"{baseline_before['flows_per_sec']:,.0f}",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
-
-
-def cmd_bench(args) -> int:
-    from . import perf
-
-    fabrics = None
-    if args.fabrics:
-        fabrics = []
-        for spec in args.fabrics:
-            try:
-                tors, ports = (int(part) for part in spec.lower().split("x"))
-            except ValueError:
-                print(f"bad fabric spec {spec!r} (expected TORSxPORTS)",
-                      file=sys.stderr)
-                return 2
-            fabrics.append((tors, ports))
-    if args.scale:
-        if args.profile:
-            print(
-                "--profile only applies to the hot-path suite (not --scale)",
-                file=sys.stderr,
-            )
-            return 2
-        return cmd_bench_scale(args, fabrics)
-    for flag, name in ((args.flows, "--flows"), (args.budget_s, "--budget-s"),
-                       (args.scale_load, "--scale-load"),
-                       (args.engine, "--engine")):
-        if flag is not None:
-            print(f"{name} only applies with --scale", file=sys.stderr)
-            return 2
-    if args.scale_file != "BENCH_scale.json":
-        print("--scale-file only applies with --scale", file=sys.stderr)
-        return 2
-    if _reject_unknown(args.scenarios or [], perf.SCENARIOS, "scenario"):
-        return 2
-    if args.profile and (
-        args.record or args.update_baseline or args.check is not None
-    ):
-        print(
-            "--profile runs are not comparable to baselines; drop "
-            "--record/--update-baseline/--check",
-            file=sys.stderr,
-        )
-        return 2
-
-    bench = perf.BenchFile.load(args.bench_file)
-    if args.profile:
-        return _bench_profile(args, bench, fabrics)
-    results = perf.run_suite(
-        args.scenarios,
-        fabrics,
-        fast_forward=not args.no_fast_forward,
-        core=args.core,
-    )
-    print(perf.format_results(results, bench))
-    # Snapshot before any recording so --check compares against the
-    # baseline that existed when the run started, not one this invocation
-    # just overwrote.
-    baseline_before = {r.key: bench.baseline_eps(r.key) for r in results}
-
-    dirty = False
-    for result in results:
-        if args.update_baseline:
-            bench.record_baseline(result)
-            dirty = True
-        if args.record:
-            bench.record_current(result)
-            dirty = True
-    if dirty:
-        bench.write()
-        print(f"wrote {args.bench_file}")
-
-    if args.check is not None:
-        failed = []
-        compared = 0
-        for result in results:
-            base = baseline_before[result.key]
-            if not base:
-                print(
-                    f"warning: no baseline for {result.key}; not checked",
-                    file=sys.stderr,
-                )
-                continue
-            compared += 1
-            if result.epochs_per_sec < args.check * base:
-                failed.append(
-                    f"{result.key}: {result.epochs_per_sec:.0f} epochs/s "
-                    f"< {args.check:g} x baseline {base:.0f}"
-                )
-        if failed:
-            print("perf regression:", file=sys.stderr)
-            for line in failed:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        if compared == 0:
-            print(
-                "perf check: no comparable baselines found "
-                f"in {args.bench_file}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _bench_profile(args, bench, fabrics) -> int:
-    """bench --profile: trace each run, print per-phase wall-time shares."""
-    from . import perf
-    from .telemetry import EngineTracer, MemorySink
-
-    names = args.scenarios or sorted(perf.SCENARIOS)
-    fabric_list = fabrics or list(perf.FABRICS)
-    results = []
-    profiles = []
-    for name in names:
-        for tors, ports in fabric_list:
-            # One sink per run; an effectively-infinite cadence keeps the
-            # tracer out of the gauge path, so only the span timers run.
-            sink = MemorySink()
-            tracer = EngineTracer(
-                sink, "negotiator", cadence_ns=1 << 62
-            )
-            result = perf.run_scenario(
-                name,
-                tors,
-                ports,
-                fast_forward=not args.no_fast_forward,
-                core=args.core,
-                tracer=tracer,
-            )
-            results.append(result)
-            profiles.append((result, sink.of_kind("run-end")[-1]))
-    print(perf.format_results(results, bench))
-    for result, run_end in profiles:
-        spans = run_end["spans"]
-        counters = run_end["counters"]
-        traced = sum(spans.values())
-        denominator = traced or 1.0
-        print(
-            f"\n{result.key}: phase breakdown "
-            f"({traced:.3f}s traced of {result.wall_s:.3f}s wall)"
-        )
-        for phase, wall in sorted(spans.items(), key=lambda kv: -kv[1]):
-            print(
-                f"  {phase:<12} {wall:>9.4f}s  "
-                f"{wall / denominator * 100:>5.1f}%"
-            )
-        if counters:
-            tally = ", ".join(
-                f"{name}={total}" for name, total in sorted(counters.items())
-            )
-            print(f"  counters: {tally}")
-    return 0
-
-
 def cmd_trace(args) -> int:
     from pathlib import Path
 
@@ -1770,8 +1421,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_store(args)
     if args.command == "simulate":
         return cmd_simulate(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "trace":
         return cmd_trace(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -13,8 +13,7 @@ Two sinks share the ``emit(dict)`` interface:
   ``O_APPEND`` writes (the quarantine-log idiom), so the sweep runner and
   any number of forked workers can interleave events into one file
   without locks; a crash can at worst tear the final line.
-* :class:`MemorySink` — an in-process list, for tests and
-  ``repro bench --profile``.
+* :class:`MemorySink` — an in-process list, for tests.
 
 :func:`read_events` mirrors the result store's tolerance: torn or
 non-JSON lines are counted, not fatal.

@@ -1,13 +1,12 @@
 """The ``repro trace`` analyzer: summarize a telemetry JSONL.
 
 Pure functions over the event list :func:`~repro.telemetry.events.read_events`
-returns — the CLI command, ``repro bench --profile``, and the tests all
-share them.  :func:`analyze` computes the campaign roll-up, per-engine
-phase wall-time shares (from ``span`` windows, whose sums equal the
-``run-end`` totals by construction), the slowest executed specs, retry
-and final-status histograms, queue-depth gauge percentiles, and
-heartbeat stats.  :func:`format_trace` renders the same analysis as
-text.
+returns — the CLI command and the tests share them.  :func:`analyze`
+computes the campaign roll-up, per-engine phase wall-time shares (from
+``span`` windows, whose sums equal the ``run-end`` totals by
+construction), the slowest executed specs, retry and final-status
+histograms, queue-depth gauge percentiles, and heartbeat stats.
+:func:`format_trace` renders the same analysis as text.
 """
 
 from __future__ import annotations

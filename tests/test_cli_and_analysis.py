@@ -65,6 +65,14 @@ class TestCLI:
         assert "fig9" in out
         assert "paper" in out
 
+    def test_bench_is_not_a_command(self, capsys):
+        """Timing lives in benchmarks/e2e and phase time in ``trace``;
+        ``bench`` is an unknown command like any other."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--scale"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
@@ -73,10 +81,10 @@ class TestCLI:
         """All unknown-name paths emit the identical exit-2 diagnostic.
 
         Before the _reject_unknown helper, run/golden said "(try: python -m
-        repro list)" while sweep/bench said "(choose from ...)"; the shape
-        is now pinned — via spec.unknown_name_message — so no path can
-        drift apart again.  The system/engine cases additionally pin the
-        registry contents: every message must enumerate ``adaptive``.
+        repro list)" while sweep said "(choose from ...)"; the shape is now
+        pinned — via spec.unknown_name_message — so no path can drift apart
+        again.  The system cases additionally pin the registry contents:
+        every message must enumerate ``adaptive``.
         """
         import re
 
@@ -85,17 +93,11 @@ class TestCLI:
             (["golden", "fig99"], "experiment", "fig99"),
             (["report", "--experiments", "fig99"], "experiment", "fig99"),
             (["sweep", "--scenario", "fig99", "--dry-run"], "scenario", "fig99"),
-            (["bench", "--scenario", "fig99"], "scenario", "fig99"),
             (["sweep", "--system", "torus", "--dry-run"], "system", "torus"),
             (["simulate", "--system", "torus"], "system", "torus"),
-            (
-                ["bench", "--scale", "--engine", "torus", "--flows", "10"],
-                "engine",
-                "torus",
-            ),
         ]
         shape = re.compile(
-            r"^unknown (experiment|scenario|system|engine)\(s\): \w+ "
+            r"^unknown (experiment|scenario|system)\(s\): \w+ "
             r"\(choose from [\w, .-]+\)$"
         )
         for argv, kind, name in cases:
@@ -103,7 +105,7 @@ class TestCLI:
             err = capsys.readouterr().err.strip()
             assert shape.fullmatch(err), (argv, err)
             assert err.startswith(f"unknown {kind}(s): {name} (choose from ")
-            if kind in ("system", "engine"):
+            if kind == "system":
                 assert "adaptive" in err, (argv, err)
 
     def test_spec_and_cli_unknown_system_messages_match(self, capsys):

@@ -17,9 +17,14 @@ entry is checked with no test edit:
   under a failure plan where the entry takes one;
 * **streaming equals materialized** — where the entry takes
   ``stream=True`` (DESIGN.md section 11);
+* **bounded streaming residency** — there too, a streamed trace runs to
+  completion holding a small fraction of its flows in flight;
 * **fast-forward on equals off** — through either run loop, the same
   steps, summary and per-flow FCTs, and with a tracer attached the same
-  run-end counter totals (DESIGN.md section 7).
+  run-end counter totals (DESIGN.md section 7);
+* **idle runs count every step** — an empty fabric covers the run limit
+  in whole steps, all skipped with fast-forward and all stepped without
+  it, and the tracer counts each one.
 
 Hypothesis does not shrink a failing example here: each one is two to
 four full engine runs, so a report shows the example as generated.
@@ -58,6 +63,8 @@ from repro.sim.failures import (
 from repro.sim.flows import Flow
 from repro.sweep import RunSpec, build_workload, scale_spec_fields
 from repro.telemetry import EngineTracer, MemorySink
+from repro.workloads.distributions import FixedSize
+from repro.workloads.streams import heavy_poisson_span_ns, heavy_poisson_stream
 
 NUM_TORS = MICRO.num_tors
 PORTS = MICRO.ports_per_tor
@@ -337,6 +344,30 @@ def test_streaming_equals_materialized(engine):
     check()
 
 
+RESIDENCY_FLOWS = 15_000
+
+
+@pytest.mark.parametrize(
+    "engine", [engine for engine in ENGINES if engine.entry.stream], ids=_label
+)
+def test_streaming_residency_stays_bounded(engine):
+    """A streamed trace is held in flight, never whole: a half-load
+    Poisson stream of 1 KB flows runs to completion while its live flows
+    peak far below the trace size, and every completion releases its
+    flow.  Measured peaks are 185 to 654 flows."""
+    args = (FixedSize(1000), 0.5, NUM_TORS, MICRO.host_aggregate_gbps,
+            RESIDENCY_FLOWS)
+    sim = engine.build(
+        heavy_poisson_stream(*args, random.Random(1)), stream=True
+    )
+    assert sim.run_until_complete(max_ns=4 * heavy_poisson_span_ns(*args))
+    tracker = sim.tracker
+    assert tracker.num_completed == RESIDENCY_FLOWS
+    assert tracker.delivered_bytes == 1000 * RESIDENCY_FLOWS
+    assert tracker.live_flows == 0
+    assert tracker.peak_live_flows < RESIDENCY_FLOWS // 10
+
+
 # ---------------------------------------------------------------------------
 # fast-forward on equals off
 # ---------------------------------------------------------------------------
@@ -411,3 +442,23 @@ def test_fast_forward_on_equals_off(engine):
         assert skipping == stepping
 
     check()
+
+
+@pytest.mark.parametrize("fast_forward", [True, False], ids=["ff", "no-ff"])
+@pytest.mark.parametrize("engine", ENGINES, ids=_label)
+def test_idle_run_counts_every_step(engine, fast_forward):
+    """An empty fabric runs whole steps up to the limit, no more: with
+    fast-forward every one of them is skipped, without it every one is
+    stepped, and either way the tracer's step counter counts each."""
+    sink = MemorySink()
+    tracer = EngineTracer(sink, engine.system)
+    sim = engine.build([], fast_forward=fast_forward, tracer=tracer)
+    sim.run(DURATION_NS)
+    step_ns = sim.now_ns / sim.steps
+    assert sim.now_ns >= DURATION_NS > sim.now_ns - step_ns
+    assert sim.fast_forwarded_steps == (sim.steps if fast_forward else 0)
+    tracer.finish(int(sim.now_ns))
+    counters = sink.of_kind("run-end")[-1]["counters"]
+    assert counters[sim.step_counter] == sim.steps
+    summary = sim.summary(DURATION_NS)
+    assert summary.num_flows == summary.num_completed == 0

@@ -16,7 +16,8 @@ Three contracts from DESIGN.md section 11:
 * **Determinism plumbing** — the ``stream`` spec field stays out of the
   canonical JSON when False (hash stability for every pre-existing store
   and baseline), and streaming spec execution matches materialized
-  execution field by field.
+  execution field by field; ``repro sweep --stream`` runs a count-sized
+  trace to completion on every streaming system.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ import random
 
 import pytest
 
-from repro.experiments.common import MICRO, make_topology, sim_config
+from repro.cli import main
+from repro.experiments.common import MICRO, SYSTEMS, make_topology, sim_config
 from repro.sim.flows import Flow, FlowTracker, ReservoirSampler
 from repro.sim.network import NegotiaToRSimulator
 from repro.sim.oblivious import ObliviousSimulator
 from repro.sim.source import MaterializedFlowSource, StreamingFlowSource
-from repro.sweep import RunSpec, execute_spec, scale_spec_fields
+from repro.sweep import ResultStore, RunSpec, execute_spec, scale_spec_fields
 from repro.workloads.distributions import FixedSize
 from repro.workloads.streams import (
     heavy_poisson_span_ns,
@@ -470,6 +472,57 @@ class TestStreamSpec:
         summary = execute_spec(spec)
         assert summary.num_flows == 3000
         assert summary.num_completed == 3000
+
+
+STREAM_CLI_FLOWS = 3000
+
+STREAMING_FABRICS = [
+    (system, topology)
+    for system, entry in SYSTEMS.items()
+    if entry.stream
+    for topology in entry.topologies
+]
+
+
+class TestStreamCli:
+    """``repro sweep --stream`` over a count-sized heavy-poisson trace:
+    the command CI runs with a million flows, here small enough for
+    tier-1, on every registered streaming system and fabric."""
+
+    def sweep(self, tmp_path, num_flows, system="negotiator",
+              topology="parallel"):
+        return main([
+            "sweep", "--stream", "--scale", "micro",
+            "--scenario", f"heavy-poisson:num_flows={num_flows}",
+            "--load", "0.5", "--seed", "1",
+            "--system", system, "--topology", topology,
+            "--duration-ms", "1",
+            "--store", str(tmp_path / "stream.jsonl"), "--no-progress",
+        ])
+
+    @pytest.mark.parametrize(
+        "system, topology", STREAMING_FABRICS,
+        ids=[f"{s}-{t}" for s, t in STREAMING_FABRICS],
+    )
+    def test_every_flow_completes(self, tmp_path, capsys, system, topology):
+        code = self.sweep(tmp_path, STREAM_CLI_FLOWS, system, topology)
+        assert code == 0, capsys.readouterr().err
+        (row,) = ResultStore(tmp_path / "stream.jsonl").rows()
+        assert row["spec"]["stream"] is True
+        summary = row["summary"]
+        assert (
+            summary["num_flows"]
+            == summary["num_completed"]
+            == STREAM_CLI_FLOWS
+        )
+        # Every flow is a 1 KB mouse; the bounded tracker's reservoir
+        # still yields its p99.
+        assert summary["mice_fct_p99_ns"] is not None
+
+    def test_empty_trace_is_rejected(self, tmp_path, capsys):
+        assert self.sweep(tmp_path, 0) == 2
+        assert "flow count must be positive" in capsys.readouterr().err
+        assert ResultStore(tmp_path / "stream.jsonl").rows() == []
 
 
 # ---------------------------------------------------------------------------

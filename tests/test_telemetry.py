@@ -842,6 +842,42 @@ class TestTelemetryCli:
         assert code == 0
         assert "phase time (negotiator)" in out
 
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_trace_profiles_the_phases_of_every_system(
+        self, tmp_path, capsys, system
+    ):
+        """``sweep --telemetry`` then ``trace`` is the per-phase wall-time
+        profile of any engine: the run's phase shares cover all of it."""
+        events_path = tmp_path / "events.jsonl"
+        code, _, err = self.run_main(
+            *self.sweep_args(
+                tmp_path,
+                "--system", system,
+                "--topology", SYSTEMS[system].topologies[0],
+                "--telemetry", str(events_path),
+                "--no-progress",
+            ),
+            capsys=capsys,
+        )
+        assert code == 0, err
+
+        code, out, _ = self.run_main(
+            "trace", str(events_path), "--json", capsys=capsys
+        )
+        assert code == 0
+        phases = json.loads(out)["phase_time_shares"]
+        assert list(phases) == [system]
+        shares = [stats["share"] for stats in phases[system].values()]
+        assert shares and min(shares) >= 0.0
+        # Each share is rounded to four places.
+        assert sum(shares) == pytest.approx(1.0, abs=1e-4 * len(shares))
+
+        code, out, _ = self.run_main(
+            "trace", str(events_path), capsys=capsys
+        )
+        assert code == 0
+        assert f"phase time ({system}):" in out
+
     def test_trace_validate_flags_bad_events(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v": 1, "kind": "mystery", "ts": 0}\n')
