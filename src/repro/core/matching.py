@@ -10,10 +10,11 @@ per-pair demand, with no iteration:
   requests using round-robin rings: one shared ring on the parallel network
   (any port hears any source), one ring per port on thin-clos (a port hears
   only its W-ToR group).  A granted port binds the *same* port index on the
-  source side, because AWGR ``k`` joins everyone's port ``k``.
+  source side, because AWGR ``k`` joins everyone's port ``k``.  A grant is
+  one destination's decision for one source: ``(dst, ports)``.
 * **ACCEPT** — a source may receive grants from several destinations for the
   same TX port; a per-port round-robin ring picks one, yielding the final
-  matching.
+  matching as per-pair groups ``(src, dst, ports)``.
 
 Because each step only eliminates conflicts on one side, the result is a
 partial matching: every (ToR, port) appears at most once on the transmit side
@@ -27,7 +28,7 @@ failures naturally translate into missing requests or grants.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,24 +64,54 @@ class Match(NamedTuple):
     dst: int
 
 
+Grant = tuple[int, Sequence[int]]
+"""One destination's grant to a source: ``(dst, ports)``, ports rising."""
+
+PairMatch = tuple[int, int, Sequence[int]]
+"""The ports one pair was matched on this epoch: ``(src, dst, ports)``."""
+
+
+def per_port_matches(groups: Iterable[PairMatch]) -> list[Match]:
+    """The per-port :class:`Match` view of per-pair match groups."""
+    return [Match(src, port, dst) for src, dst, ports in groups for port in ports]
+
+
+def count_ports(groups: Iterable[PairMatch]) -> int:
+    """Per-port matches (accepted grants) in a list of match groups."""
+    return sum(len(ports) for _src, _dst, ports in groups)
+
+
 @dataclass
 class MatchingResult:
     """Outcome of one epoch's GRANT + ACCEPT steps."""
 
-    matches: list[Match] = field(default_factory=list)
+    groups: list[PairMatch] = field(default_factory=list)
     num_grants: int = 0
 
     @property
+    def matches(self) -> list[Match]:
+        """The accepted matching, one :class:`Match` per port."""
+        return per_port_matches(self.groups)
+
+    @property
     def num_accepts(self) -> int:
-        """Accepted grants (equals the number of matches)."""
-        return len(self.matches)
+        """Accepted grants (equals the number of per-port matches)."""
+        return count_ports(self.groups)
 
     @property
     def match_ratio(self) -> float:
         """Accepts / grants for this epoch (Fig 14's metric)."""
         if self.num_grants == 0:
             raise ValueError("no grants were issued")
-        return len(self.matches) / self.num_grants
+        return self.num_accepts / self.num_grants
+
+
+def _by_source(assigned: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """Port-ordered ``(port, src)`` picks as ``(src, ports)`` grants."""
+    groups: dict[int, list[int]] = {}
+    for port, src in assigned:
+        groups.setdefault(src, []).append(port)
+    return list(groups.items())
 
 
 class NegotiaToRMatcher:
@@ -139,7 +170,7 @@ class NegotiaToRMatcher:
         requests_by_dst: Mapping[int, Mapping[int, object]],
         rx_usable: PortPredicate | None = None,
         tx_usable: PortPredicate | None = None,
-    ) -> tuple[dict[int, list[tuple[int, int]]], int]:
+    ) -> tuple[dict[int, list[Grant]], int]:
         """Allocate every destination's RX ports to its received requests.
 
         ``requests_by_dst[dst]`` maps requesting sources to request payloads
@@ -149,12 +180,12 @@ class NegotiaToRMatcher:
         (the common, failure-free case) means every port is usable and lets
         the GRANT step skip all per-port predicate calls.
 
-        Returns (grants routed to each source as ``src -> [(dst, port), ...]``,
-        total number of grants issued).
+        Returns (each source's grants, one per granting destination, as
+        ``src -> [(dst, ports), ...]``; the number of ports granted).
         """
         rx_usable = _normalize_predicate(rx_usable)
         tx_usable = _normalize_predicate(tx_usable)
-        grants_by_src: dict[int, list[tuple[int, int]]] = {}
+        grants_by_src: dict[int, list[Grant]] = {}
         num_grants = 0
         grant = (
             self._grant_parallel if self._shared_grant_ring else self._grant_thinclos
@@ -162,13 +193,13 @@ class NegotiaToRMatcher:
         for dst, requests in requests_by_dst.items():
             if not requests:
                 continue
-            for port, src in grant(dst, requests, rx_usable, tx_usable):
+            for src, ports in grant(dst, requests, rx_usable, tx_usable):
                 entry = grants_by_src.get(src)
                 if entry is None:
-                    grants_by_src[src] = [(dst, port)]
+                    grants_by_src[src] = [(dst, ports)]
                 else:
-                    entry.append((dst, port))
-                num_grants += 1
+                    entry.append((dst, ports))
+                num_grants += len(ports)
         return grants_by_src, num_grants
 
     def _grant_parallel(
@@ -177,10 +208,10 @@ class NegotiaToRMatcher:
         requests: Mapping[int, object],
         rx_usable: PortPredicate | None,
         tx_usable: PortPredicate | None,
-    ) -> Iterable[tuple[int, int]]:
+    ) -> list[tuple[int, Sequence[int]]]:
         ring = self._grant_rings[dst]
         if rx_usable is None:
-            ports: Collection[int] = self._all_ports
+            ports: Sequence[int] = self._all_ports
         else:
             ports = [p for p in range(self._ports) if rx_usable(dst, p)]
             if not ports:
@@ -195,7 +226,7 @@ class NegotiaToRMatcher:
         if tx_usable is None or not any(
             not tx_usable(src, port) for src in candidates for port in ports
         ):
-            return zip(ports, ring.deal(candidates, len(ports)))
+            return ring.deal(candidates, ports)
         # A source with a failed egress port must not be granted that port:
         # fall back to per-port picks over per-port candidate sets.
         assigned = []
@@ -204,7 +235,7 @@ class NegotiaToRMatcher:
             src = ring.pick(eligible)
             if src is not None:
                 assigned.append((port, src))
-        return assigned
+        return _by_source(assigned)
 
     def _grant_thinclos(
         self,
@@ -212,22 +243,16 @@ class NegotiaToRMatcher:
         requests: Mapping[int, object],
         rx_usable: PortPredicate | None,
         tx_usable: PortPredicate | None,
-    ) -> list[tuple[int, int]]:
+    ) -> list[tuple[int, Sequence[int]]]:
         assigned = []
         rings = self._grant_rings[dst]
-        if rx_usable is None and tx_usable is None:
-            # The ring scan itself intersects with the request set (peek
-            # tests membership), so no per-port candidate set is needed.
-            for port in range(self._ports):
-                src = rings[port].pick(requests)
-                if src is not None:
-                    assigned.append((port, src))
-            return assigned
         for port in range(self._ports):
             if rx_usable is not None and not rx_usable(dst, port):
                 continue
             ring = rings[port]
             if tx_usable is None:
+                # The ring scan itself intersects with the request set
+                # (peek tests membership): no candidate set is needed.
                 src = ring.pick(requests)
             else:
                 eligible = {
@@ -238,7 +263,7 @@ class NegotiaToRMatcher:
                 src = ring.pick(eligible)
             if src is not None:
                 assigned.append((port, src))
-        return assigned
+        return _by_source(assigned)
 
     # ------------------------------------------------------------------
     # ACCEPT
@@ -246,36 +271,45 @@ class NegotiaToRMatcher:
 
     def accept_step(
         self,
-        grants_by_src: Mapping[int, list[tuple[int, int]]],
+        grants_by_src: Mapping[int, list[Grant]],
         tx_usable: PortPredicate | None = None,
-    ) -> list[Match]:
-        """Resolve source-side conflicts: one accepted grant per TX port."""
+    ) -> list[PairMatch]:
+        """Resolve source-side conflicts: one accepted grant per TX port,
+        picked by the port's ring; returns ``(src, dst, ports)`` groups, by
+        source, and within a source by each pair's first port."""
         tx_usable = _normalize_predicate(tx_usable)
-        matches: list[Match] = []
+        groups: list[PairMatch] = []
         buckets = self._accept_buckets
         for src, grants in grants_by_src.items():
             rings = self._accept_rings[src]
             last = -1
-            for _dst, port in grants:
-                if port <= last:
+            for _dst, ports in grants:
+                if ports[0] <= last:
                     break
-                last = port
+                last = ports[-1]
             else:
-                # Strictly increasing ports (a single grant, or one
-                # destination dealt every port): each port holds one
+                # Ports rise across the grants (a single grant, or
+                # destinations dealt disjoint ranges): each port holds one
                 # grant and grant order is port order, so no grouping.
-                for dst, port in grants:
-                    if tx_usable is None or tx_usable(src, port):
-                        if rings[port].pick_one(dst) is not None:
-                            matches.append(Match(src, port, dst))
+                for dst, ports in grants:
+                    kept = [
+                        p
+                        for p in ports
+                        if (tx_usable is None or tx_usable(src, p))
+                        and rings[p].pick_one(dst) is not None
+                    ]
+                    if kept:
+                        groups.append((src, dst, kept))
                 continue
             used = []
-            for dst, port in grants:
-                bucket = buckets[port]
-                if not bucket:
-                    used.append(port)
-                bucket.append(dst)
+            for dst, ports in grants:
+                for port in ports:
+                    bucket = buckets[port]
+                    if not bucket:
+                        used.append(port)
+                    bucket.append(dst)
             used.sort()
+            by_dst: dict[int, list[int]] = {}
             for port in used:
                 bucket = buckets[port]
                 if tx_usable is None or tx_usable(src, port):
@@ -284,9 +318,10 @@ class NegotiaToRMatcher:
                     else:
                         dst = rings[port].pick(bucket)
                     if dst is not None:
-                        matches.append(Match(src, port, dst))
+                        by_dst.setdefault(dst, []).append(port)
                 bucket.clear()
-        return matches
+            groups.extend((src, dst, kept) for dst, kept in by_dst.items())
+        return groups
 
     # ------------------------------------------------------------------
     # convenience
@@ -306,8 +341,8 @@ class NegotiaToRMatcher:
         grants_by_src, num_grants = self.grant_step(
             requests_by_dst, rx_usable, tx_usable
         )
-        matches = self.accept_step(grants_by_src, tx_usable)
-        return MatchingResult(matches=matches, num_grants=num_grants)
+        groups = self.accept_step(grants_by_src, tx_usable)
+        return MatchingResult(groups=groups, num_grants=num_grants)
 
 
 def validate_matching(matches: list[Match], topology: FlatTopology) -> None:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .matching import Match, NegotiaToRMatcher, PortPredicate
+from .matching import Grant, NegotiaToRMatcher, PairMatch, PortPredicate, count_ports
 
-GrantsBySrc = dict[int, list[tuple[int, int]]]
+GrantsBySrc = dict[int, list[Grant]]
 RequestsByDst = dict[int, dict[int, object]]
 GrantDelivery = Callable[[GrantsBySrc], GrantsBySrc]
 
@@ -57,7 +57,7 @@ class PipelinedScheduler:
         deliver_grants: GrantDelivery,
         rx_usable: PortPredicate | None = None,
         tx_usable: PortPredicate | None = None,
-    ) -> tuple[list[Match], int, int]:
+    ) -> tuple[list[PairMatch], int, int]:
         """Run one epoch's GRANT and ACCEPT stages.
 
         ``delivered_requests`` are this epoch's requests that survived the
@@ -66,9 +66,10 @@ class PipelinedScheduler:
         next epoch).
 
         Returns ``(matches, grants_answered, accepts)`` where ``matches``
-        drive this epoch's scheduled phase and ``grants_answered`` is the
-        number of grants those accepts respond to (issued one epoch earlier),
-        i.e. the denominator of this epoch's match ratio.
+        (``(src, dst, ports)`` groups) drive this epoch's scheduled phase,
+        ``accepts`` counts their ports and ``grants_answered`` is the number
+        of grants those accepts respond to (issued one epoch earlier), i.e.
+        the denominator of this epoch's match ratio.
         """
         grants_by_src, num_grants = self._matcher.grant_step(
             self._awaiting_grant, rx_usable, tx_usable
@@ -81,7 +82,7 @@ class PipelinedScheduler:
         self._awaiting_grant = dict(delivered_requests)
         self._awaiting_accept = surviving_grants
         self._grants_issued_last_epoch = num_grants
-        return matches, grants_answered, len(matches)
+        return matches, grants_answered, count_ports(matches)
 
     def reset(self) -> None:
         """Drop all in-flight messages (used after catastrophic failures)."""

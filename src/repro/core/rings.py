@@ -137,30 +137,32 @@ class RoundRobinRing:
                 by_rank[(index - pointer) % n] = member
         return [by_rank[rank] for rank in sorted(by_rank)]
 
-    def deal(self, candidates: Collection[int], count: int) -> list[int]:
-        """Make ``count`` consecutive picks over a fixed candidate set.
+    def deal(
+        self, candidates: Collection[int], ports: Sequence[int]
+    ) -> list[tuple[int, Sequence[int]]]:
+        """Deal ``ports`` round-robin over a fixed candidate set.
 
         Used by GRANT to allocate all ports of a destination ToR in one go:
-        with r candidates and m ports each candidate receives floor(m/r) or
-        ceil(m/r) picks, starting from the ring pointer.  The pointer ends up
-        right after the last pick, exactly as ``count`` calls to :meth:`pick`
-        would leave it.
+        port i goes to the (i mod k)-th of the k ranked candidates, so the
+        j-th ranked member receives ``ports[j::k]``.  Returns each dealt
+        member with its ports, by rank.  The pointer ends up right after
+        the last port's member, exactly as one :meth:`pick` per port would
+        leave it.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
         if len(candidates) == 1:
-            # A lone requester takes every pick: the pointer moves once,
+            # A lone requester takes every port: the pointer moves once,
             # past it, as pick_one moves it.
             (member,) = candidates
-            if count == 0 or self.pick_one(member) is None:
+            if not ports or self.pick_one(member) is None:
                 return []
-            return [member] * count
+            return [(member, ports)]
         ordered = self.ordered_candidates(candidates)
-        if not ordered or count == 0:
+        if not ordered or not ports:
             return []
-        picks = [ordered[i % len(ordered)] for i in range(count)]
-        self.advance_past(picks[-1])
-        return picks
+        del ordered[len(ports):]
+        k = len(ordered)
+        self.advance_past(ordered[(len(ports) - 1) % k])
+        return [(member, ports[j::k]) for j, member in enumerate(ordered)]
 
 
 def build_rings(

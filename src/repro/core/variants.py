@@ -32,12 +32,9 @@ from collections.abc import Mapping
 from ..topology.base import FlatTopology
 from ..topology.parallel import ParallelNetwork
 from .matching import (
-    Match,
-    NegotiaToRMatcher,
-    PortPredicate,
-    _all_ports_usable,
+    NegotiaToRMatcher, PairMatch, PortPredicate, _all_ports_usable, _by_source, count_ports,
 )
-from .pipeline import GrantDelivery, PipelinedScheduler, RequestsByDst
+from .pipeline import GrantDelivery, GrantsBySrc, PipelinedScheduler, RequestsByDst
 
 # ---------------------------------------------------------------------------
 # informative requests (A.2.3)
@@ -83,7 +80,7 @@ class ValuePriorityMatcher(NegotiaToRMatcher):
             src = ranked[index % len(ranked)]
             ring.advance_past(src)
             assigned.append((port, src))
-        return assigned
+        return _by_source(assigned)
 
     def _grant_thinclos(self, dst, requests, rx_usable, tx_usable):
         rx_usable = rx_usable or _all_ports_usable
@@ -103,7 +100,7 @@ class ValuePriorityMatcher(NegotiaToRMatcher):
             src = self._ranked(requests, eligible, ring)[0]
             ring.advance_past(src)
             assigned.append((port, src))
-        return assigned
+        return _by_source(assigned)
 
 
 class DataSizeScheduler(PipelinedScheduler):
@@ -191,7 +188,7 @@ class StatefulScheduler(PipelinedScheduler):
         deliver_grants: GrantDelivery,
         rx_usable: PortPredicate | None = None,
         tx_usable: PortPredicate | None = None,
-    ) -> tuple[list[Match], int, int]:
+    ) -> tuple[list[PairMatch], int, int]:
         # Grant only the pairs whose matrix still shows demand.
         granted_view = {
             dst: {
@@ -207,17 +204,18 @@ class StatefulScheduler(PipelinedScheduler):
         )
         new_tentative: dict[tuple[int, int, int], float] = {}
         for src, grants in grants_by_src.items():
-            for dst, port in grants:
+            for dst, ports in grants:
                 key = (dst, src)
-                reserve = min(self._matrix.get(key, 0.0), float(self._capacity))
-                self._matrix[key] = self._matrix.get(key, 0.0) - reserve
-                new_tentative[(src, port, dst)] = reserve
+                for port in ports:
+                    reserve = min(self._matrix.get(key, 0.0), float(self._capacity))
+                    self._matrix[key] = self._matrix.get(key, 0.0) - reserve
+                    new_tentative[(src, port, dst)] = reserve
         surviving_grants = deliver_grants(grants_by_src) if grants_by_src else {}
 
         matches = self._matcher.accept_step(self._awaiting_accept, tx_usable)
 
         # Resolve last epoch's reservations: accepted stand, rejected revert.
-        accepted = {(m.src, m.port, m.dst) for m in matches}
+        accepted = {(src, port, dst) for src, dst, ports in matches for port in ports}
         for key, reserve in self._tentative.items():
             if key not in accepted:
                 src, _port, dst = key
@@ -237,7 +235,7 @@ class StatefulScheduler(PipelinedScheduler):
                 if payload:
                     key = (dst, src)
                     self._matrix[key] = self._matrix.get(key, 0.0) + payload
-        return matches, grants_answered, len(matches)
+        return matches, grants_answered, count_ports(matches)
 
 
 # ---------------------------------------------------------------------------
@@ -268,30 +266,25 @@ class ProjecToRMatcher(NegotiaToRMatcher):
                 best_src, best_delay = src, delay
         return best_src
 
-    def _grant_parallel(self, dst, requests, rx_usable, tx_usable):
+    def _grant_ports(self, dst, requests, rx_usable, tx_usable):
         rx_usable = rx_usable or _all_ports_usable
         tx_usable = tx_usable or _all_ports_usable
         assigned = []
         for port in range(self._ports):
             if not rx_usable(dst, port):
                 continue
-            src = self._grant_for_port(requests, port, tx_usable)
-            if src is not None:
-                assigned.append((port, src))
-        return assigned
-
-    def _grant_thinclos(self, dst, requests, rx_usable, tx_usable):
-        rx_usable = rx_usable or _all_ports_usable
-        tx_usable = tx_usable or _all_ports_usable
-        assigned = []
-        for port in range(self._ports):
-            if not rx_usable(dst, port):
-                continue
-            members = set(self._grant_rings[dst][port].members)
+            # On thin-clos only the sources the port hears may win it.
+            members = (
+                None
+                if self._shared_grant_ring
+                else set(self._grant_rings[dst][port].members)
+            )
             src = self._grant_for_port(requests, port, tx_usable, members)
             if src is not None:
                 assigned.append((port, src))
-        return assigned
+        return _by_source(assigned)
+
+    _grant_parallel = _grant_thinclos = _grant_ports
 
 
 class ProjecToRScheduler(PipelinedScheduler):
@@ -336,7 +329,8 @@ class _IterativeProcess:
     def __init__(self, start_epoch: int, requests: RequestsByDst) -> None:
         self.start_epoch = start_epoch
         self.requests = requests
-        self.matches: list[Match] = []
+        # Each matched pair's ports over all rounds, in first-match order.
+        self.matches: dict[tuple[int, int], list[int]] = {}
         self.locked_tx: set[tuple[int, int]] = set()
         self.locked_rx: set[tuple[int, int]] = set()
 
@@ -366,7 +360,7 @@ class IterativeScheduler:
         self.iterations = iterations
         self._epoch = 0
         self._processes: dict[int, _IterativeProcess] = {}
-        self._grants_in_flight: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        self._grants_in_flight: dict[int, GrantsBySrc] = {}
         self._grants_issued: dict[int, int] = {}
 
     @property
@@ -401,7 +395,7 @@ class IterativeScheduler:
         deliver_grants: GrantDelivery,
         rx_usable: PortPredicate | None = None,
         tx_usable: PortPredicate | None = None,
-    ) -> tuple[list[Match], int, int]:
+    ) -> tuple[list[PairMatch], int, int]:
         rx_usable = rx_usable or _all_ports_usable
         tx_usable = tx_usable or _all_ports_usable
         epoch = self._epoch
@@ -409,8 +403,8 @@ class IterativeScheduler:
         if delivered_requests:
             self._processes[epoch] = _IterativeProcess(epoch, delivered_requests)
 
-        grants_to_send: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        finalized: list[Match] = []
+        grants_to_send: dict[int, GrantsBySrc] = {}
+        finalized: list[PairMatch] = []
         accepts = 0
         grants_answered = self._grants_issued.pop(epoch - 1, 0)
 
@@ -424,15 +418,15 @@ class IterativeScheduler:
                     grants_to_send[start] = grants
             elif phase == 2 and iteration < self.iterations:
                 round_matches = self._accept_round(process, start, tx_usable)
-                accepts += len(round_matches)
-                process.matches.extend(round_matches)
+                accepts += count_ports(round_matches)
                 if iteration == self.iterations - 1:
-                    finalized.extend(process.matches)
+                    matched = process.matches.items()
+                    finalized.extend((src, dst, ports) for (src, dst), ports in matched)
                     del self._processes[start]
 
         issued = 0
         for start, grants in grants_to_send.items():
-            issued += sum(len(g) for g in grants.values())
+            issued += sum(len(ports) for gs in grants.values() for _, ports in gs)
             surviving = deliver_grants(grants)
             self._grants_in_flight[start] = surviving
         self._grants_issued[epoch] = issued
@@ -470,9 +464,12 @@ class IterativeScheduler:
             return (tor, port) not in process.locked_tx and tx_usable(tor, port)
 
         matches = self._matcher.accept_step(grants, tx_free)
-        for match in matches:
-            process.locked_tx.add((match.src, match.port))
-            process.locked_rx.add((match.dst, match.port))
+        for src, dst, ports in matches:
+            # A pair matched in several rounds drains all its ports at once.
+            process.matches.setdefault((src, dst), []).extend(ports)
+            for port in ports:
+                process.locked_tx.add((src, port))
+                process.locked_rx.add((dst, port))
         return matches
 
     def reset(self) -> None:

@@ -408,8 +408,10 @@ class CircuitKernel(StepKernel):
         n = config.num_tors
         self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._direct_pending = [0] * n
+        self._new_direct = PiasDestQueue.maker(self._band_limits, bool(self._band_limits))
         self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._relay_pending = [0] * n
+        self._new_relay = PiasDestQueue.maker((), False)
         self.bandwidth = bandwidth_recorder
         self._tracer = tracer
 
@@ -438,9 +440,7 @@ class CircuitKernel(StepKernel):
         """The (tor, peer) first-hop queue, made on first use."""
         queue = self._direct[tor].get(peer)
         if queue is None:
-            queue = self._direct[tor][peer] = PiasDestQueue(
-                self._band_limits, enabled=bool(self._band_limits)
-            )
+            queue = self._direct[tor][peer] = self._new_direct()
         return queue
 
     def _enqueue(self, flow: Flow) -> None:
@@ -469,7 +469,7 @@ class CircuitKernel(StepKernel):
         """
         queue = self._relay[via].get(flow.dst)
         if queue is None:
-            queue = self._relay[via][flow.dst] = PiasDestQueue((), False)
+            queue = self._relay[via][flow.dst] = self._new_relay()
         queue.enqueue_bytes(flow, num_bytes, band=0, eligible_ns=eligible_ns)
         self._relay_pending[via] += num_bytes
         if self.bandwidth is not None:

@@ -37,8 +37,10 @@ import random
 from collections.abc import Iterable
 from time import perf_counter
 
-from ..core.matching import Match, NegotiaToRMatcher
-from ..core.pipeline import PipelinedScheduler
+from ..core.matching import (
+    Match, NegotiaToRMatcher, PairMatch, count_ports, per_port_matches,
+)
+from ..core.pipeline import GrantsBySrc, PipelinedScheduler
 from ..topology.base import FlatTopology
 from .buffers import ReceiverBuffer
 from .config import EpochTiming, SimConfig
@@ -49,9 +51,7 @@ from .metrics import BandwidthRecorder, MatchRatioRecorder
 from .queues import PiasDestQueue
 
 
-def _every_grant_arrives(
-    grants_by_src: dict[int, list[tuple[int, int]]],
-) -> dict[int, list[tuple[int, int]]]:
+def _every_grant_arrives(grants_by_src: GrantsBySrc) -> GrantsBySrc:
     """Grant delivery while no link is down: nothing is lost."""
     return grants_by_src
 
@@ -125,6 +125,9 @@ class NegotiaToRSimulator(StepKernel):
         # n^2 - n pair space.  They are kept once created: the stateful
         # variant reads each queue's monotonic enqueue counter.
         self._queues: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
+        self._new_queue = PiasDestQueue.maker(
+            config.pias_thresholds, config.priority_queue_enabled
+        )
         self._active_pairs: set[tuple[int, int]] = set()
         # Incremental accounting (DESIGN.md section 6): total backlog and the
         # set of pairs above the REQUEST threshold are updated at every
@@ -168,9 +171,7 @@ class NegotiaToRSimulator(StepKernel):
         row = self._queues[src]
         queue = row.get(dst)
         if queue is None:
-            queue = row[dst] = PiasDestQueue(
-                self.config.pias_thresholds, self.config.priority_queue_enabled
-            )
+            queue = row[dst] = self._new_queue()
         return queue
 
     @property
@@ -201,7 +202,12 @@ class NegotiaToRSimulator(StepKernel):
     # ------------------------------------------------------------------
 
     def step_epoch(self) -> list[Match]:
-        """Simulate one full epoch; returns the matching it used."""
+        """Simulate one epoch; returns the matching it used, one Match per port."""
+        return per_port_matches(self.step())
+
+    def step(self) -> list[PairMatch]:
+        """Simulate one full epoch; returns the matching it used as
+        ``(src, dst, ports)`` groups, which the run loops discard."""
         epoch = self._step
         start_ns = self.now_ns
         timing = self.timing
@@ -254,7 +260,7 @@ class NegotiaToRSimulator(StepKernel):
             )
             tracer.count("grants", int(grants_answered))
             tracer.count("accepts", int(accepts))
-            tracer.count("matches", len(matches))
+            tracer.count("matches", count_ports(matches))
             delivered = self.tracker.delivered_bytes
 
         if timing.piggyback_enabled:
@@ -294,8 +300,6 @@ class NegotiaToRSimulator(StepKernel):
                 active_pairs=len(self._active_pairs),
             )
         return matches
-
-    step = step_epoch
 
     # ------------------------------------------------------------------
     # internals
@@ -360,22 +364,21 @@ class NegotiaToRSimulator(StepKernel):
                 delivered.setdefault(dst, {})[src] = payload
         return delivered
 
-    def _deliver_grants(
-        self, grants_by_src: dict[int, list[tuple[int, int]]], epoch: int
-    ) -> dict[int, list[tuple[int, int]]]:
+    def _deliver_grants(self, grants_by_src: GrantsBySrc, epoch: int) -> GrantsBySrc:
         """Route GRANTs (dst -> src messages) through the predefined phase.
 
+        A grant's ports share one message, so it arrives or is lost whole.
         Called only while some link is down.
         """
-        delivered: dict[int, list[tuple[int, int]]] = {}
+        delivered: GrantsBySrc = {}
         failures = self.failures
         topology = self.topology
         for src, grants in grants_by_src.items():
             kept = []
-            for dst, port in grants:
-                _slot, msg_port = topology.predefined_assignment(dst, src, epoch)
-                if failures.transmission_ok(dst, msg_port, src, msg_port):
-                    kept.append((dst, port))
+            for grant in grants:
+                _slot, msg_port = topology.predefined_assignment(grant[0], src, epoch)
+                if failures.transmission_ok(grant[0], msg_port, src, msg_port):
+                    kept.append(grant)
             if kept:
                 delivered[src] = kept
         return delivered
@@ -427,8 +430,14 @@ class NegotiaToRSimulator(StepKernel):
         for pair in emptied:
             self._active_pairs.discard(pair)
 
-    def _run_scheduled_phase(self, matches: list[Match], start_ns: float) -> None:
-        """Drain queues along the accepted matching, one packet per slot."""
+    def _run_scheduled_phase(self, matches: list[PairMatch], start_ns: float) -> None:
+        """Drain queues along the accepted matching, one packet per slot.
+
+        A pair may be matched on several ports (parallel network): its
+        queue is drained over the union of the ports' slots, filling all
+        ports of a timeslot before moving to the next (in-order delivery,
+        section 3.6.5).
+        """
         timing = self.timing
         payload = timing.data_payload_bytes
         propagation = self.config.propagation_ns
@@ -437,22 +446,9 @@ class NegotiaToRSimulator(StepKernel):
         tracker = self.tracker
         scheduler = self.scheduler
         record = self._rx_buffers is not None or self.bandwidth is not None
-
-        # A pair may be matched on several ports (parallel network): its
-        # queue is drained over the union of the ports' slots, filling all
-        # ports of a timeslot before moving to the next (in-order delivery,
-        # section 3.6.5).
-        ports_by_pair: dict[tuple[int, int], list[int]] = {}
-        for src, port, dst in matches:
-            ports = ports_by_pair.get((src, dst))
-            if ports is None:
-                ports_by_pair[src, dst] = [port]
-            else:
-                ports.append(port)
-
         slot_ns = timing.scheduled_slot_ns
         phase_start = start_ns + timing.predefined_ns
-        for (src, dst), ports in ports_by_pair.items():
+        for src, dst, ports in matches:
             if check:
                 ports = [
                     p for p in ports if failures.transmission_ok(src, p, dst, p)
@@ -515,13 +511,13 @@ class NegotiaToRSimulator(StepKernel):
     # selective relay extension points (appendix A.2.2)
     # ------------------------------------------------------------------
 
-    def _plan_relay(self, epoch: int, start_ns: float, matches: list[Match]):
+    def _plan_relay(self, epoch: int, start_ns: float, matches: list[PairMatch]):
         """Hook for the traffic-aware selective relay; the base engine never
         relays (all data is one-hop, section 3.5)."""
         return []
 
     def _run_relay_transmissions(
-        self, assignments, matches: list[Match], start_ns: float
+        self, assignments, matches: list[PairMatch], start_ns: float
     ) -> None:
         """Execute planned first-hop relay transmissions on leftover links.
 
@@ -536,8 +532,8 @@ class NegotiaToRSimulator(StepKernel):
         propagation = self.config.propagation_ns
         phase_start = start_ns + timing.predefined_ns
         slot_ns = timing.scheduled_slot_ns
-        busy_tx = {(m.src, m.port) for m in matches}
-        busy_rx = {(m.dst, m.port) for m in matches}
+        busy_tx = {(src, port) for src, _dst, ports in matches for port in ports}
+        busy_rx = {(dst, port) for _src, dst, ports in matches for port in ports}
         failures = self.failures
         check = failures.any_failed
         lowest_band = self.config.num_priority_bands - 1

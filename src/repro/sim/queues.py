@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .flows import Flow
@@ -60,6 +60,20 @@ class PiasDestQueue:
         )
         self._pending = 0
         self._total_enqueued = 0
+
+    @classmethod
+    def maker(cls, thresholds: Sequence[int], enabled: bool = True) -> Callable:
+        """A constructor of empty queues over ``thresholds``, checked once."""
+        limits = cls(thresholds, enabled)._thresholds
+        no_segments = ((),) * (len(limits) + 1)
+
+        def make() -> PiasDestQueue:
+            queue = cls.__new__(cls)
+            queue._thresholds, queue._bands = limits, tuple(map(deque, no_segments))
+            queue._pending = queue._total_enqueued = 0
+            return queue
+
+        return make
 
     @property
     def num_bands(self) -> int:

@@ -117,26 +117,29 @@ class EngineTracer:
     # -- flushing ----------------------------------------------------------
 
     def sample(self, sim_ns: int, **gauges) -> None:
-        """Flush the window: span/counter deltas plus current gauges."""
+        """Flush the window (span/counter deltas, gauges) in one sink call."""
+        events = []
         for phase, wall_s in self._window_spans.items():
             self._total_spans[phase] = (
                 self._total_spans.get(phase, 0.0) + wall_s
             )
-            self.sink.emit(self._event(
+            events.append(self._event(
                 ev.SPAN, phase=phase, wall_s=wall_s, sim_ns=sim_ns,
             ))
         self._window_spans.clear()
         for name, delta in self._window_counts.items():
             self._total_counts[name] = self._total_counts.get(name, 0) + delta
-            self.sink.emit(self._event(
+            events.append(self._event(
                 ev.COUNTER, name=name, delta=delta, sim_ns=sim_ns,
             ))
         self._window_counts.clear()
         for name, value in gauges.items():
             self._last_gauges[name] = value
-            self.sink.emit(self._event(
+            events.append(self._event(
                 ev.GAUGE, name=name, value=value, sim_ns=sim_ns,
             ))
+        if events:
+            self.sink.emit_many(events)
         if sim_ns >= self._next_sample_ns:
             periods = (sim_ns - self._next_sample_ns) // self.cadence_ns + 1
             self._next_sample_ns += periods * self.cadence_ns

@@ -7,12 +7,12 @@ plus the kind-specific payload described by :data:`EVENT_SCHEMA`
 are validation errors, so a reader that validates today keeps working on
 every file this version wrote.
 
-Two sinks share the ``emit(dict)`` interface:
+Two sinks share the ``emit(dict)`` and ``emit_many(events)`` interface:
 
-* :class:`TelemetryWriter` — appends to a JSONL file with single
-  ``O_APPEND`` writes (the quarantine-log idiom), so the sweep runner and
-  any number of forked workers can interleave events into one file
-  without locks; a crash can at worst tear the final line.
+* :class:`TelemetryWriter` — appends to a JSONL file with one ``O_APPEND``
+  write of whole lines per call (the quarantine-log idiom), so the sweep
+  runner and any number of forked workers can interleave events into one
+  file without locks; a crash can at worst tear the final line.
 * :class:`MemorySink` — an in-process list, for tests.
 
 :func:`read_events` mirrors the result store's tolerance: torn or
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 TELEMETRY_VERSION = 1
@@ -160,10 +161,16 @@ class TelemetryWriter:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def emit(self, event: dict) -> None:
-        data = (json.dumps(event, sort_keys=True) + "\n").encode()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.emit_many((event,))
+
+    def emit_many(self, events: Iterable[dict]) -> None:
+        """Append ``events``, in order, with one write."""
+        data = "".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in events
+        ).encode()
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(fd, data)
@@ -179,6 +186,9 @@ class MemorySink:
 
     def emit(self, event: dict) -> None:
         self.events.append(event)
+
+    def emit_many(self, events: Iterable[dict]) -> None:
+        self.events.extend(events)
 
     def of_kind(self, kind: str) -> list[dict]:
         return [event for event in self.events if event.get("kind") == kind]

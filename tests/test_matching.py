@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.matching import Match, NegotiaToRMatcher, validate_matching
+from repro.core.matching import (
+    Match,
+    NegotiaToRMatcher,
+    per_port_matches,
+    validate_matching,
+)
 from repro.topology.parallel import ParallelNetwork
 from repro.topology.thinclos import ThinClos
 
@@ -15,6 +20,14 @@ def saturated_requests(n):
     """Everyone requests everyone: dst -> {src: None}."""
     return {
         dst: {src: None for src in range(n) if src != dst} for dst in range(n)
+    }
+
+
+def per_port_grants(grants):
+    """``src -> [(dst, port), ...]``: each grant's ports, one by one."""
+    return {
+        src: [(dst, port) for dst, ports in gs for port in ports]
+        for src, gs in grants.items()
     }
 
 
@@ -31,7 +44,7 @@ class TestGrantParallel:
         matcher = NegotiaToRMatcher(topo, random.Random(0))
         grants, num = matcher.grant_step(saturated_requests(8))
         assert num == 8 * 2  # every destination grants every port
-        granted_ports = [g for gs in grants.values() for g in gs]
+        granted_ports = [g for gs in per_port_grants(grants).values() for g in gs]
         assert len(granted_ports) == 16
 
     def test_single_request_gets_all_ports(self):
@@ -39,14 +52,18 @@ class TestGrantParallel:
         matcher = NegotiaToRMatcher(topo, random.Random(0))
         grants, num = matcher.grant_step({3: {5: None}})
         assert num == 4
-        assert grants == {5: [(3, 0), (3, 1), (3, 2), (3, 3)]}
+        # One grant carries every port: a lone requester is dealt them all.
+        assert grants == {5: [(3, (0, 1, 2, 3))]}
 
     def test_two_requests_split_ports(self):
         topo = ParallelNetwork(8, 4)
         matcher = NegotiaToRMatcher(topo, random.Random(0))
         grants, _ = matcher.grant_step({3: {5: None, 6: None}})
-        assert len(grants[5]) == 2
-        assert len(grants[6]) == 2
+        assert [len(ports) for _dst, ports in grants[5]] == [2]
+        assert [len(ports) for _dst, ports in grants[6]] == [2]
+        assert sorted(
+            port for gs in grants.values() for _dst, ports in gs for port in ports
+        ) == [0, 1, 2, 3]
 
     def test_self_request_ignored(self):
         topo = ParallelNetwork(8, 2)
@@ -80,7 +97,7 @@ class TestGrantThinClos:
         topo = ThinClos(16, 4, 4)
         matcher = NegotiaToRMatcher(topo, random.Random(1))
         grants, _ = matcher.grant_step(saturated_requests(16))
-        for src, port_grants in grants.items():
+        for src, port_grants in per_port_grants(grants).items():
             for dst, port in port_grants:
                 assert src in topo.reachable_srcs(dst, port)
 
@@ -89,7 +106,7 @@ class TestGrantThinClos:
         matcher = NegotiaToRMatcher(topo, random.Random(1))
         grants, num = matcher.grant_step(saturated_requests(16))
         per_dst_ports = {}
-        for src, port_grants in grants.items():
+        for src, port_grants in per_port_grants(grants).items():
             for dst, port in port_grants:
                 key = (dst, port)
                 assert key not in per_dst_ports
@@ -103,7 +120,7 @@ class TestGrantThinClos:
         # ToR 1 (group 0) can only reach ToR 6 (group 1) via port 1.
         grants, num = matcher.grant_step({6: {1: None}})
         assert num == 1
-        assert grants[1] == [(6, 1)]
+        assert per_port_grants(grants)[1] == [(6, 1)]
 
 
 class TestAccept:
@@ -111,7 +128,7 @@ class TestAccept:
         topo = ParallelNetwork(8, 2)
         matcher = NegotiaToRMatcher(topo, random.Random(0))
         # Source 0 gets port-0 grants from two destinations.
-        matches = matcher.accept_step({0: [(1, 0), (2, 0)]})
+        matches = per_port_matches(matcher.accept_step({0: [(1, (0,)), (2, (0,))]}))
         assert len(matches) == 1
         assert matches[0].src == 0
         assert matches[0].port == 0
@@ -120,24 +137,39 @@ class TestAccept:
     def test_different_ports_both_accepted(self):
         topo = ParallelNetwork(8, 2)
         matcher = NegotiaToRMatcher(topo, random.Random(0))
-        matches = matcher.accept_step({0: [(1, 0), (2, 1)]})
-        assert {(m.port, m.dst) for m in matches} == {(0, 1), (1, 2)}
+        groups = matcher.accept_step({0: [(1, (0,)), (2, (1,))]})
+        assert groups == [(0, 1, [0]), (0, 2, [1])]
 
     def test_accept_fairness_rotates(self):
         topo = ParallelNetwork(4, 1)
         matcher = NegotiaToRMatcher(topo, random.Random(0))
         winners = [
-            matcher.accept_step({0: [(1, 0), (2, 0)]})[0].dst for _ in range(4)
+            matcher.accept_step({0: [(1, (0,)), (2, (0,))]})[0][1]
+            for _ in range(4)
         ]
         assert winners in ([1, 2, 1, 2], [2, 1, 2, 1])
 
     def test_tx_unusable_port_rejects_all(self):
         topo = ParallelNetwork(8, 2)
         matcher = NegotiaToRMatcher(topo, random.Random(0))
-        matches = matcher.accept_step(
-            {0: [(1, 0), (2, 1)]}, tx_usable=lambda t, p: p != 0
+        groups = matcher.accept_step(
+            {0: [(1, (0,)), (2, (1,))]}, tx_usable=lambda t, p: p != 0
         )
-        assert [(m.port, m.dst) for m in matches] == [(1, 2)]
+        assert groups == [(0, 2, [1])]
+
+    def test_dealt_ports_accepted_as_one_group(self):
+        """A destination dealt every port arrives as one grant and leaves
+        ACCEPT as one per-pair group; a port another destination also
+        granted is contended, so the pair keeps only the ports it won."""
+        topo = ParallelNetwork(8, 4)
+        matcher = NegotiaToRMatcher(topo, random.Random(0))
+        assert matcher.accept_step({0: [(3, (0, 1, 2, 3))]}) == [
+            (0, 3, [0, 1, 2, 3])
+        ]
+        groups = matcher.accept_step({0: [(3, (0, 2)), (5, (1, 2))]})
+        won = {dst: ports for _src, dst, ports in groups}
+        assert won[3][0] == 0 and won[5][0] == 1
+        assert sorted(won[3] + won[5]) == [0, 1, 2]
 
 
 class TestRunEpochInvariants:
@@ -209,6 +241,47 @@ class TestRunEpochInvariants:
             result.match_ratio
 
 
+class TestSaturatedLockIn:
+    """Under a saturated all-to-all the GRANT pointers never change their
+    offsets from one another (every destination deals every port each
+    epoch), so the matching locks in: the per-epoch accept count repeats
+    exactly from the first epoch, and the initial ring pointers, drawn from
+    the seed, set the level it repeats at."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize(
+        "topology, period",
+        [
+            (ParallelNetwork(16, 4), 15),
+            (ParallelNetwork(8, 2), 7),
+            (ThinClos(16, 4, 4), 3),
+        ],
+        ids=["parallel-16x4", "parallel-8x2", "thinclos-16x4x4"],
+    )
+    def test_accept_count_is_periodic_from_the_first_epoch(
+        self, topology, period, seed
+    ):
+        matcher = NegotiaToRMatcher(topology, random.Random(seed))
+        requests = saturated_requests(topology.num_tors)
+        accepts = [
+            matcher.run_epoch(requests).num_accepts for _ in range(4 * period)
+        ]
+        assert accepts[period:] == accepts[:-period]
+
+    def test_seed_sets_the_locked_in_match_ratio(self):
+        ratios = []
+        for seed in (1, 2):
+            matcher = NegotiaToRMatcher(ParallelNetwork(16, 4), random.Random(seed))
+            results = [
+                matcher.run_epoch(saturated_requests(16)) for _ in range(15)
+            ]
+            ratios.append(
+                sum(r.num_accepts for r in results)
+                / sum(r.num_grants for r in results)
+            )
+        assert ratios[0] != ratios[1]
+
+
 class TestUsabilityPredicates:
     def test_rx_unusable_port_is_not_granted(self):
         topo = ParallelNetwork(8, 2)
@@ -217,7 +290,7 @@ class TestUsabilityPredicates:
             {3: {5: None}}, rx_usable=lambda t, p: p != 1
         )
         assert num == 1
-        assert grants[5] == [(3, 0)]
+        assert per_port_grants(grants)[5] == [(3, 0)]
 
     def test_tx_unusable_port_not_granted_in_parallel(self):
         """Destinations avoid granting a port whose source egress is down."""
@@ -226,7 +299,7 @@ class TestUsabilityPredicates:
         grants, _ = matcher.grant_step(
             {3: {5: None}}, tx_usable=lambda t, p: not (t == 5 and p == 0)
         )
-        assert grants[5] == [(3, 1)]
+        assert per_port_grants(grants)[5] == [(3, 1)]
 
     def test_tx_unusable_port_not_granted_in_thinclos(self):
         topo = ThinClos(16, 4, 4)

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.matching import NegotiaToRMatcher
+from repro.core.matching import NegotiaToRMatcher, per_port_matches
 from repro.core.pipeline import PipelinedScheduler
 from repro.topology.parallel import ParallelNetwork
 
@@ -29,8 +29,9 @@ class TestPipelineLatency:
 
         matches2, answered2, accepts2 = pipeline.advance({}, identity_delivery)
         # The lone requester was granted both of ToR 1's ports and accepts
-        # both: two parallel links for the pair.
-        assert {(m.src, m.port, m.dst) for m in matches2} == {(0, 0, 1), (0, 1, 1)}
+        # both: two parallel links for the pair, in one per-pair group.
+        assert matches2 == [(0, 1, [0, 1])]
+        assert set(per_port_matches(matches2)) == {(0, 0, 1), (0, 1, 1)}
         assert answered2 == 2
         assert accepts2 == 2
 
@@ -41,7 +42,7 @@ class TestPipelineLatency:
         outputs = [pipeline.advance(request, identity_delivery)[0] for _ in range(6)]
         assert outputs[0] == [] and outputs[1] == []
         for matches in outputs[2:]:
-            assert {(m.src, m.dst) for m in matches} == {(0, 1)}
+            assert {(src, dst) for src, dst, _ports in matches} == {(0, 1)}
 
     def test_lost_grants_cannot_be_accepted(self):
         pipeline = make_pipeline()

@@ -67,6 +67,22 @@ class TestEnqueue:
         with pytest.raises(ValueError):
             PiasDestQueue((10000, 1000))
 
+    def test_maker_checks_once_and_builds_independent_queues(self):
+        with pytest.raises(ValueError):
+            PiasDestQueue.maker((10000, 1000))
+        for enabled in (True, False):
+            make = PiasDestQueue.maker(list(THRESHOLDS), enabled)
+            first, second = make(), make()
+            built = PiasDestQueue(THRESHOLDS, enabled)
+            assert first.num_bands == second.num_bands == built.num_bands
+            for queue in (first, built):
+                queue.enqueue_flow(make_flow(50000))
+            assert [first.band_bytes(b) for b in range(first.num_bands)] == [
+                built.band_bytes(b) for b in range(built.num_bands)
+            ]
+            assert first.pending_bytes == first.total_enqueued_bytes == 50000
+            assert second.is_empty and second.total_enqueued_bytes == 0
+
 
 class TestHeadBand:
     def test_priority_order(self):

@@ -88,26 +88,29 @@ class TestPick:
 class TestDeal:
     def test_splits_ports_evenly(self):
         ring = RoundRobinRing([0, 1, 2, 3], start=0)
-        assert ring.deal({0, 1}, 4) == [0, 1, 0, 1]
+        assert ring.deal({0, 1}, (0, 1, 2, 3)) == [(0, (0, 2)), (1, (1, 3))]
 
     def test_pointer_ends_after_last_pick(self):
         ring = RoundRobinRing([0, 1, 2, 3], start=0)
-        ring.deal({0, 1}, 3)  # picks 0, 1, 0
+        ring.deal({0, 1}, (0, 1, 2))  # ports go to 0, 1, 0
         assert ring.pointer == 1
 
     def test_empty_candidates_deal_nothing(self):
         ring = RoundRobinRing([0, 1, 2], start=1)
-        assert ring.deal(set(), 3) == []
+        assert ring.deal(set(), (0, 1, 2)) == []
         assert ring.pointer == 1
 
     def test_zero_count_deals_nothing(self):
         ring = RoundRobinRing([0, 1, 2], start=1)
-        assert ring.deal({0, 1, 2}, 0) == []
+        assert ring.deal({0, 1, 2}, ()) == []
+        assert ring.pointer == 1
 
-    def test_rejects_negative_count(self):
-        ring = RoundRobinRing([0, 1, 2])
-        with pytest.raises(ValueError):
-            ring.deal({0}, -1)
+    def test_fewer_ports_than_candidates(self):
+        """Each port goes to one of the top-ranked candidates, and the
+        pointer stops after the last of them."""
+        ring = RoundRobinRing([0, 1, 2, 3, 4], start=3)
+        assert ring.deal({0, 1, 3, 4}, (5, 7)) == [(3, (5,)), (4, (7,))]
+        assert ring.pointer == 0
 
     def test_ordered_candidates_respects_pointer(self):
         ring = RoundRobinRing([0, 1, 2, 3], start=2)
@@ -121,7 +124,7 @@ class TestDeal:
         form=st.sampled_from(["set", "list", "dict"]),
     )
     # A lone candidate takes deal()'s one-requester path: a member dealt
-    # every pick, a non-member dealt none, and a member dealt zero picks.
+    # every port, a non-member dealt none, and a member dealt no ports.
     @example(size=128, start=127, drawn=[5], count=8, form="dict")
     @example(size=16, start=3, drawn=[100], count=8, form="dict")
     @example(size=16, start=3, drawn=[7], count=0, form="set")
@@ -130,7 +133,9 @@ class TestDeal:
         """ordered_candidates() and deal() are shortcuts for repeated
         pick() — prove it on rings up to the parallel network's 127
         members, with few candidates and many (both of peek's paths), given
-        as a set, a list with duplicates or a dict, non-members included."""
+        as a set, a list with duplicates or a dict, non-members included:
+        each port goes to the member one pick per port would choose, and
+        the pointer ends where those picks leave it."""
         start %= size
         members = list(range(size))
         candidates = {
@@ -144,10 +149,16 @@ class TestDeal:
         assert ordered == [ranked.pick(candidates) for _ in eligible]
         fast = RoundRobinRing(members, start=start)
         slow = RoundRobinRing(members, start=start)
-        dealt = fast.deal(candidates, count)
-        picked = [slow.pick(candidates) for _ in range(count)]
-        picked = [p for p in picked if p is not None]
-        assert dealt == picked
+        ports = tuple(range(3, 3 + 2 * count, 2))
+        dealt = fast.deal(candidates, ports)
+        picked = [(port, slow.pick(candidates)) for port in ports]
+        picked = [(port, member) for port, member in picked if member is not None]
+        assert sorted(
+            (port, member) for member, got in dealt for port in got
+        ) == picked
+        # Members come back by rank, each with a rising slice of the ports.
+        assert [member for member, _got in dealt] == ordered[: len(dealt)]
+        assert all(list(got) == sorted(got) for _member, got in dealt)
         assert fast.pointer == slow.pointer
 
     @given(

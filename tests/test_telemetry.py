@@ -279,6 +279,107 @@ class TestEngineTracer:
         with pytest.raises(ValueError):
             EngineTracer(MemorySink(), "negotiator", cadence_ns=0)
 
+    def test_flush_is_one_sink_call(self):
+        """A cadence flush hands its spans, counters and gauges to the
+        sink in one call, in that order."""
+        calls = []
+
+        class Recorder:
+            def emit(self, event):
+                calls.append([event])
+
+            def emit_many(self, events):
+                calls.append(list(events))
+
+        tracer = EngineTracer(Recorder(), "negotiator", cadence_ns=100)
+        tracer.add_span("matching", 0.25)
+        tracer.add_span("drain", 0.5)
+        tracer.count("grants", 3)
+        tracer.sample(100, queued_bytes=10, active_pairs=2)
+        tracer.sample(200)  # an empty window writes nothing
+        tracer.finish(300)
+        (flush, (run_end,)) = calls
+        assert [(e["kind"], e.get("phase") or e.get("name")) for e in flush] == [
+            ("span", "matching"),
+            ("span", "drain"),
+            ("counter", "grants"),
+            ("gauge", "queued_bytes"),
+            ("gauge", "active_pairs"),
+        ]
+        assert run_end["kind"] == "run-end"
+
+    def test_writer_makes_its_directory_once(self, tmp_path, monkeypatch):
+        made = []
+        real_mkdir = Path.mkdir
+
+        def mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        path = tmp_path / "runs" / "events.jsonl"
+        writer = TelemetryWriter(path)
+        event = make_event("counter", engine="e", name="n", delta=1, sim_ns=0)
+        writer.emit(event)
+        writer.emit_many([event, event])
+        writer.emit_many([])
+        assert made == [path.parent]
+        assert read_events(path) == ([event] * 3, 0)
+
+    def test_forked_writers_append_whole_lines(self, tmp_path):
+        """More forked writers than cores append cadence flushes, each
+        larger than a pipe buffer, to one file: every line parses and
+        validates, no event is lost or doubled, and each writer's events
+        keep their order."""
+        import multiprocessing
+        import time
+
+        cores = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        writers = min(cores, 62) + 2
+        flushes, names = 40, 24
+        path = tmp_path / "events.jsonl"
+
+        def write(worker):
+            tracer = EngineTracer(
+                TelemetryWriter(path), "negotiator",
+                spec_hash=f"w{worker}", cadence_ns=1,
+            )
+            gauges = {f"gauge_{i}": float(i) for i in range(names)}
+            for flush in range(1, flushes + 1):
+                for i in range(names):
+                    tracer.add_span(f"phase-{i}", 0.001)
+                    tracer.count(f"counter-{i}", flush)
+                tracer.sample(flush, **gauges)
+
+        context = multiprocessing.get_context("fork")
+        procs = [context.Process(target=write, args=(w,)) for w in range(writers)]
+        for proc in procs:
+            proc.start()
+        deadline = time.monotonic() + 60.0
+        for proc in procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+        hung = [proc for proc in procs if proc.is_alive()]
+        for proc in hung:
+            proc.kill()
+            proc.join()
+        assert not hung, f"{len(hung)} writers still running after 60 s"
+        assert [proc.exitcode for proc in procs] == [0] * writers
+
+        events, torn = read_events(path)
+        assert torn == 0
+        per_flush = 3 * names
+        assert len(events) == writers * flushes * per_flush
+        assert all(validate_event(event) == [] for event in events)
+        by_writer: dict[str, list[int]] = {}
+        for event in events:
+            by_writer.setdefault(event["spec"], []).append(event["sim_ns"])
+        expected = [f for f in range(1, flushes + 1) for _ in range(per_flush)]
+        assert by_writer == {f"w{w}": expected for w in range(writers)}
+
 
 # ---------------------------------------------------------------------------
 # observation-only: identical results with telemetry off and on

@@ -12,7 +12,11 @@ from repro import (
     ThinClos,
     poisson_workload,
 )
-from repro.core.matching import NegotiaToRMatcher, validate_matching
+from repro.core.matching import (
+    NegotiaToRMatcher,
+    per_port_matches,
+    validate_matching,
+)
 from repro.core.variants import (
     DataSizeScheduler,
     HolDelayScheduler,
@@ -89,7 +93,7 @@ class TestIterativeScheduler:
             matches, _, _ = scheduler.advance(requests, lambda g: g)
             outs.append(matches)
         assert outs[0] == [] and outs[1] == []
-        assert {(m.src, m.dst) for m in outs[2]} == {(0, 1)}
+        assert {(src, dst) for src, dst, _ports in outs[2]} == {(0, 1)}
 
     def test_three_iterations_finalize_after_eight_epochs(self):
         matcher = NegotiaToRMatcher(ParallelNetwork(8, 2), random.Random(0))
@@ -101,7 +105,7 @@ class TestIterativeScheduler:
             outs.append(matches)
         for epoch in range(8):
             assert outs[epoch] == []
-        assert {(m.src, m.dst) for m in outs[8]} == {(0, 1)}
+        assert {(src, dst) for src, dst, _ports in outs[8]} == {(0, 1)}
 
     def test_iterations_add_matches_on_locked_out_ports(self):
         """A second iteration matches a port the first round left unmatched."""
@@ -121,10 +125,13 @@ class TestIterativeScheduler:
                 final = matches
                 break
         assert final is not None
-        validate_matching(final, topo)
-        # Both sources' ports are fully used after two rounds.
-        tx_used = {(m.src, m.port) for m in final}
+        validate_matching(per_port_matches(final), topo)
+        # Both sources' ports are fully used after two rounds, and a pair
+        # matched in both rounds drains its ports as one group.
+        tx_used = {(m.src, m.port) for m in per_port_matches(final)}
         assert len(tx_used) == 4
+        pairs = [(src, dst) for src, dst, _ports in final]
+        assert len(pairs) == len(set(pairs))
 
     def test_iterative_delays_elephant_start(self):
         """ITER_III starts transmitting scheduled data 6 epochs later."""
@@ -344,8 +351,8 @@ class TestProjecToRScheduler:
             {3: {0: (0, 100.0), 1: (0, 900.0), 2: (1, 50.0)}}
         )
         assert num == 2
-        assert grants[1] == [(3, 0)]  # longest wait on port 0
-        assert grants[2] == [(3, 1)]  # only request on port 1
+        assert grants[1] == [(3, [0])]  # longest wait on port 0
+        assert grants[2] == [(3, [1])]  # only request on port 1
 
     def test_per_port_requests_lose_port_flexibility(self):
         """Two requesters pinned to the same port: one wins, the other port
