@@ -16,23 +16,23 @@ Commands:
   emit a markdown report; ``--json`` emits the results as structured JSON
   instead.
 * ``simulate`` — one-off simulation with headline metrics.
-* ``sweep`` — run a grid of scenario x load x seed x system points through
-  the sweep orchestrator: parallel fan-out (``--jobs``), a result store,
-  and ``--resume`` to skip cached points (DESIGN.md section 8).
-  ``--stream`` pulls each workload lazily through the bounded-memory
-  tracker (DESIGN.md section 11), so a ``heavy-poisson`` scenario can
-  run a million flows in flat memory.
+* ``sweep`` — run a grid of scenario x load x seed x system points into
+  a result store as one worker of the lease loop (DESIGN.md sections 8
+  and 17): parallel fan-out (``--jobs``), and a spec the store already
+  holds is not run again, so a rerun executes only what is missing.
+  Launched N times against one store, on one host or many, the workers
+  share the grid through expiring leases, run each spec once and
+  converge on the serial digest; ``--cache-from`` imports finished rows
+  from earlier stores.  ``--stream`` pulls each workload lazily through
+  the bounded-memory tracker (DESIGN.md section 11), so a
+  ``heavy-poisson`` scenario can run a million flows in flat memory.
   Fault tolerance for unattended campaigns (DESIGN.md section 13):
   ``--timeout-s`` kills hung workers, ``--retries``/``--backoff-s`` retry
   failed specs with exponential backoff, and ``--on-error quarantine``
   records exhausted specs in a sidecar JSONL so the rest of the grid
   completes (exit 3 signals partial success).
-* ``campaign`` — fleet campaigns over a shared store (DESIGN.md section
-  17): ``run`` joins (or starts) a campaign as one worker — launched N
-  times against the same store it converges on the serial digest, with
-  expiring leases preventing duplicate work and ``--cache-from``
-  importing finished rows from prior campaigns; ``status`` shows
-  completion and live leases; ``merge`` folds stores together.
+* ``campaign`` — the stores sweeps share: ``status`` shows completion
+  and live leases; ``merge`` folds stores together.
 * ``store`` — integrity tooling for result stores: ``verify`` checks
   every row's checksum and reports torn lines, ``compact`` atomically
   rewrites the store in canonical deduplicated form.
@@ -57,13 +57,12 @@ Examples::
     python -m repro golden --record # refresh after an intentional change
     python -m repro report --scale small --output report.md
     python -m repro sweep --scale tiny --scenario poisson --scenario hotspot \\
-        --jobs 4 --store sweep.jsonl
-    python -m repro sweep --resume --store sweep.jsonl   # only new points run
+        --jobs 4 --store sweep.jsonl   # again: only missing points run
     python -m repro sweep --scale tiny --jobs 8 --timeout-s 120 \\
         --retries 2 --on-error quarantine --store campaign.jsonl
-    python -m repro campaign run --scale tiny --store fleet.db \\
+    python -m repro sweep --scale tiny --store fleet.db \\
         --retries 2 --on-error quarantine   # launch on N machines/shells
-    python -m repro campaign run --store fleet.db --cache-from old.jsonl
+    python -m repro sweep --scale tiny --store fleet.db --cache-from old.jsonl
     python -m repro campaign status fleet.db
     python -m repro campaign merge --into merged.db fleet.db old.jsonl
     python -m repro store verify campaign.jsonl --digest
@@ -78,7 +77,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -95,8 +93,9 @@ STORE_KINDS = "SQLite for .db/.sqlite/.sqlite3, one JSONL file otherwise"
 """How a store path picks its backend, for ``--store`` help texts."""
 
 
-def _add_grid_args(parser: argparse.ArgumentParser) -> None:
-    """The spec-grid axes shared by ``sweep`` and ``campaign run``."""
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """``sweep``'s flags: the grid axes, the store and its lease loop,
+    fault tolerance, telemetry and output."""
     parser.add_argument("--scale", choices=sorted(SCALES), default=None)
     parser.add_argument(
         "--scenario",
@@ -165,10 +164,54 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the spec grid and hashes without running anything",
     )
-
-
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance flags shared by ``sweep`` and ``campaign run``."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="parallel worker processes (default 1: serial)",
+    )
+    parser.add_argument(
+        "--store",
+        default="sweep_results.jsonl",
+        help=f"result store, {STORE_KINDS} (default: sweep_results.jsonl); "
+        "specs it already holds are not run again, and any number of "
+        "sweeps of one grid can share it",
+    )
+    parser.add_argument(
+        "--cache-from",
+        action="append",
+        dest="cache_from",
+        metavar="PATH",
+        default=None,
+        help="prior result store (either backend) to import finished grid "
+        "specs from before executing anything (repeatable; earlier "
+        "stores win)",
+    )
+    parser.add_argument(
+        "--worker-id",
+        default=None,
+        metavar="ID",
+        help="this worker's identity in leases, heartbeats, and the "
+        "manifest (default: host-pid)",
+    )
+    parser.add_argument(
+        "--lease-ttl-s",
+        type=float,
+        default=60.0,
+        metavar="S",
+        help="lease lifetime; renewed while this worker lives, so it only "
+        "expires when a worker dies (default 60; serial runs renew at "
+        "attempt boundaries, so keep it above the slowest spec)",
+    )
+    parser.add_argument(
+        "--lease-batch",
+        type=int,
+        default=None,
+        metavar="N",
+        help="specs leased per claim round (default: half the pending "
+        "specs, at least --jobs)",
+    )
     parser.add_argument(
         "--timeout-s",
         type=float,
@@ -211,10 +254,6 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         help="quarantine sidecar JSONL (default: derived from the store "
         "path, backend-aware)",
     )
-
-
-def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
-    """Telemetry/progress flags shared by ``sweep`` and ``campaign run``."""
     parser.add_argument(
         "--telemetry",
         default=None,
@@ -237,6 +276,16 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="live progress/ETA line on stderr (default: on when stderr "
         "is a TTY)",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit per-spec results and totals as JSON instead of a table",
+    )
+    parser.add_argument(
+        "--list-scenarios",
+        action="store_true",
+        help="list registered scenarios and their parameters, then exit",
     )
 
 
@@ -303,108 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser(
-        "sweep", help="run a spec grid with fan-out, caching, and resume"
+        "sweep",
+        help="run a spec grid into a store as one worker of a lease loop: "
+        "fan-out, resume, and any number of concurrent workers",
     )
-    _add_grid_args(sweep)
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel worker processes (default 1: serial)",
-    )
-    sweep.add_argument(
-        "--store",
-        default="sweep_results.jsonl",
-        help=f"result store, {STORE_KINDS} (default: sweep_results.jsonl)",
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip specs whose hash already has a stored summary",
-    )
-    _add_resilience_args(sweep)
-    sweep.add_argument(
-        "--json",
-        action="store_true",
-        help="emit per-spec results as JSON instead of a table",
-    )
-    sweep.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="list registered scenarios and their parameters, then exit",
-    )
-    _add_telemetry_args(sweep)
+    _add_sweep_args(sweep)
 
     campaign = sub.add_parser(
         "campaign",
-        help="fleet campaigns: N independent workers drain one grid into "
-        "one shared store via expiring leases",
+        help="inspect and fold the stores that sweep workers share",
     )
     campaign_sub = campaign.add_subparsers(
         dest="campaign_command", required=True
-    )
-    campaign_run = campaign_sub.add_parser(
-        "run",
-        help="join (or start) a campaign as one worker; launching this N "
-        "times against the same store converges on the serial result",
-    )
-    _add_grid_args(campaign_run)
-    campaign_run.add_argument(
-        "--store",
-        required=True,
-        metavar="PATH",
-        help=f"the shared result store every worker writes to "
-        f"({STORE_KINDS})",
-    )
-    campaign_run.add_argument(
-        "--cache-from",
-        action="append",
-        dest="cache_from",
-        metavar="PATH",
-        default=None,
-        help="prior result store (either backend) to import finished grid "
-        "specs from before executing anything (repeatable; earlier "
-        "stores win)",
-    )
-    campaign_run.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="this worker's identity in leases, heartbeats, and the "
-        "manifest (default: host-pid)",
-    )
-    campaign_run.add_argument(
-        "--lease-ttl-s",
-        type=float,
-        default=60.0,
-        metavar="S",
-        help="lease lifetime; renewed while a spec runs, so it only "
-        "expires when a worker dies (default 60; serial runs renew at "
-        "attempt boundaries, so keep it above the slowest spec)",
-    )
-    campaign_run.add_argument(
-        "--lease-batch",
-        type=int,
-        default=8,
-        metavar="N",
-        help="specs leased per claim round (default 8; smaller spreads "
-        "work more evenly, larger claims less often)",
-    )
-    campaign_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel worker processes within this campaign worker "
-        "(default 1: serial)",
-    )
-    _add_resilience_args(campaign_run)
-    _add_telemetry_args(campaign_run)
-    campaign_run.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the campaign report as JSON",
     )
     campaign_status_p = campaign_sub.add_parser(
         "status",
@@ -812,7 +771,7 @@ def _parse_scalar(raw: str):
 
 
 def _build_specs(args, scale):
-    """The deduped spec grid for ``sweep``/``campaign run`` arguments.
+    """The deduped spec grid for ``sweep`` arguments.
 
     Returns None (after printing the diagnostic) when any argument is
     invalid — callers exit 2.
@@ -899,64 +858,32 @@ def _run_flag_problem(args) -> str | None:
         return "--retries must be non-negative"
     if not 0 <= args.backoff_s < math.inf:
         return "--backoff-s must be non-negative and finite"
-    # The lease flags exist on ``campaign run`` only.
-    for name in ("timeout_s", "lease_ttl_s"):
-        value = getattr(args, name, None)
+    for flag, value in (
+        ("--timeout-s", args.timeout_s),
+        ("--lease-ttl-s", args.lease_ttl_s),
+    ):
         if value is not None and not 0 < value < math.inf:
-            return f"--{name.replace('_', '-')} must be positive and finite"
+            return f"{flag} must be positive and finite"
     # The cadence runs in whole nanoseconds.
     if not args.telemetry_cadence_us >= 0.001:
         return "--telemetry-cadence-us must be at least 0.001"
     if args.telemetry_cadence_us == math.inf:
         return "--telemetry-cadence-us must be finite"
-    if getattr(args, "lease_batch", 1) < 1:
+    if args.lease_batch is not None and args.lease_batch < 1:
         return "--lease-batch must be at least 1"
     return None
 
 
-def _launch(args, execute) -> int:
-    """The one launch path of ``sweep`` and ``campaign run``.
+def cmd_sweep(args) -> int:
+    """Run the grid as one worker of the lease loop on ``--store``.
 
     Every run flag is checked before the grid is built, so ``--dry-run``
-    approves exactly what the real run accepts, and the checked cadence
-    becomes ``args.telemetry_cadence_ns``; a dry run then prints the grid
-    and opens no store.  Otherwise ``execute(specs, scale, retry,
-    progress)`` runs the command and returns its exit code, and a
-    ValueError or SweepExecutionError it raises exits 2.
+    approves exactly what the real run accepts; a dry run then prints
+    the grid and opens no store.  A failed spec under ``--on-error
+    fail`` and any other ValueError exit 2 with one line, Ctrl-C exits
+    130, and a grid that lost specs to skip/quarantine exits 3.
     """
-    problem = _run_flag_problem(args)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
-    args.telemetry_cadence_ns = int(args.telemetry_cadence_us * 1000)
-    scale = resolve_scale(args.scale)
-    specs = _build_specs(args, scale)
-    if specs is None:
-        return 2
-    if args.dry_run:
-        for spec in specs:
-            print(f"{spec.short_hash}  {spec.label()}")
-        print(f"{len(specs)} specs")
-        return 0
-
-    from .sweep import RetryPolicy, SweepExecutionError
-
-    retry = RetryPolicy(
-        max_attempts=args.retries + 1, backoff_base_s=args.backoff_s
-    )
-    # Default: live progress only when someone is watching stderr.
-    progress = (
-        args.progress if args.progress is not None else sys.stderr.isatty()
-    )
-    try:
-        return execute(specs, scale, retry, progress)
-    except (ValueError, SweepExecutionError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-
-def cmd_sweep(args) -> int:
-    from .sweep import SCENARIOS
+    from .sweep import SCENARIOS, RetryPolicy, SweepExecutionError, run_campaign
 
     if args.list_scenarios:
         print("scenarios:")
@@ -970,47 +897,76 @@ def cmd_sweep(args) -> int:
             if params:
                 print(f"  {'':<15} params: {params}")
         return 0
-    return _launch(args, functools.partial(_run_sweep, args))
+    problem = _run_flag_problem(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
+    scale = resolve_scale(args.scale)
+    specs = _build_specs(args, scale)
+    if specs is None:
+        return 2
+    if args.dry_run:
+        for spec in specs:
+            print(f"{spec.short_hash}  {spec.label()}")
+        print(f"{len(specs)} specs")
+        return 0
 
-
-def _run_sweep(args, specs, scale, retry, progress) -> int:
-    from .sweep import SweepRunner
-
+    cache_from = []
+    for path in args.cache_from or []:
+        source = _open_store(path, must_exist=True)
+        if source is None:
+            return 2
+        cache_from.append(source)
     store = _open_store(args.store)
     if store is None:
         return 2
-    runner = SweepRunner(
-        jobs=args.jobs,
-        store=store,
-        resume=args.resume,
-        # Logs go to stderr, so verbose no longer corrupts --json stdout.
-        verbose=True,
-        timeout_s=args.timeout_s,
-        retry=retry,
-        on_error=args.on_error,
-        quarantine=args.quarantine,
-        telemetry=args.telemetry,
-        telemetry_cadence_ns=args.telemetry_cadence_ns,
-        progress=progress,
-    )
     try:
-        with runner:
-            summaries = runner.run(specs)
+        report = run_campaign(
+            specs,
+            store,
+            worker=args.worker_id,
+            lease_ttl_s=args.lease_ttl_s,
+            lease_batch=args.lease_batch,
+            cache_from=cache_from,
+            jobs=args.jobs,
+            # Logs go to stderr, so verbose never corrupts --json stdout.
+            verbose=True,
+            timeout_s=args.timeout_s,
+            retry=RetryPolicy(
+                max_attempts=args.retries + 1, backoff_base_s=args.backoff_s
+            ),
+            on_error=args.on_error,
+            quarantine=args.quarantine,
+            telemetry=args.telemetry,
+            telemetry_cadence_ns=int(args.telemetry_cadence_us * 1000),
+            # Default: live progress only when someone is watching stderr.
+            progress=sys.stderr.isatty()
+            if args.progress is None
+            else args.progress,
+        )
     except KeyboardInterrupt:
         print(
-            f"\ninterrupted — {runner.executed} completed run(s) are in "
-            f"{args.store}; rerun with --resume to execute only the rest",
+            f"\ninterrupted — completed runs are in {args.store} and this "
+            "worker's leases are released; rerun the same command to "
+            "execute only the rest",
             file=sys.stderr,
         )
         return 130
+    except (ValueError, SweepExecutionError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    _print_sweep(args, scale, specs, store, report)
+    # Partial success (some specs lost to skip/quarantine) is exit 3, so
+    # a launching script can tell "grid complete" from "grid degraded".
+    return 3 if report.failed else 0
 
-    failed = sorted(runner.failed_hashes())
-    manifest_path = None
-    if runner.telemetry_path is not None:
-        from .telemetry import default_manifest_path, write_manifest
 
-        manifest_path = default_manifest_path(store.path)
-        write_manifest(manifest_path, runner.build_manifest())
+def _print_sweep(args, scale, specs, store, report) -> None:
+    """The per-spec table (or ``--json`` document) read back from the
+    store for every grid spec, then the totals on the status stream."""
+    runner = report.runner
+    summaries = store.load()
+    failed = sorted(h for h in runner.failed_hashes() if h not in summaries)
     if args.json:
         rows = []
         for spec in specs:
@@ -1031,16 +987,23 @@ def _run_sweep(args, specs, scale, retry, progress) -> int:
             )
         payload = {
             "scale": scale.name,
+            "store": args.store,
+            "worker": report.worker,
+            "content_digest": store.content_digest(),
+            "manifest_path": report.manifest_path,
             "runs": rows,
             "totals": {
-                "specs": len(specs),
-                "executed": runner.executed,
-                "cached": runner.cached,
+                "specs": report.total,
+                "executed": report.executed,
+                "cached": report.cached,
+                "imported": report.imported,
+                "done_elsewhere": report.done_elsewhere,
                 "retried": sum(
                     1 for o in runner.outcomes.values() if o.attempts > 1
                 ),
                 "quarantined": len(runner.quarantined_hashes()),
-                "failed": len(failed),
+                "failed": report.failed,
+                "rounds": report.rounds,
             },
         }
         if failed:
@@ -1081,15 +1044,18 @@ def _run_sweep(args, specs, scale, retry, progress) -> int:
                 f"{summary.goodput_normalized:>6.3f}  {fct:>13}"
             )
     status = sys.stderr if args.json else sys.stdout
+    imported = f" ({report.imported} imported)" if report.imported else ""
     print(
-        f"{len(specs)} specs: {runner.executed} executed, "
-        f"{runner.cached} cached (store: {args.store})",
+        f"{report.total} specs: {report.executed} executed, "
+        f"{report.cached} cached{imported}, {report.done_elsewhere} done "
+        f"elsewhere (store: {args.store}, worker {report.worker}, "
+        f"{report.rounds} lease round(s))",
         file=status,
     )
-    if manifest_path is not None:
+    if report.manifest_path is not None:
         print(
             f"telemetry: {runner.telemetry_path} "
-            f"(manifest: {manifest_path})",
+            f"(manifest: {report.manifest_path})",
             file=status,
         )
     if failed:
@@ -1103,98 +1069,19 @@ def _run_sweep(args, specs, scale, retry, progress) -> int:
             "the rest of the grid completed",
             file=status,
         )
-    if args.resume:
-        stale = len(runner.stale_stored_hashes())
-        if stale:
-            print(
-                f"{stale} stored rows ignored (stale spec hashes — the "
-                "store holds results for specs this grid no longer "
-                "requests; 'compact' keeps them, delete the store to drop "
-                "them)",
-                file=status,
-            )
-    # Partial success (some specs lost to skip/quarantine) is exit 3, so
-    # campaign drivers can tell "grid complete" from "grid degraded".
-    return 3 if failed else 0
+    stale = len(summaries.keys() - {spec.content_hash for spec in specs})
+    if stale:
+        print(
+            f"{stale} stored rows ignored (stale spec hashes — the store "
+            "holds results for specs this grid does not request; 'compact' "
+            "keeps them, delete the store to drop them)",
+            file=status,
+        )
 
 
 def cmd_campaign(args) -> int:
-    if args.campaign_command == "run":
-        return _cmd_campaign_run(args)
-    if args.campaign_command == "status":
-        return _cmd_campaign_status(args)
-    return _cmd_campaign_merge(args)
-
-
-def _cmd_campaign_run(args) -> int:
-    return _launch(args, functools.partial(_run_campaign_worker, args))
-
-
-def _run_campaign_worker(args, specs, scale, retry, progress) -> int:
-    from .sweep import default_worker_id, run_campaign
-
-    cache_from = []
-    for path in args.cache_from or []:
-        source = _open_store(path, must_exist=True)
-        if source is None:
-            return 2
-        cache_from.append(source)
-    store = _open_store(args.store)
-    if store is None:
-        return 2
-    worker = args.worker_id if args.worker_id else default_worker_id()
-    try:
-        report = run_campaign(
-            specs,
-            store,
-            worker=worker,
-            lease_ttl_s=args.lease_ttl_s,
-            lease_batch=args.lease_batch,
-            cache_from=cache_from,
-            jobs=args.jobs,
-            verbose=True,
-            timeout_s=args.timeout_s,
-            retry=retry,
-            on_error=args.on_error,
-            quarantine=args.quarantine,
-            telemetry=args.telemetry,
-            telemetry_cadence_ns=args.telemetry_cadence_ns,
-            progress=progress,
-        )
-    except KeyboardInterrupt:
-        print(
-            f"\ninterrupted — completed runs are already in {args.store}; "
-            f"this worker's leases expire within {args.lease_ttl_s:g}s, "
-            "after which peers (or a relaunch) pick up the rest",
-            file=sys.stderr,
-        )
-        return 130
-
-    if args.json:
-        payload = report.to_dict()
-        payload["store"] = args.store
-        payload["content_digest"] = store.content_digest()
-        print(json.dumps(payload, indent=2))
-    else:
-        imported = (
-            f" ({report.imported} imported from cache)"
-            if report.imported
-            else ""
-        )
-        print(
-            f"worker {report.worker}: {report.total} specs — "
-            f"{report.executed} executed, "
-            f"{report.cached} already done{imported}, "
-            f"{report.done_elsewhere} finished by peers, "
-            f"{report.failed} failed, {report.rounds} lease round(s)"
-        )
-        print(f"store: {args.store} (digest {store.content_digest()})")
-        if report.manifest_path is not None:
-            print(f"manifest: {report.manifest_path}")
-    return 3 if report.failed else 0
-
-
-def _cmd_campaign_status(args) -> int:
+    if args.campaign_command == "merge":
+        return _cmd_campaign_merge(args)
     from .sweep import campaign_status
 
     store = _open_store(args.path, must_exist=True)
@@ -1274,7 +1161,7 @@ def cmd_store(args) -> int:
         print(
             f"{report.torn_lines} torn line(s), "
             f"{report.checksum_mismatches} checksum mismatch(es) — "
-            "affected runs will re-execute on --resume; "
+            "affected runs re-execute on the next sweep over the store; "
             "'repro store compact' drops the bad lines",
             file=sys.stderr,
         )

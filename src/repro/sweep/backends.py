@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import time
+import weakref
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 
@@ -86,16 +87,53 @@ def _append_bytes(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
+class LineTail:
+    """The whole lines appended to one file since the previous read.
+
+    The incremental read of a JSONL store and of the lease log.  A
+    trailing fragment without its newline (a torn append, or one still
+    landing) is held back until a newline completes it, so the fragment
+    and what follows read as one torn line, as in a full read.  When the
+    file was replaced (a new inode, as ``os.replace`` makes), shrank, or
+    vanished, the read starts over at byte 0.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._inode: int | None = None
+        self._offset = 0
+
+    def read(self) -> tuple[bool, list[str]]:
+        """``(restarted, lines)``; restarted when the lines start at byte 0."""
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
+            self._inode, self._offset = None, 0
+            return True, []
+        lines: list[str] = []
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if stat.st_ino != self._inode or stat.st_size < self._offset:
+                self._inode, self._offset = stat.st_ino, 0
+            restarted = self._offset == 0
+            handle.seek(self._offset)
+            for raw in handle:
+                if not raw.endswith(b"\n"):
+                    break
+                self._offset += len(raw)
+                lines.append(raw.decode(errors="replace"))
+        return restarted, lines
+
+
 class ResultStoreBackend:
     """The line-currency protocol every store backend implements.
 
     Lines are complete canonical-JSON rows including the trailing
     newline; the facade owns their meaning.  ``iter_lines`` yields
     ``(location, line_number, line)`` so the facade can report problems
-    as ``location:line``; ``signature`` is an opaque value that changes
-    whenever the stored content may have changed (the facade's parse
-    cache keys on it); ``rewrite`` atomically replaces the whole store
-    with the given canonically-ordered lines.
+    as ``location:line``; ``read_new`` is the incremental read behind the
+    facade's summary index; ``rewrite`` atomically replaces the whole
+    store with the given canonically-ordered lines.
     """
 
     kind: str
@@ -104,10 +142,18 @@ class ResultStoreBackend:
     def exists(self) -> bool:
         raise NotImplementedError
 
-    def signature(self) -> tuple | None:
+    def iter_lines(self) -> Iterator[tuple[str, int, str]]:
         raise NotImplementedError
 
-    def iter_lines(self) -> Iterator[tuple[str, int, str]]:
+    def read_new(self) -> tuple[bool, list[tuple[str | None, str]]]:
+        """``(restarted, [(replaces, line)])`` written since the last call.
+
+        ``restarted`` says the lines start from the beginning of the
+        store (the first call, or the store was replaced or rewritten
+        since): the caller drops what it folded before.  ``replaces`` is
+        the spec hash whose row the line took the place of, on a backend
+        that keeps one row per hash, and None where lines only append.
+        """
         raise NotImplementedError
 
     def append_line(self, spec_hash: str, line: str) -> None:
@@ -133,16 +179,10 @@ class JsonlBackend(ResultStoreBackend):
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self._tail = LineTail(self.path)
 
     def exists(self) -> bool:
         return self.path.exists()
-
-    def signature(self) -> tuple | None:
-        try:
-            stat = self.path.stat()
-        except FileNotFoundError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
 
     def iter_lines(self) -> Iterator[tuple[str, int, str]]:
         if not self.path.exists():
@@ -150,6 +190,10 @@ class JsonlBackend(ResultStoreBackend):
         with self.path.open() as handle:
             for line_number, line in enumerate(handle, start=1):
                 yield str(self.path), line_number, line
+
+    def read_new(self) -> tuple[bool, list[tuple[str | None, str]]]:
+        restarted, lines = self._tail.read()
+        return restarted, [(None, line) for line in lines]
 
     def append_line(self, spec_hash: str, line: str) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -197,8 +241,10 @@ def _enable_wal(conn: sqlite3.Connection) -> None:
 class SqliteBackend(ResultStoreBackend):
     """One row per spec hash in a WAL-mode SQLite file.
 
-    Writes are upserts, so "last row per hash wins" is enforced at write
-    time and compaction never has duplicates to drop.  WAL mode plus a
+    A write replaces the hash's row, so "last row per hash wins" is
+    enforced at write time and compaction never has duplicates to drop;
+    the rowid orders the writes, which is what the incremental read
+    follows.  WAL mode plus a
     generous busy timeout makes concurrent writers from independent
     processes safe — the property campaign lease mode leans on.  The
     same file carries the ``leases`` table
@@ -210,6 +256,10 @@ class SqliteBackend(ResultStoreBackend):
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._conn: sqlite3.Connection | None = None
+        # The incremental read: the last rowid read and the rewrite
+        # generation it belongs to.
+        self._cursor = 0
+        self._generation: int | None = None
 
     def connection(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -237,19 +287,14 @@ class SqliteBackend(ResultStoreBackend):
                 "expires_at REAL NOT NULL)"
             )
             self._conn = conn
+            # A sqlite3 connection sits in a reference cycle, so only the
+            # cyclic GC would free one dropped with its store, page cache
+            # and file handles included; close it with the backend.
+            weakref.finalize(self, conn.close)
         return self._conn
 
     def exists(self) -> bool:
         return self.path.exists()
-
-    def signature(self) -> tuple | None:
-        if not self.path.exists():
-            return None
-        conn = self.connection()
-        # data_version moves when *another* connection commits;
-        # total_changes counts this connection's own writes.
-        (data_version,) = conn.execute("PRAGMA data_version").fetchone()
-        return (data_version, conn.total_changes)
 
     def iter_lines(self) -> Iterator[tuple[str, int, str]]:
         if not self.path.exists():
@@ -260,10 +305,39 @@ class SqliteBackend(ResultStoreBackend):
         for line_number, (spec_hash, line) in enumerate(rows, start=1):
             yield f"{self.path}[{spec_hash[:12]}]", line_number, line
 
+    def read_new(self) -> tuple[bool, list[tuple[str | None, str]]]:
+        # Every write takes a rowid above all existing ones (see
+        # append_line), so the rows past the cursor are exactly what was
+        # written since.  Only ``rewrite`` deletes rows and restarts the
+        # rowids; it bumps user_version, and a new generation is read
+        # from scratch.  One read transaction sees both at one instant.
+        if not self.path.exists():
+            self._cursor = 0
+            return True, []
+        conn = self.connection()
+        conn.execute("BEGIN")
+        try:
+            (generation,) = conn.execute("PRAGMA user_version").fetchone()
+            if generation != self._generation:
+                self._generation, self._cursor = generation, 0
+            rows = conn.execute(
+                "SELECT rowid, spec_hash, line FROM results WHERE rowid > ? "
+                "ORDER BY rowid",
+                (self._cursor,),
+            ).fetchall()
+        finally:
+            conn.execute("COMMIT")
+        restarted = self._cursor == 0
+        if rows:
+            self._cursor = rows[-1][0]
+        return restarted, [(spec_hash, line) for _, spec_hash, line in rows]
+
     def append_line(self, spec_hash: str, line: str) -> None:
+        # REPLACE deletes the hash's old row and inserts a new one, whose
+        # rowid is one larger than the largest in the table before the
+        # insert: the rowid orders every write, re-puts included.
         self.connection().execute(
-            "INSERT INTO results (spec_hash, line) VALUES (?, ?) "
-            "ON CONFLICT(spec_hash) DO UPDATE SET line = excluded.line",
+            "INSERT OR REPLACE INTO results (spec_hash, line) VALUES (?, ?)",
             (spec_hash, line),
         )
 
@@ -280,6 +354,9 @@ class SqliteBackend(ResultStoreBackend):
                     "INSERT INTO results (spec_hash, line) VALUES (?, ?)",
                     (spec_hash, line),
                 )
+            # Rowids restart at 1: incremental readers must start over.
+            (generation,) = conn.execute("PRAGMA user_version").fetchone()
+            conn.execute(f"PRAGMA user_version = {generation + 1}")
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")

@@ -1,17 +1,19 @@
 """Fleet campaigns: N independent workers draining one spec grid.
 
-``repro campaign run --store X`` can be launched any number of times, on
-one host or many sharing a filesystem, and every launch converges on the
-same store state: each worker *leases* a batch of pending specs, runs
-them through the ordinary :class:`~repro.sweep.runner.SweepRunner`, and
-loops until nothing in the grid is missing.  Three properties make this
-safe without a coordinator (DESIGN.md §17):
+Every ``repro sweep`` is one worker of :func:`run_campaign` on its store,
+and it can be launched any number of times, on one host or many sharing
+a filesystem: every launch converges on the same store state.  Each
+worker *leases* a share of the pending specs, runs them through the
+ordinary :class:`~repro.sweep.runner.SweepRunner`, and loops until
+nothing in the grid is missing.  Three properties make this safe
+without a coordinator (DESIGN.md §17):
 
 * **Leases are advisory and expiring.**  A lease is a row ``(spec_hash,
   owner, expires_at)``; claiming skips specs whose lease is live and
-  held by someone else.  The runner's liveness callbacks renew the lease
-  while a spec executes, so a healthy worker never loses one — and a
-  crashed worker's leases simply expire, letting a peer take over.
+  held by someone else.  The runner's liveness callbacks renew every
+  lease the worker holds, so a healthy worker never loses one, even
+  for a spec still waiting its turn — and a crashed worker's leases
+  simply expire, letting a peer take over.
 * **Completion is idempotent.**  Results are keyed by spec content hash
   and ``content_digest()`` folds to the last row per hash, so the worst
   case of a lost lease race — two workers executing the same spec — is
@@ -19,7 +21,8 @@ safe without a coordinator (DESIGN.md §17):
 * **The store is the only ground truth.**  Workers re-read
   ``completed_hashes()`` every round; a spec finished by anyone, ever
   (including a prior campaign imported via ``cache_from``), is work no
-  one repeats.
+  one repeats.  Both the store and the lease log are read
+  incrementally, so a round costs what changed since the last one.
 
 Lease state lives next to the results: in the ``leases`` table of a
 SQLite store, or in a ``leases.jsonl`` sidecar (guarded by an
@@ -35,9 +38,10 @@ import os
 import socket
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-from .backends import SqliteBackend, _append_bytes, sidecar_path
+from .backends import LineTail, SqliteBackend, _append_bytes, sidecar_path
+from .resilience import SweepExecutionError
 from .runner import SweepRunner
 from .spec import RunSpec
 from .store import ResultStore
@@ -48,7 +52,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 DEFAULT_LEASE_TTL_S = 60.0
-DEFAULT_LEASE_BATCH = 8
 
 LEASES_NAME = "leases.jsonl"
 LEASES_LOCK_NAME = "leases.lock"
@@ -59,33 +62,7 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-class LeaseStore:
-    """The lease protocol both implementations satisfy.
-
-    All methods take ``owner`` explicitly so one lease store can be
-    probed on behalf of any worker (the status command does exactly
-    that).  ``claim`` is the only operation that must be atomic across
-    workers; ``renew`` and ``release`` only ever touch rows the owner
-    already holds, so a lost race there is harmless.
-    """
-
-    def claim(
-        self, hashes: Sequence[str], owner: str, ttl_s: float, limit: int
-    ) -> list[str]:
-        raise NotImplementedError
-
-    def renew(self, spec_hash: str, owner: str, ttl_s: float) -> None:
-        raise NotImplementedError
-
-    def release(self, hashes: Sequence[str], owner: str) -> None:
-        raise NotImplementedError
-
-    def snapshot(self) -> dict[str, tuple[str, float]]:
-        """{spec_hash: (owner, expires_at)} for every recorded lease."""
-        raise NotImplementedError
-
-
-class SqliteLeases(LeaseStore):
+class SqliteLeases:
     """Leases in the SQLite store itself — one transaction, no lock file."""
 
     def __init__(self, backend: SqliteBackend, clock=time.time) -> None:
@@ -124,22 +101,26 @@ class SqliteLeases(LeaseStore):
             raise
         return claimed
 
-    def renew(self, spec_hash: str, owner: str, ttl_s: float) -> None:
-        self.backend.connection().execute(
+    def renew(self, hashes: Sequence[str], owner: str, ttl_s: float) -> None:
+        expires = self._clock() + ttl_s
+        self._each(
             "UPDATE leases SET expires_at = ? "
             "WHERE spec_hash = ? AND owner = ?",
-            (self._clock() + ttl_s, spec_hash, owner),
+            [(expires, spec_hash, owner) for spec_hash in hashes],
         )
 
     def release(self, hashes: Sequence[str], owner: str) -> None:
+        self._each(
+            "DELETE FROM leases WHERE spec_hash = ? AND owner = ?",
+            [(spec_hash, owner) for spec_hash in hashes],
+        )
+
+    def _each(self, statement: str, rows: list[tuple]) -> None:
+        """One statement per row, in one transaction."""
         conn = self.backend.connection()
         conn.execute("BEGIN IMMEDIATE")
         try:
-            for spec_hash in hashes:
-                conn.execute(
-                    "DELETE FROM leases WHERE spec_hash = ? AND owner = ?",
-                    (spec_hash, owner),
-                )
+            conn.executemany(statement, rows)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -152,7 +133,7 @@ class SqliteLeases(LeaseStore):
         return {h: (owner, expires) for h, owner, expires in rows}
 
 
-class FileLeases(LeaseStore):
+class FileLeases:
     """Leases as an append-only JSONL sidecar, serialized by ``flock``.
 
     The log folds last-row-per-hash (the result-store idiom), so claim,
@@ -161,15 +142,19 @@ class FileLeases(LeaseStore):
     lock file across the read-fold-append sequence so two workers cannot
     claim the same spec; where ``fcntl`` is unavailable the lock is a
     no-op and the content-hash idempotence of the store bounds the
-    damage at redundant execution.  A snapshot takes no lock and so
-    writes nothing: the log only grows by whole-line appends, and a torn
-    trailing line is skipped.
+    damage at redundant execution.  Each read folds only the lines
+    appended since the previous one (:class:`~repro.sweep.backends.
+    LineTail`).  A snapshot takes no lock and so writes nothing: the log
+    only grows by whole-line appends, and a torn trailing line is
+    skipped.
     """
 
     def __init__(self, store_path, clock=time.time) -> None:
         self.path = sidecar_path(store_path, LEASES_NAME)
         self.lock_path = sidecar_path(store_path, LEASES_LOCK_NAME)
         self._clock = clock
+        self._tail = LineTail(self.path)
+        self._folded: dict[str, tuple[str, float]] = {}
 
     @contextlib.contextmanager
     def _locked(self):
@@ -185,22 +170,19 @@ class FileLeases(LeaseStore):
             os.close(fd)
 
     def _table(self) -> dict[str, tuple[str, float]]:
-        table: dict[str, tuple[str, float]] = {}
-        try:
-            handle = self.path.open()
-        except FileNotFoundError:
-            return table
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a crashed writer
-                table[row["spec_hash"]] = (row["owner"], row["expires_at"])
-        return table
+        restarted, lines = self._tail.read()
+        if restarted:
+            self._folded = {}
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # torn line from a crashed writer
+            self._folded[row["spec_hash"]] = (row["owner"], row["expires_at"])
+        return self._folded
 
     def _append(self, rows: Iterable[tuple[str, str, float]]) -> None:
         data = "".join(
@@ -232,28 +214,37 @@ class FileLeases(LeaseStore):
             self._append((h, owner, now + ttl_s) for h in claimed)
             return claimed
 
-    def renew(self, spec_hash: str, owner: str, ttl_s: float) -> None:
-        with self._locked():
-            held = self._table().get(spec_hash)
-            if held is None or held[0] != owner:
-                return  # lease expired and was taken over; don't steal back
-            self._append([(spec_hash, owner, self._clock() + ttl_s)])
+    def renew(self, hashes: Sequence[str], owner: str, ttl_s: float) -> None:
+        self._expire(hashes, owner, self._clock() + ttl_s)
 
     def release(self, hashes: Sequence[str], owner: str) -> None:
+        self._expire(hashes, owner, 0.0)
+
+    def _expire(self, hashes: Sequence[str], owner: str, at: float) -> None:
+        """Move the expiry of the owner's leases among ``hashes``; one
+        that lapsed and was taken over is not stolen back."""
         with self._locked():
             table = self._table()
             self._append(
-                (h, owner, 0.0)
+                (h, owner, at)
                 for h in hashes
                 if table.get(h, ("", 0.0))[0] == owner
             )
 
     def snapshot(self) -> dict[str, tuple[str, float]]:
-        return self._table()
+        return dict(self._table())
 
 
-def make_lease_store(store: ResultStore) -> LeaseStore:
-    """The lease store matching a result store's backend."""
+def make_lease_store(store: ResultStore) -> SqliteLeases | FileLeases:
+    """The lease store matching a result store's backend.
+
+    Both kinds take ``owner`` explicitly in ``claim``, ``renew`` and
+    ``release``, so one lease store can be probed on behalf of any worker
+    (the status command does exactly that).  ``claim`` is the only
+    operation that must be atomic across workers; ``renew`` and
+    ``release`` only ever touch rows the owner already holds, so a lost
+    race there is harmless.
+    """
     if isinstance(store.backend, SqliteBackend):
         return SqliteLeases(store.backend)
     return FileLeases(store.path)
@@ -267,7 +258,8 @@ class CampaignReport:
     every spec was either simulated here, already complete when this
     worker started (including rows imported from ``cache_from``),
     finished by a peer while this worker ran, or failed everywhere it
-    was tried.
+    was tried.  ``runner`` is the closed runner that did the work: its
+    per-spec outcomes and quarantine sidecar, for the caller's report.
     """
 
     worker: str
@@ -280,20 +272,29 @@ class CampaignReport:
     rounds: int
     elapsed_s: float
     manifest_path: str | None = None
+    runner: SweepRunner | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "worker": self.worker,
-            "total": self.total,
-            "executed": self.executed,
-            "cached": self.cached,
-            "imported": self.imported,
-            "done_elsewhere": self.done_elsewhere,
-            "failed": self.failed,
-            "rounds": self.rounds,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "manifest_path": self.manifest_path,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        del data["runner"]
+        data["elapsed_s"] = round(self.elapsed_s, 6)
+        return data
+
+
+def _run_round(runner: SweepRunner, specs: list[RunSpec]) -> None:
+    """``runner.run(specs)``, where a spec failing under ``on_error=
+    "fail"`` raises :class:`SweepExecutionError` on the serial path too
+    (where the runner re-raises the spec's own exception)."""
+    try:
+        runner.run(specs)
+    except SweepExecutionError:
+        raise
+    except Exception as exc:
+        for spec in specs:
+            outcome = runner.outcomes.get(spec.content_hash)
+            if outcome is not None and not outcome.ok:
+                raise SweepExecutionError(spec, outcome) from exc
+        raise
 
 
 def run_campaign(
@@ -302,7 +303,7 @@ def run_campaign(
     *,
     worker: str | None = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    lease_batch: int = DEFAULT_LEASE_BATCH,
+    lease_batch: int | None = None,
     cache_from: Sequence[ResultStore] = (),
     poll_s: float | None = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -317,10 +318,22 @@ def run_campaign(
     verbatim, so a superset campaign re-executes only what is genuinely
     new.  ``runner_kwargs`` pass through to :class:`SweepRunner`
     (``jobs``, ``retry``, ``on_error``, ``telemetry``, ...).
+
+    Each round claims ``lease_batch`` pending specs, by default half of
+    them and at least ``jobs``: a lone worker drains the grid in a
+    logarithmic number of rounds, and a worker that joins later still
+    finds unleased specs.  The specs of a round wait their turn behind
+    the one that runs, so every liveness signal of the runner (a pool
+    heartbeat, or a serial attempt starting) renews the round's leases,
+    at most once per quarter TTL.  One runner session spans every
+    round, so the progress line and the campaign-start/-end events
+    cover the whole grid, and every grid spec reaches the runner:
+    executed here, or served from the store when it was complete at
+    the start or was finished by a peer.
     """
     if not 0 < lease_ttl_s < math.inf:
         raise ValueError("lease_ttl_s must be positive and finite")
-    if lease_batch < 1:
+    if lease_batch is not None and lease_batch < 1:
         raise ValueError("lease_batch must be at least 1")
     if worker is None:
         worker = default_worker_id()
@@ -337,79 +350,89 @@ def run_campaign(
     imported = (
         store.merge(cache_from, only_hashes=set(grid)) if cache_from else 0
     )
-    completed_at_start = store.completed_hashes() & set(grid)
-
     leases = make_lease_store(store)
+    held: list[str] = []  # this round's leases
+    renewed_at = 0.0
+
+    def keep_alive(_spec_hash: str) -> None:
+        nonlocal renewed_at
+        if held and time.monotonic() - renewed_at >= lease_ttl_s / 4:
+            leases.renew(held, worker, lease_ttl_s)
+            renewed_at = time.monotonic()
+
+    runner = SweepRunner(
+        store=store,
+        resume=False,  # the loop serves complete specs from its own reads
+        worker=worker,
+        on_worker_heartbeat=keep_alive,
+        **runner_kwargs,
+    )
+    cached: int | None = None
     failed_here: set[str] = set()
     rounds = 0
-    with SweepRunner(
-        store=store,
-        resume=False,  # the campaign loop does its own completion check
-        worker=worker,
-        on_worker_heartbeat=(
-            lambda spec_hash: leases.renew(spec_hash, worker, lease_ttl_s)
-        ),
-        **runner_kwargs,
-    ) as runner:
+    with runner, runner.session(len(grid)):
         while True:
-            completed = store.completed_hashes()
+            stored = store.load()
+            done = [
+                spec for h, spec in grid.items()
+                if h in stored and h not in runner.requested
+            ]
+            if done:
+                runner.run(done, stored=stored)
+            if cached is None:
+                cached = len(done)
             pending = [
-                h
-                for h in grid
-                if h not in completed and h not in failed_here
+                h for h in grid if h not in stored and h not in failed_here
             ]
             if not pending:
                 break
-            claimed = leases.claim(pending, worker, lease_ttl_s, lease_batch)
+            limit = lease_batch or max(runner.jobs, -(-len(pending) // 2))
+            claimed = leases.claim(pending, worker, lease_ttl_s, limit)
             if not claimed:
                 # Everything pending is leased by live peers: wait for
                 # their results to land, or their leases to expire for
                 # takeover.
                 sleep(poll_s)
                 continue
-            # Re-check completion now that the leases are ours: a peer
-            # may have finished and released one of these specs between
-            # our pending snapshot and the claim.  Workers store a result
-            # before releasing its lease, so anything released-by-
-            # completion is visible here — this is what makes "each spec
-            # executes exactly once" hold under concurrency, not just "the
-            # digest converges".
-            completed = store.completed_hashes()
-            todo = [h for h in claimed if h not in completed]
-            if not todo:
-                leases.release(claimed, worker)
-                continue
-            rounds += 1
+            held[:], renewed_at = claimed, time.monotonic()
             try:
-                runner.run([grid[h] for h in todo])
+                # Re-check completion now that the leases are ours: a
+                # peer may have finished and released one of these specs
+                # between our pending snapshot and the claim.  Workers
+                # store a result before releasing its lease, so anything
+                # released-by-completion is visible here — this is what
+                # makes "each spec executes exactly once" hold under
+                # concurrency, not just "the digest converges".
+                completed = store.completed_hashes()
+                todo = [grid[h] for h in claimed if h not in completed]
+                if todo:
+                    rounds += 1
+                    _run_round(runner, todo)
             finally:
+                held.clear()
                 leases.release(claimed, worker)
             failed_here |= runner.failed_hashes()
 
     manifest_path = None
     if runner.telemetry_path is not None:
-        # One manifest per worker (keyed by worker id), because N
-        # concurrent workers sharing the store's default manifest
-        # sidecar would silently overwrite each other's attempt
-        # histories.
-        from ..telemetry.manifest import write_manifest
+        from ..telemetry.manifest import default_manifest_path, write_manifest
 
-        manifest_path = store.sidecar(f"manifest-{worker}.json")
+        manifest_path = default_manifest_path(store.path, worker)
         write_manifest(manifest_path, runner.build_manifest())
 
-    completed_final = store.completed_hashes() & set(grid)
-    newly_done = len(completed_final) - len(completed_at_start)
+    completed = store.completed_hashes() & set(grid)
     return CampaignReport(
         worker=worker,
         total=len(grid),
         executed=runner.executed,
-        cached=len(completed_at_start),
+        cached=cached,
         imported=imported,
-        done_elsewhere=max(0, newly_done - runner.executed),
-        failed=len(failed_here - completed_final),
+        done_elsewhere=max(0, len(completed) - cached - runner.executed),
+        failed=len(failed_here - completed),
         rounds=rounds,
         elapsed_s=time.time() - started,
         manifest_path=str(manifest_path) if manifest_path is not None else None,
+        runner=runner,
     )
 
 

@@ -268,28 +268,31 @@ def default_quarantine_path(store_path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _heartbeat_loop(
-    conn, send_lock, spec_hash, attempt, started, interval_s, stop
-) -> None:
+def _heartbeat_loop(conn, send_lock, current: list, interval_s: float) -> None:
     """Worker-side heartbeat timer: one liveness report per interval.
 
-    Runs as a daemon thread for the duration of one spec.  Sends share
-    the result pipe, serialized by ``send_lock`` so a heartbeat can never
-    interleave bytes with the final result message.
+    Runs as one daemon thread for the worker's whole life and reports on
+    whatever spec ``current`` holds as ``[(spec_hash, attempt,
+    started)]``, if any.  Sends share the result pipe, serialized by
+    ``send_lock``; the worker empties ``current`` under that lock before
+    it sends a result, so a heartbeat can never follow its spec's result
+    or interleave bytes with it.
     """
     from ..telemetry.heartbeat import heartbeat_payload
 
-    while not stop.wait(interval_s):
-        payload = heartbeat_payload(
-            spec_hash, attempt, time.perf_counter() - started
-        )
-        try:
-            with send_lock:
-                if stop.is_set():
-                    return
+    while True:
+        time.sleep(interval_s)
+        with send_lock:
+            if not current:
+                continue
+            spec_hash, attempt, started = current[0]
+            payload = heartbeat_payload(
+                spec_hash, attempt, time.perf_counter() - started
+            )
+            try:
                 conn.send((HEARTBEAT, payload))
-        except (BrokenPipeError, OSError):
-            return
+            except (BrokenPipeError, OSError):
+                return
 
 
 def _worker_main(conn, heartbeat_s: float | None = None) -> None:
@@ -299,10 +302,11 @@ def _worker_main(conn, heartbeat_s: float | None = None) -> None:
     interrupts only the parent, which then shuts workers down explicitly —
     workers must never die mid-protocol for a reason the parent can't see.
 
-    With ``heartbeat_s`` set, a per-spec timer thread sends
-    ``(HEARTBEAT, payload)`` reports over the same pipe while the spec
-    executes; the thread is stopped and joined before the final result is
-    sent, so a result is always the last message of its spec.
+    With ``heartbeat_s`` set, a timer thread sends ``(HEARTBEAT,
+    payload)`` reports over the same pipe while a spec executes; the
+    spec is taken off the thread's hands before its result is sent, so a
+    result is always the last message of its spec.  One thread serves
+    every spec, so a short spec pays for no thread start.
     """
     import signal
     import threading
@@ -312,6 +316,13 @@ def _worker_main(conn, heartbeat_s: float | None = None) -> None:
     from .runner import _timed_execute
 
     send_lock = threading.Lock()
+    current: list = []
+    if heartbeat_s is not None:
+        threading.Thread(
+            target=_heartbeat_loop,
+            args=(conn, send_lock, current, heartbeat_s),
+            daemon=True,
+        ).start()
     while True:
         try:
             message = conn.recv()
@@ -321,26 +332,10 @@ def _worker_main(conn, heartbeat_s: float | None = None) -> None:
             return
         spec_dict, attempt = message
         started = time.perf_counter()
-        stop = None
-        beat = None
         try:
             spec = RunSpec.from_dict(spec_dict)
-            if heartbeat_s is not None:
-                stop = threading.Event()
-                beat = threading.Thread(
-                    target=_heartbeat_loop,
-                    args=(
-                        conn,
-                        send_lock,
-                        spec.content_hash,
-                        attempt,
-                        started,
-                        heartbeat_s,
-                        stop,
-                    ),
-                    daemon=True,
-                )
-                beat.start()
+            with send_lock:
+                current.append((spec.content_hash, attempt, started))
             _, summary, elapsed = _timed_execute(spec, attempt=attempt)
             payload = (OK, summary.to_dict(), elapsed)
         except BaseException as exc:  # noqa: BLE001 — report, don't die
@@ -350,12 +345,9 @@ def _worker_main(conn, heartbeat_s: float | None = None) -> None:
                 traceback_module.format_exc(),
                 time.perf_counter() - started,
             )
-        finally:
-            if stop is not None:
-                stop.set()
-                beat.join()
         try:
             with send_lock:
+                current.clear()
                 conn.send(payload)
         except (BrokenPipeError, OSError):
             return

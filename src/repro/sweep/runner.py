@@ -17,6 +17,7 @@ tests/test_sweep.py asserts exactly that.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -25,7 +26,7 @@ import sys
 import time
 import traceback as traceback_module
 import weakref
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
 
 from ..experiments.common import (
@@ -519,7 +520,7 @@ class SweepRunner:
 
     After (any number of) :meth:`run` calls, ``executed`` counts the
     simulations actually performed and ``cached`` the store/memo hits —
-    the observability the "--resume executes zero simulations" contract is
+    the observability the "a rerun executes zero simulations" contract is
     tested against.  ``requested`` holds every hash this runner was asked
     for; :meth:`stale_stored_hashes` diffs the store against it to surface
     rows stranded by spec changes.
@@ -650,6 +651,7 @@ class SweepRunner:
         self._pool: WorkerPool | None = None
         self._pool_state: tuple | None = None
         self._pool_finalizer: weakref.finalize | None = None
+        self._in_session = False
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -663,11 +665,17 @@ class SweepRunner:
             self._pool_finalizer()
             self._pool = None
 
-    def run(self, specs: Iterable[RunSpec]) -> dict[str, RunSummary]:
+    def run(
+        self,
+        specs: Iterable[RunSpec],
+        stored: Mapping[str, RunSummary] | None = None,
+    ) -> dict[str, RunSummary]:
         """Run (or fetch) every spec; returns {content_hash: summary}.
 
         Duplicate specs collapse to one run.  Results are keyed by hash so
         callers recover per-spec summaries regardless of execution order.
+        ``stored`` serves its specs instead of the resume snapshot: the
+        lease loop passes the store as it last read it.
         """
         ordered: list[RunSpec] = []
         seen: set[str] = set()
@@ -678,44 +686,16 @@ class SweepRunner:
                 self.specs.setdefault(spec.content_hash, spec)
         self.requested.update(seen)
 
-        telemetry_on = self._writer is not None
-        # Activate the env channel so engine tracers attach in-process
-        # *and* in forked pool workers; restored on the way out so a
-        # runner never leaks configuration into its host process.
-        env_previous = (
-            telemetry_runtime.activate(
-                self.telemetry_path, cadence_ns=self.telemetry_cadence_ns
-            )
-            if telemetry_on
-            else None
-        )
-        if self.progress:
-            self._reporter = ProgressReporter(len(ordered))
-        if self.progress or telemetry_on:
-            self._aggregator = HeartbeatAggregator()
-        run_started = time.time()
-        if self._writer is not None:
-            worker_field = (
-                {"worker": self.worker} if self.worker is not None else {}
-            )
-            self._writer.emit(telemetry_events.make_event(
-                telemetry_events.CAMPAIGN_START,
-                campaign=self.campaign_id,
-                total_specs=len(ordered),
-                jobs=self.jobs,
-                **worker_field,
-            ))
-
         results: dict[str, RunSummary] = {}
-        try:
+        with self.session(len(ordered)):
+            if stored is None:
+                # Parsed once per runner, not once per run() call: this
+                # runner's own appends land in the memo, consulted first,
+                # so the snapshot never goes stale.
+                if self.resume and self._stored is None:
+                    self._stored = self.store.load()
+                stored = self._stored if self.resume else {}
             pending: list[RunSpec] = []
-            # The store is parsed once per runner, not once per run() call —
-            # `repro run --all` issues one call per experiment against a store
-            # that only this runner appends to (appends land in the memo, which
-            # is consulted first, so the snapshot never goes stale).
-            if self.resume and self._stored is None:
-                self._stored = self.store.load()
-            stored = self._stored if self.resume else {}
             for spec in ordered:
                 hit = self._memo.get(spec.content_hash)
                 if hit is None:
@@ -747,15 +727,56 @@ class SweepRunner:
                     summary = self._run_one(spec)
                     if summary is not None:
                         results[spec.content_hash] = summary
+        return results
+
+    @contextlib.contextmanager
+    def session(self, total: int) -> Iterator[None]:
+        """One progress line, telemetry activation and campaign-start/
+        -end event pair around every :meth:`run` inside it.
+
+        A :meth:`run` outside a session opens its own; the lease loop
+        opens one around all of its rounds.
+        """
+        if self._in_session:
+            yield
+            return
+        self._in_session = True
+        telemetry_on = self._writer is not None
+        # Activate the env channel so engine tracers attach in-process
+        # *and* in forked pool workers; restored on the way out so a
+        # runner never leaks configuration into its host process.
+        env_previous = (
+            telemetry_runtime.activate(
+                self.telemetry_path, cadence_ns=self.telemetry_cadence_ns
+            )
+            if telemetry_on
+            else None
+        )
+        if self.progress:
+            self._reporter = ProgressReporter(total)
+        if self.progress or telemetry_on:
+            self._aggregator = HeartbeatAggregator()
+        started = time.time()
+        worker_field = (
+            {"worker": self.worker} if self.worker is not None else {}
+        )
+        if self._writer is not None:
+            self._writer.emit(telemetry_events.make_event(
+                telemetry_events.CAMPAIGN_START,
+                campaign=self.campaign_id,
+                total_specs=total,
+                jobs=self.jobs,
+                **worker_field,
+            ))
+        try:
+            yield
         finally:
+            self._in_session = False
             if telemetry_on:
                 telemetry_runtime.deactivate(env_previous)
             if self._writer is not None:
                 retried = sum(
                     1 for o in self.outcomes.values() if o.attempts > 1
-                )
-                worker_field = (
-                    {"worker": self.worker} if self.worker is not None else {}
                 )
                 self._writer.emit(telemetry_events.make_event(
                     telemetry_events.CAMPAIGN_END,
@@ -765,14 +786,13 @@ class SweepRunner:
                     failed=len(self.failed_hashes()),
                     retried=retried,
                     quarantined=len(self.quarantined_hashes()),
-                    elapsed_s=time.time() - run_started,
+                    elapsed_s=time.time() - started,
                     **worker_field,
                 ))
             if self._reporter is not None:
                 self._reporter.close()
                 self._reporter = None
             self._aggregator = None
-        return results
 
     def stale_stored_hashes(self) -> set[str]:
         """Stored hashes no :meth:`run` call ever requested.

@@ -101,8 +101,7 @@ class ResultStore:
         self.path = Path(path)
         self.backend = make_backend(self.path)
         self.skipped_rows = 0
-        self._cache_sig: tuple | None = None
-        self._cache: dict[str, RunSummary] = {}
+        self._index: dict[str, RunSummary] = {}
 
     @property
     def backend_kind(self) -> str:
@@ -229,30 +228,32 @@ class ResultStore:
         return digest.hexdigest()
 
     def _summaries(self) -> dict[str, RunSummary]:
-        """The {hash: summary} index, parsed at most once per store state.
+        """The {hash: summary} index, current as of this call.
 
-        Cached against the backend's signature (file stat or SQLite
-        data_version): repeated :meth:`get` calls cost one
-        :meth:`rows` pass total, while a write from another process
-        changes the signature and triggers a reparse.  :meth:`put` and
-        :meth:`compact` invalidate explicitly.
+        Each call folds in only the rows written since the previous one,
+        by this store or any other process
+        (:meth:`~repro.sweep.backends.ResultStoreBackend.read_new`), so a
+        loop that polls a growing store decodes and checksum-verifies
+        every row once.  Bad rows are skipped as :meth:`rows` skips
+        them, and a bad row that replaced a hash's only row (SQLite)
+        takes the hash out; a replaced, shrunk or rewritten store is
+        read again from the start.
         """
-        sig = self.backend.signature()
-        if sig is None:
-            self._cache_sig = None
-            self._cache = {}
-            return self._cache
-        if sig != self._cache_sig:
-            self._cache = {
-                row["spec_hash"]: RunSummary.from_dict(row["summary"])
-                for row in self.rows()
-            }
-            self._cache_sig = sig
-        return self._cache
-
-    def _invalidate(self) -> None:
-        self._cache_sig = None
-        self._cache = {}
+        restarted, lines = self.backend.read_new()
+        if restarted:
+            self._index = {}
+        for replaces, line in lines:
+            line = line.strip()
+            if replaces is not None:
+                self._index.pop(replaces, None)
+            if not line:
+                continue
+            row, _problem = self._decode_line(line)
+            if row is not None:
+                self._index[row["spec_hash"]] = RunSummary.from_dict(
+                    row["summary"]
+                )
+        return self._index
 
     def load(self) -> dict[str, RunSummary]:
         """{spec_hash: summary} with the last row winning per hash."""
@@ -271,7 +272,7 @@ class ResultStore:
         return set(self._summaries())
 
     def get(self, spec: RunSpec) -> RunSummary | None:
-        """The stored summary for one spec, if any (cached single pass)."""
+        """The stored summary for one spec, if any."""
         return self._summaries().get(spec.content_hash)
 
     # ------------------------------------------------------------------
@@ -295,7 +296,6 @@ class ResultStore:
         row[CHECKSUM_FIELD] = row_checksum(row)
         line = json.dumps(row, sort_keys=True) + "\n"
         self.backend.append_line(row["spec_hash"], line)
-        self._invalidate()
 
     def compact(self) -> int:
         """Atomically rewrite the store in canonical form.
@@ -330,7 +330,6 @@ class ResultStore:
                     (spec_hash, json.dumps(row, sort_keys=True) + "\n")
                 )
             self.backend.rewrite(ordered)
-            self._invalidate()
         return dropped
 
     def merge(
@@ -364,6 +363,4 @@ class ResultStore:
                 )
                 have.add(spec_hash)
                 appended += 1
-        if appended:
-            self._invalidate()
         return appended

@@ -5,8 +5,8 @@ the campaign around it — when it ran, on what host and package versions,
 which specs were cache hits, and the full per-spec attempt history
 (status sequence, per-attempt wall times) so retry/quarantine ground
 truth survives after the stderr progress line is gone.  Written
-atomically (temp file + rename) next to the store as
-``<store>.manifest.json``.
+atomically (temp file + rename) next to the store, one per worker, as
+``<store>.manifest-<worker>.json``.
 """
 
 from __future__ import annotations
@@ -22,18 +22,20 @@ from pathlib import Path
 MANIFEST_VERSION = 1
 
 
-def default_manifest_path(store_path: str | Path) -> Path:
-    """The manifest sidecar for a store, whatever its backend.
+def default_manifest_path(store_path: str | Path, worker: str) -> Path:
+    """One worker's manifest sidecar for a store, whatever its backend.
 
-    ``campaign.jsonl -> campaign.manifest.json``; any other store path
-    (``campaign.db`` included) gets the name appended whole instead of
-    the old suffix string-replacement (``campaign.db.manifest.json``).
+    One file per worker, so concurrent workers on one store never
+    overwrite each other's attempt histories:
+    ``campaign.jsonl -> campaign.manifest-<worker>.json``; any other
+    store path (``campaign.db`` included) gets the name appended whole
+    (``campaign.db.manifest-<worker>.json``).
     """
     # Imported lazily: repro.sweep imports repro.telemetry at load time,
     # so a module-level import here would complete the cycle.
     from ..sweep.backends import sidecar_path
 
-    return sidecar_path(store_path, "manifest.json")
+    return sidecar_path(store_path, f"manifest-{worker}.json")
 
 
 def _package_versions() -> dict:

@@ -18,6 +18,8 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from repro.sweep.campaign import (
     campaign_status,
     make_lease_store,
 )
+from repro.sim.metrics import RunSummary
 from repro.sweep.chaos import CHAOS_ENV, ChaosPlan, Fault
 from repro.telemetry import default_manifest_path
 
@@ -98,7 +101,7 @@ class TestBackendSelection:
         for argv in (
             ["store", "verify", str(store_dir)],
             ["run", "fig6", "--scale", "micro", "--store", str(store_dir)],
-            ["campaign", "run", *grid, "--store", str(store_dir)],
+            ["sweep", *grid, "--store", str(store_dir)],
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
@@ -114,11 +117,11 @@ class TestBackendSelection:
         assert default_quarantine_path("camp.db") == Path(
             "camp.db.quarantine.jsonl"
         )
-        assert default_manifest_path("campaign.jsonl") == Path(
-            "campaign.manifest.json"
+        assert default_manifest_path("campaign.jsonl", "w1") == Path(
+            "campaign.manifest-w1.json"
         )
-        assert default_manifest_path("campaign.db") == Path(
-            "campaign.db.manifest.json"
+        assert default_manifest_path("campaign.db", "w1") == Path(
+            "campaign.db.manifest-w1.json"
         )
 
 
@@ -252,10 +255,10 @@ class TestLeaseStores:
         leases = _lease_store(kind, tmp_path, clock)
         leases.claim(["aa"], "alice", ttl_s=10.0, limit=1)
         clock.now += 8.0
-        leases.renew("aa", "alice", ttl_s=10.0)
+        leases.renew(["aa"], "alice", ttl_s=10.0)
         clock.now += 8.0  # 16s after claim, 8s after renewal: still live
         assert leases.claim(["aa"], "bob", ttl_s=10.0, limit=1) == []
-        leases.renew("aa", "bob", ttl_s=100.0)  # not bob's to renew
+        leases.renew(["aa"], "bob", ttl_s=100.0)  # not bob's to renew
         owner, expires = leases.snapshot()["aa"]
         assert owner == "alice"
         # Renewed at t+8 for 10s: expiry is t+18, untouched by bob.
@@ -294,6 +297,216 @@ def test_file_leases_tolerate_a_torn_trailing_line(tmp_path):
     with leases.path.open("a") as handle:
         handle.write('{"spec_hash": "bb", "owner": "cr')  # torn mid-write
     assert leases.snapshot() == {"aa": ("alice", 1010.0)}
+
+
+# ---------------------------------------------------------------------------
+# incremental reads: a long-lived reader equals a fresh full read
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["sqlite", "file"])
+def test_lease_reader_equals_a_fresh_read_after_every_append(tmp_path, kind):
+    """One reader instance follows the log through claims, renewals,
+    releases, a torn fragment and the whole line that lands after it."""
+    clock = FakeClock()
+    reader = _lease_store(kind, tmp_path, clock)
+    writer = _lease_store(kind, tmp_path, clock)
+
+    def fresh():
+        return _lease_store(kind, tmp_path, clock).snapshot()
+
+    steps = [
+        lambda: writer.claim(["aa", "bb", "cc"], "alice", 10.0, 2),
+        lambda: writer.renew(["aa"], "alice", 20.0),
+        lambda: writer.release(["bb"], "alice"),
+        lambda: writer.claim(["bb", "cc"], "bob", 10.0, 2),
+    ]
+    if kind == "file":
+        steps.append(
+            lambda: writer.path.open("a").write('{"spec_hash": "dd", "ow')
+        )
+    steps.append(lambda: writer.claim(["ee"], "carol", 10.0, 1))
+    assert reader.snapshot() == fresh() == {}
+    for step in steps:
+        step()
+        clock.now += 1.0
+        assert reader.snapshot() == fresh()
+    # A torn fragment swallows the line written after it, for the
+    # long-lived reader as for a fresh one.
+    assert "dd" not in reader.snapshot()
+    assert ("ee" in reader.snapshot()) == (kind == "sqlite")
+
+
+def canned_summary(marker: int = 0) -> RunSummary:
+    return RunSummary(
+        duration_ns=1.0,
+        epoch_ns=1.0,
+        num_flows=1,
+        num_completed=1,
+        goodput_normalized=0.5,
+        goodput_gbps=1.0,
+        mice_fct_p99_ns=None,
+        mice_fct_mean_ns=None,
+        extra={"marker": marker},
+    )
+
+
+def store_view(store: ResultStore) -> dict:
+    return {h: s.to_dict() for h, s in store.load().items()}
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+def test_store_reader_equals_a_fresh_read_after_every_append(
+    tmp_path, backend
+):
+    """Puts, re-puts, merges and a compaction by another instance: one
+    long-lived reader always holds what a fresh full read holds."""
+    path = tmp_path / STORE_NAMES[backend]
+    specs = grid_specs(4)
+    reader = ResultStore(path)
+    writer = ResultStore(path)
+    other = ResultStore(tmp_path / "other.jsonl")
+    other.put(specs[3], canned_summary(3))
+
+    steps = [
+        lambda: writer.put(specs[0], canned_summary(0)),
+        lambda: writer.put(specs[1], canned_summary(1)),
+        lambda: writer.put(specs[0], canned_summary(10)),  # re-put
+        lambda: writer.merge([other]),
+        lambda: writer.put(specs[2], canned_summary(2)),
+        lambda: writer.compact(),
+        lambda: writer.put(specs[1], canned_summary(11)),
+    ]
+    assert store_view(reader) == store_view(ResultStore(path)) == {}
+    for step in steps:
+        step()
+        assert store_view(reader) == store_view(ResultStore(path))
+        assert reader.completed_hashes() == ResultStore(
+            path
+        ).completed_hashes()
+    assert store_view(reader)[specs[0].content_hash]["extra"] == {
+        "marker": 10
+    }
+    assert len(reader.completed_hashes()) == 4
+
+
+def test_jsonl_reader_holds_a_torn_fragment_until_its_line_ends(tmp_path):
+    path = tmp_path / "s.jsonl"
+    specs = grid_specs(2)
+    reader = ResultStore(path)
+    writer = ResultStore(path)
+    writer.put(specs[0], canned_summary(0))
+    assert reader.completed_hashes() == {specs[0].content_hash}
+    with path.open("a") as handle:
+        handle.write('{"spec_hash": "torn-mid-wr')  # a crashed writer
+    assert reader.completed_hashes() == ResultStore(path).completed_hashes()
+    # The next whole line lands after the fragment: both reads see one
+    # torn line, and only a later row counts.
+    writer.put(specs[1], canned_summary(1))
+    assert reader.completed_hashes() == ResultStore(path).completed_hashes()
+    assert reader.completed_hashes() == {specs[0].content_hash}
+    writer.put(specs[1], canned_summary(1))
+    assert reader.completed_hashes() == ResultStore(path).completed_hashes()
+    assert len(reader.completed_hashes()) == 2
+    # compact() replaces the file: the reader starts over and agrees.
+    assert writer.compact() == 1
+    assert store_view(reader) == store_view(ResultStore(path))
+
+
+def test_sqlite_reader_counts_a_good_reput_of_a_corrupted_row(tmp_path):
+    path = tmp_path / "s.db"
+    specs = grid_specs(2)
+    reader = ResultStore(path)
+    writer = ResultStore(path)
+    writer.put(specs[0], canned_summary(0))
+    line = json.dumps({"spec_hash": specs[1].content_hash, "spec": {},
+                       "summary": {}, "row_sha256": "0" * 64})
+    writer.backend.append_line(specs[1].content_hash, line + "\n")
+    assert reader.completed_hashes() == {specs[0].content_hash}
+    assert reader.completed_hashes() == ResultStore(path).completed_hashes()
+    writer.put(specs[1], canned_summary(1))
+    assert reader.completed_hashes() == {s.content_hash for s in specs}
+    assert store_view(reader) == store_view(ResultStore(path))
+    # A rewrite renumbers the rows: the reader starts over and agrees.
+    writer.backend.append_line(specs[0].content_hash, line + "\n")
+    assert reader.completed_hashes() == {specs[1].content_hash}
+    assert writer.compact() == 1
+    assert store_view(reader) == store_view(ResultStore(path))
+
+
+@pytest.mark.parametrize("store_name", ["fleet.jsonl", "fleet.db"])
+def test_lone_worker_decodes_each_row_a_few_times(
+    tmp_path, monkeypatch, store_name
+):
+    """A single-worker campaign reads only what changed: its JSON decodes
+    stay within a small constant of the lease and store rows it writes,
+    where re-reading everything each round costs rounds x rows."""
+    specs = [tiny_spec(seed=seed) for seed in range(240)]
+    monkeypatch.setattr(
+        "repro.sweep.runner.execute_spec", lambda spec: canned_summary()
+    )
+    decodes = 0
+    real_loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        nonlocal decodes
+        decodes += 1
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    store = ResultStore(tmp_path / store_name)
+    report = run_campaign(specs, store, worker="solo", lease_ttl_s=30.0)
+    monkeypatch.setattr(json, "loads", real_loads)
+    assert report.executed == len(specs)
+    assert report.rounds <= 10
+    lease_log = store.sidecar("leases.jsonl")
+    lease_rows = (
+        len(lease_log.read_text().splitlines()) if lease_log.exists() else 0
+    )
+    assert decodes <= 3 * (len(specs) + lease_rows)
+
+
+@pytest.mark.parametrize(
+    "lease_batch, rounds", [(None, 4), (3, 3)], ids=["halving", "fixed"]
+)
+def test_claim_size_per_round(tmp_path, monkeypatch, lease_batch, rounds):
+    """By default a round claims half the pending specs (at least
+    ``jobs``), so 8 specs take rounds of 4, 2, 1 and 1; ``lease_batch``
+    fixes the size instead."""
+    monkeypatch.setattr(
+        "repro.sweep.runner.execute_spec", lambda spec: canned_summary()
+    )
+    specs = [tiny_spec(seed=seed) for seed in range(8)]
+    store = ResultStore(tmp_path / "fleet.db")
+    report = run_campaign(
+        specs, store, lease_ttl_s=30.0, lease_batch=lease_batch
+    )
+    assert (report.executed, report.rounds) == (8, rounds)
+
+
+def test_waiting_specs_keep_their_leases_alive(tmp_path, monkeypatch):
+    """A round's specs wait behind the one that runs; their leases are
+    renewed meanwhile, so none lapses while its worker is alive, even
+    when the round takes longer than the lease TTL."""
+    store = ResultStore(tmp_path / "fleet.jsonl")
+    lapsed: list[str] = []
+
+    def slow_execute(spec):
+        now = time.time()
+        for spec_hash, (owner, expires) in FileLeases(
+            store.path
+        ).snapshot().items():
+            if owner == "solo" and 0 < expires <= now:
+                lapsed.append(spec_hash)
+        time.sleep(0.1)
+        return canned_summary()
+
+    monkeypatch.setattr("repro.sweep.runner.execute_spec", slow_execute)
+    specs = [tiny_spec(seed=seed) for seed in range(8)]
+    # The first round claims 4 specs: 0.4 s of work on a 0.3 s lease.
+    report = run_campaign(specs, store, worker="solo", lease_ttl_s=0.3)
+    assert report.executed == len(specs)
+    assert lapsed == []
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +658,89 @@ def test_two_concurrent_workers_execute_each_spec_exactly_once(
     store = ResultStore(store_path)
     assert store.content_digest() == golden
     assert store.verify().ok
+
+
+def _sweep_cli(*args: str) -> list[str]:
+    return [sys.executable, "-m", "repro", "sweep", *args]
+
+
+def _cli_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}
+    # Stored summaries record core_used: match this process's core.
+    if "REPRO_CORE" in os.environ:
+        env["REPRO_CORE"] = os.environ["REPRO_CORE"]
+    return env
+
+
+CLI_GRID = (
+    "--scale", "tiny", "--load", "0.1", "--load", "0.15", "--load", "0.2",
+    "--load", "0.25", "--seed", "2024", "--seed", "7",
+    "--duration-ms", "0.4",
+)
+
+
+def _cli_serial_digest(tmp_path: Path) -> str:
+    """The golden digest: one serial sweep of CLI_GRID into a JSONL store."""
+    proc = subprocess.run(
+        _sweep_cli(*CLI_GRID, "--store", str(tmp_path / "golden.jsonl")),
+        capture_output=True, text=True, env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ResultStore(tmp_path / "golden.jsonl").content_digest()
+
+
+def test_two_concurrent_sweeps_share_one_store(tmp_path):
+    """Two `repro sweep` processes on one SQLite store: each spec runs
+    once, the totals of each cover the grid, and the store reaches the
+    serial digest."""
+    golden = _cli_serial_digest(tmp_path)
+    store = str(tmp_path / "fleet.db")
+    workers = [
+        subprocess.Popen(
+            _sweep_cli(
+                *CLI_GRID, "--store", store, "--worker-id", name,
+                "--lease-batch", "1", "--json",
+            ),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_cli_env(),
+        )
+        for name in ("a", "b")
+    ]
+    reports = []
+    for worker in workers:
+        out, err = worker.communicate(timeout=180)
+        assert worker.returncode == 0, err
+        reports.append(json.loads(out))
+    assert sum(r["totals"]["executed"] for r in reports) == 8
+    for report in reports:
+        totals = report["totals"]
+        assert totals["specs"] == 8
+        assert totals["failed"] == 0
+        assert (
+            totals["executed"] + totals["cached"] + totals["done_elsewhere"]
+        ) == 8
+        assert len(report["runs"]) == 8  # every grid spec, read back
+    assert reports[1]["content_digest"] == golden
+
+
+def test_sweep_cache_from_imports_and_executes_nothing(tmp_path):
+    golden = _cli_serial_digest(tmp_path)
+    proc = subprocess.run(
+        _sweep_cli(
+            *CLI_GRID, "--store", str(tmp_path / "cached.db"),
+            "--cache-from", str(tmp_path / "golden.jsonl"), "--json",
+        ),
+        capture_output=True, text=True, env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["totals"]["executed"] == 0
+    assert payload["totals"]["imported"] == 8
+    assert payload["totals"]["cached"] == 8
+    assert payload["totals"]["rounds"] == 0
+    assert payload["content_digest"] == golden
+    assert "8 cached (8 imported)" in proc.stderr
 
 
 FRESH_OPEN_ROUNDS = 120

@@ -311,7 +311,7 @@ class TestSigintResume:
                 proc.communicate()
         assert proc.returncode == 130
         assert "interrupted" in stderr
-        assert "--resume" in stderr
+        assert "rerun the same command" in stderr
 
         # The interrupted store holds exactly the three completed runs,
         # every row intact.
@@ -320,16 +320,19 @@ class TestSigintResume:
         assert report.ok
         assert report.unique_hashes == 3
 
-        # Resume without chaos: only the missing spec executes.
+        # Rerun without chaos: only the missing spec executes, at once,
+        # because the interrupted worker released its leases.
+        started = time.monotonic()
         resume = subprocess.run(
             [
                 sys.executable, "-m", "repro", *SWEEP_ARGS,
-                "--store", str(store_path), "--resume",
+                "--store", str(store_path),
             ],
             capture_output=True, text=True, env=cli_env(),
         )
         assert resume.returncode == 0, resume.stderr
         assert "1 executed, 3 cached" in resume.stdout
+        assert time.monotonic() - started < 30  # the lease TTL is 60 s
 
         # Bit-for-bit against the serial golden, computed in-process.
         stored = store.load()
@@ -339,3 +342,41 @@ class TestSigintResume:
         for spec_hash, spec in specs.items():
             golden = execute_spec(spec)
             assert stored[spec_hash].to_dict() == golden.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# a failing spec under --on-error fail: one line and exit 2 on every path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "path_flags", [(), ("--timeout-s", "30")], ids=["serial", "pool"]
+)
+def test_failing_spec_ends_the_sweep_with_one_line(tmp_path, path_flags):
+    """The serial path re-raises the spec's own exception and the pool
+    path raises SweepExecutionError; the CLI ends both the same way."""
+    grid = (
+        "sweep", "--scale", "tiny", "--scenario", "poisson",
+        "--load", "0.1", "--duration-ms", "0.15", "--jobs", "1",
+    )
+    dry = subprocess.run(
+        [sys.executable, "-m", "repro", *grid, "--dry-run"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert dry.returncode == 0, dry.stderr
+    short_hash, label = dry.stdout.splitlines()[0].split("  ", 1)
+    plan = ChaosPlan.from_faults([Fault(match=short_hash, kind="raise")])
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro", *grid, *path_flags,
+            "--store", str(tmp_path / "s.jsonl"),
+        ],
+        capture_output=True, text=True,
+        env=cli_env(**{CHAOS_ENV: plan.to_json()}),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith(
+        f"spec {short_hash} ({label}) failed after 1 attempt(s): ChaosError"
+    ), last

@@ -73,6 +73,22 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "run", "--store", "x.db"], "invalid choice: 'run'"),
+            (["sweep", "--resume"], "unrecognized arguments: --resume"),
+        ],
+        ids=["campaign-run", "sweep-resume"],
+    )
+    def test_removed_grid_front_ends_exit_2(self, argv, message, capsys):
+        """``sweep`` is the one grid command and its store always
+        resumes: ``campaign run`` and ``--resume`` are unknown words."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

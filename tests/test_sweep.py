@@ -945,43 +945,43 @@ class TestStoreIntegrity:
 
     def test_get_is_one_parse_per_file_state(self, tmp_path, monkeypatch):
         """The lookup path must not re-read the whole file per call: a
-        batch of get()s costs one rows() pass, and only a file change
-        (our put, or another process appending) triggers a reparse."""
+        batch of get()s decodes each row once, and a change (our put, or
+        another process appending) decodes only the new row."""
         specs = [tiny_spec(seed=seed) for seed in (1, 2, 3)]
         summaries = {s.content_hash: execute_spec(s) for s in specs}
         writer = ResultStore(tmp_path / "s.jsonl")
         for spec in specs:
             writer.put(spec, summaries[spec.content_hash])
 
-        parses = 0
-        real_rows = ResultStore.rows
+        decoded = 0
+        real_decode = ResultStore._decode_line
 
-        def counting_rows(self, strict=False):
-            nonlocal parses
-            parses += 1
-            return real_rows(self, strict)
+        def counting_decode(self, line):
+            nonlocal decoded
+            decoded += 1
+            return real_decode(self, line)
 
-        monkeypatch.setattr(ResultStore, "rows", counting_rows)
+        monkeypatch.setattr(ResultStore, "_decode_line", counting_decode)
         store = ResultStore(tmp_path / "s.jsonl")
         for spec in specs:
             assert store.get(spec) is not None
         store.completed_hashes()
         store.load()
-        assert parses == 1
+        assert decoded == 3
 
-        # Our own append invalidates: exactly one more parse.
+        # Our own append: only the new row is read back.
         extra = tiny_spec(seed=4)
         store.put(extra, execute_spec(extra))
         assert store.get(extra) is not None
-        assert parses == 2
+        assert decoded == 4
         store.get(specs[0])
-        assert parses == 2
+        assert decoded == 4
 
-        # An append from another process changes the stat signature.
+        # An append from another process: again only the new row.
         foreign = tiny_spec(seed=5)
         writer.put(foreign, execute_spec(foreign))
         assert store.get(foreign) is not None
-        assert parses == 3
+        assert decoded == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1149,14 +1149,13 @@ class TestSweepCli:
         assert "unknown scenario" in proc.stderr
 
     def test_invalid_load_fails_cleanly(self, tmp_path):
-        """A zero or non-finite load fails the sweep and campaign dry runs."""
+        """A zero or non-finite load fails the dry run, opening no store."""
         store = str(tmp_path / "campaign.db")
         for load in ("0", "inf", "nan"):
             grid = ("--scale", "micro", "--load", load, "--seed", "1")
-            for command in (("sweep",), ("campaign", "run", "--store", store)):
-                proc = run_cli(*command, *grid, "--dry-run")
-                assert proc.returncode == 2
-                assert proc.stderr.strip() == "load must be positive and finite"
+            proc = run_cli("sweep", "--store", store, *grid, "--dry-run")
+            assert proc.returncode == 2
+            assert proc.stderr.strip() == "load must be positive and finite"
         assert not Path(store).exists()
 
     def test_bad_scenario_param_rejected_even_on_dry_run(self):
@@ -1184,12 +1183,11 @@ class TestSweepCli:
             "--scheduler", "stateful", "--dry-run",
         )
         store = str(tmp_path / "campaign.db")
-        for command in (("sweep",), ("campaign", "run", "--store", store)):
-            proc = run_cli(*command, *grid)
-            assert proc.returncode == 2
-            assert proc.stderr.strip() == unsupported_message(
-                "oblivious", "scheduler 'stateful'"
-            )
+        proc = run_cli("sweep", "--store", store, *grid)
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == unsupported_message(
+            "oblivious", "scheduler 'stateful'"
+        )
         assert not Path(store).exists()
 
     def test_unknown_scheduler_fails_the_dry_run(self):
@@ -1254,12 +1252,17 @@ class TestSweepCli:
         assert payload["runs"][0]["attempts"] == 1
         assert payload["runs"][0]["attempt_statuses"] == ["ok"]
         assert payload["totals"] == {
-            "specs": 1, "executed": 1, "cached": 0,
-            "retried": 0, "quarantined": 0, "failed": 0,
+            "specs": 1, "executed": 1, "cached": 0, "imported": 0,
+            "done_elsewhere": 0, "retried": 0, "quarantined": 0,
+            "failed": 0, "rounds": 1,
         }
+        assert payload["content_digest"] == ResultStore(
+            tmp_path / "s.jsonl"
+        ).content_digest()
         assert "1 executed" in first.stderr
 
-        second = run_cli(*args, "--resume")
+        # A store always resumes: the same command again runs nothing.
+        second = run_cli(*args)
         assert second.returncode == 0, second.stderr
         assert "0 executed, 1 cached" in second.stderr
         cached_payload = json.loads(second.stdout)
@@ -1273,9 +1276,11 @@ class TestSweepCli:
             assert cached_row["attempts"] == 0
             assert cached_row["attempt_statuses"] == []
         assert cached_payload["totals"] == {
-            "specs": 1, "executed": 0, "cached": 1,
-            "retried": 0, "quarantined": 0, "failed": 0,
+            "specs": 1, "executed": 0, "cached": 1, "imported": 0,
+            "done_elsewhere": 0, "retried": 0, "quarantined": 0,
+            "failed": 0, "rounds": 0,
         }
+        assert cached_payload["content_digest"] == payload["content_digest"]
 
     def test_run_json_output(self):
         proc = run_cli("run", "fig7a", "--scale", "tiny", "--json")
@@ -1293,9 +1298,7 @@ class TestSweepCli:
         first = run_cli(*base, "--scenario", "hotspot")
         assert first.returncode == 0, first.stderr
         # Same grid with a changed parameter: old row goes stale.
-        second = run_cli(
-            *base, "--scenario", "hotspot:hot_weight=0.9", "--resume"
-        )
+        second = run_cli(*base, "--scenario", "hotspot:hot_weight=0.9")
         assert second.returncode == 0, second.stderr
         assert "1 executed, 0 cached" in second.stdout
         assert "1 stored rows ignored (stale spec hashes" in second.stdout
@@ -1392,10 +1395,10 @@ BAD_RUN_FLAGS = [
     ),
     (["--telemetry-cadence-us", "inf"], "--telemetry-cadence-us must be finite"),
     (["--lease-ttl-s", "nan"], "--lease-ttl-s must be positive and finite"),
+    (["--lease-ttl-s", "0"], "--lease-ttl-s must be positive and finite"),
     (["--lease-batch", "0"], "--lease-batch must be at least 1"),
 ]
-"""Every run flag's bad values and exact messages (the lease flags exist
-on ``campaign run`` only)."""
+"""Every run flag's bad values and exact messages."""
 
 
 class TestSweepCliResilience:
@@ -1436,25 +1439,21 @@ class TestSweepCliResilience:
 
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
     @pytest.mark.parametrize(
-        "command, flags, message",
+        "flags, message",
         [
-            pytest.param(
-                command, flags, message, id=f"{command} {' '.join(flags)}"
-            )
-            for command in ("sweep", "campaign run")
+            pytest.param(flags, message, id=f"sweep {' '.join(flags)}")
             for flags, message in BAD_RUN_FLAGS
-            if command == "campaign run" or "--lease" not in flags[0]
         ],
     )
     def test_bad_run_flag_exits_2_before_anything_runs(
-        self, command, flags, message, dry_run, tmp_path, capsys
+        self, flags, message, dry_run, tmp_path, capsys
     ):
-        """Both launch paths check every run flag before the dry run, so
-        a bad value is one message and exit 2 in either mode: no
-        traceback, no run and no store."""
+        """``sweep`` checks every run flag before the dry run, so a bad
+        value is one message and exit 2 in either mode: no traceback, no
+        run and no store."""
         store = tmp_path / "s.db"
         argv = [
-            *command.split(), "--scale", "micro", "--load", "0.5",
+            "sweep", "--scale", "micro", "--load", "0.5",
             "--seed", "1", "--duration-ms", "0.05", "--store", str(store),
             *flags,
         ]

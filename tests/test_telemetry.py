@@ -751,8 +751,8 @@ class TestManifest:
         assert manifest["specs"][spec.content_hash]["cached"] is True
 
     def test_default_path_sits_next_to_store(self):
-        assert default_manifest_path("campaign.jsonl") == Path(
-            "campaign.manifest.json"
+        assert default_manifest_path("campaign.jsonl", "w1") == Path(
+            "campaign.manifest-w1.json"
         )
 
     def test_build_manifest_is_json_serializable(self):
@@ -911,6 +911,7 @@ class TestTelemetryCli:
         code, out, err = self.run_main(
             *self.sweep_args(
                 tmp_path, "--telemetry", str(events_path), "--progress",
+                "--worker-id", "w1",
             ),
             capsys=capsys,
         )
@@ -918,7 +919,7 @@ class TestTelemetryCli:
         assert "sweep 1/1 done" in err
         assert "manifest" in out or "manifest" in err
         manifest = json.loads(
-            default_manifest_path(tmp_path / "s.jsonl").read_text()
+            default_manifest_path(tmp_path / "s.jsonl", "w1").read_text()
         )
         assert manifest["counts"]["executed"] == 1
 
@@ -942,6 +943,41 @@ class TestTelemetryCli:
         )
         assert code == 0
         assert "phase time (negotiator)" in out
+
+    @pytest.mark.parametrize("store_name", ["s.jsonl", "s.db"])
+    def test_progress_and_campaign_events_span_every_lease_round(
+        self, tmp_path, capsys, store_name
+    ):
+        """A sweep runs its grid in several lease rounds, yet reads as one
+        invocation: one campaign-start/-end pair over the whole grid, one
+        progress line that ends on it, and a rerun that serves it all."""
+        events_path = tmp_path / "events.jsonl"
+        argv = (
+            "sweep", "--scale", "micro", "--scenario", "poisson",
+            "--load", "0.2", "--load", "0.4", "--seed", "5", "--seed", "6",
+            "--duration-ms", "0.03", "--store", str(tmp_path / store_name),
+            "--lease-batch", "1", "--worker-id", "w1", "--progress",
+            "--telemetry", str(events_path), "--json",
+        )
+        code, out, err = self.run_main(*argv, capsys=capsys)
+        assert code == 0, err
+        assert json.loads(out)["totals"]["rounds"] == 4
+        progress = [line for line in err.splitlines() if "sweep " in line]
+        assert progress[-1].lstrip("\r").startswith("sweep 4/4 done")
+        events, torn = read_events(events_path)
+        assert torn == 0
+        (start,) = [e for e in events if e["kind"] == "campaign-start"]
+        (end,) = [e for e in events if e["kind"] == "campaign-end"]
+        assert (start["total_specs"], start["worker"]) == (4, "w1")
+        assert (end["executed"], end["cached"]) == (4, 0)
+
+        code, out, err = self.run_main(*argv, capsys=capsys)
+        assert code == 0, err
+        assert json.loads(out)["totals"]["rounds"] == 0
+        assert "sweep 4/4 done (4 cached)" in err
+        events, _ = read_events(events_path)
+        ends = [e for e in events if e["kind"] == "campaign-end"]
+        assert (ends[-1]["executed"], ends[-1]["cached"]) == (0, 4)
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_trace_profiles_the_phases_of_every_system(
