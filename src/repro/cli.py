@@ -85,7 +85,6 @@ from .experiments import (
     SCALES,
     SYSTEMS,
     current_scale,
-    load_experiment,
 )
 
 
@@ -209,8 +208,9 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="specs leased per claim round (default: half the pending "
-        "specs, at least --jobs)",
+        help="most specs leased per claim (default: 4 x --jobs); a claim "
+        "never takes more than an even share of the unleased specs among "
+        "the workers holding leases",
     )
     parser.add_argument(
         "--timeout-s",
@@ -1020,16 +1020,16 @@ def _print_sweep(args, scale, specs, store, report) -> None:
         print(header)
         print("-" * len(header))
         for spec in specs:
+            point = (
+                f"{spec.short_hash:<12}  {spec.scenario:<14}  "
+                f"{spec.system:<10}  {spec.topology:<8}  "
+                f"{spec.load:>5.2f}  {spec.seed:>6}  "
+            )
             summary = summaries.get(spec.content_hash)
             if summary is None:
                 outcome = runner.outcomes.get(spec.content_hash)
                 verdict = outcome.status if outcome else "missing"
-                print(
-                    f"{spec.short_hash:<12}  {spec.scenario:<14}  "
-                    f"{spec.system:<10}  {spec.topology:<8}  "
-                    f"{spec.load:>5.2f}  {spec.seed:>6}  "
-                    f"{'— ' + verdict + ' —':^40}"
-                )
+                print(point + f"{'— ' + verdict + ' —':^40}")
                 continue
             fct = (
                 f"{summary.mice_fct_p99_ns / 1e3:.1f}"
@@ -1037,10 +1037,7 @@ def _print_sweep(args, scale, specs, store, report) -> None:
                 else "n/a"
             )
             print(
-                f"{spec.short_hash:<12}  {spec.scenario:<14}  "
-                f"{spec.system:<10}  {spec.topology:<8}  "
-                f"{spec.load:>5.2f}  {spec.seed:>6}  "
-                f"{summary.num_flows:>7}  {summary.num_completed:>7}  "
+                point + f"{summary.num_flows:>7}  {summary.num_completed:>7}  "
                 f"{summary.goodput_normalized:>6.3f}  {fct:>13}"
             )
     status = sys.stderr if args.json else sys.stdout

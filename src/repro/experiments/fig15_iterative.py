@@ -15,7 +15,8 @@ Each (variant, load) point is declared as a
 from __future__ import annotations
 
 from ..sweep import RunSpec, SweepRunner, scale_spec_fields
-from .common import ExperimentResult, ExperimentScale, current_scale, fct_ms
+from .common import ExperimentResult, ExperimentScale, current_scale
+from .fig9_main_results import fct_goodput_table, run_grid
 
 VARIANTS = (
     ("Speedup 2x", "base", None, True),
@@ -48,21 +49,6 @@ def variant_spec(
     )
 
 
-def run_point(
-    scale: ExperimentScale,
-    load: float,
-    scheduler_name: str,
-    iterations: int | None,
-    speedup: bool,
-    runner: SweepRunner | None = None,
-):
-    """(FCT ms, goodput) for one variant at one load (parallel network)."""
-    runner = runner if runner is not None else SweepRunner()
-    spec = variant_spec(scale, load, scheduler_name, iterations, speedup)
-    summary = runner.run([spec])[spec.content_hash]
-    return fct_ms(summary), summary.goodput_normalized
-
-
 def run(
     scale: ExperimentScale | None = None,
     loads=None,
@@ -71,31 +57,20 @@ def run(
     """Regenerate Fig 15."""
     scale = scale or current_scale()
     loads = loads if loads is not None else scale.loads
-    runner = runner if runner is not None else SweepRunner()
-    headers = ["variant"]
-    headers += [f"FCT@{int(l * 100)}%" for l in loads]
-    headers += [f"gput@{int(l * 100)}%" for l in loads]
-    result = ExperimentResult(
+    grid = {
+        label: {
+            load: variant_spec(scale, load, name, iterations, speedup)
+            for load in loads
+        }
+        for label, name, iterations, speedup in VARIANTS
+    }
+    result = fct_goodput_table(
+        run_grid(grid, runner),
+        loads,
+        ["variant"],
         experiment="Fig 15",
         title="iterative matching (1x) vs 2x speedup on the parallel network",
-        headers=headers,
     )
-    # Batch-warm the runner so the whole grid fans out; the per-point
-    # reads below are pure cache hits through the shared helper.
-    runner.run(
-        variant_spec(scale, load, name, iterations, speedup)
-        for _label, name, iterations, speedup in VARIANTS
-        for load in loads
-    )
-    for label, name, iterations, speedup in VARIANTS:
-        fcts, gputs = [], []
-        for load in loads:
-            fct, gput = run_point(
-                scale, load, name, iterations, speedup, runner=runner
-            )
-            fcts.append(fct if fct is not None else "n/a")
-            gputs.append(gput)
-        result.add_row(label, *fcts, *gputs)
     result.notes.append(
         "paper: iteration worsens FCT at all loads; goodput never beats the "
         "2x speedup"

@@ -59,6 +59,25 @@ def load_specs(
     return grid
 
 
+def run_grid(grid: dict, runner: SweepRunner | None = None) -> dict:
+    """Run a ``{key: {load: spec}}`` grid through ``runner`` (default:
+    serial in-process); returns ``{key: {load: (fct_ms, goodput)}}``."""
+    runner = runner if runner is not None else SweepRunner()
+    summaries = runner.run(
+        spec for per_load in grid.values() for spec in per_load.values()
+    )
+    return {
+        key: {
+            load: (
+                fct_ms(summaries[spec.content_hash]),
+                summaries[spec.content_hash].goodput_normalized,
+            )
+            for load, spec in per_load.items()
+        }
+        for key, per_load in grid.items()
+    }
+
+
 def sweep(
     scale: ExperimentScale,
     *,
@@ -74,23 +93,32 @@ def sweep(
     in-process), so ``repro run --jobs N`` parallelizes and a store-backed
     runner caches them.
     """
-    runner = runner if runner is not None else SweepRunner()
     grid = load_specs(
         scale, without_speedup=without_speedup, trace=trace, loads=loads
     )
-    summaries = runner.run(
-        spec for per_load in grid.values() for spec in per_load.values()
+    return run_grid(grid, runner)
+
+
+def fct_goodput_table(
+    data: dict, loads, key_headers: list[str], **fields
+) -> ExperimentResult:
+    """One row per key of a :func:`run_grid` result (a tuple key fills
+    several columns): the FCT at every load, then the goodput."""
+    result = ExperimentResult(
+        headers=key_headers
+        + [f"FCT@{int(load * 100)}%" for load in loads]
+        + [f"gput@{int(load * 100)}%" for load in loads],
+        **fields,
     )
-    return {
-        label: {
-            load: (
-                fct_ms(summaries[spec.content_hash]),
-                summaries[spec.content_hash].goodput_normalized,
-            )
-            for load, spec in per_load.items()
-        }
-        for label, per_load in grid.items()
-    }
+    for key, per_load in data.items():
+        fcts = [per_load[load][0] for load in loads]
+        result.rows.append(
+            list(key if isinstance(key, tuple) else (key,))
+            + [fct if fct is not None else "n/a" for fct in fcts]
+            + [per_load[load][1] for load in loads]
+        )
+    result.series = data
+    return result
 
 
 def build_result(
@@ -102,25 +130,13 @@ def build_result(
     loads=None,
 ) -> ExperimentResult:
     """Render a sweep as one table with FCT and goodput per system."""
-    loads = loads if loads is not None else scale.loads
-    headers = ["system"]
-    for load in loads:
-        headers.append(f"FCT@{int(load * 100)}%")
-    for load in loads:
-        headers.append(f"gput@{int(load * 100)}%")
-    result = ExperimentResult(
-        experiment=experiment, title=title, headers=headers
+    result = fct_goodput_table(
+        data,
+        loads if loads is not None else scale.loads,
+        ["system"],
+        experiment=experiment,
+        title=title,
     )
-    for label, per_load in data.items():
-        row: list = [label]
-        for load in loads:
-            fct, _ = per_load[load]
-            row.append(fct if fct is not None else "n/a")
-        for load in loads:
-            _, goodput = per_load[load]
-            row.append(goodput)
-        result.rows.append(row)
-    result.series = data
     result.notes.append(
         "paper: NegotiaToR FCT 1-2 orders of magnitude below oblivious; "
         "oblivious goodput saturates at heavy load"

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from ..sim.config import KB
 from ..sweep import RunSpec, SweepRunner, scale_spec_fields, system_spec_fields
-from .common import ExperimentResult, ExperimentScale, current_scale, fct_ms
+from .common import ExperimentResult, ExperimentScale, current_scale
+from .fig9_main_results import fct_goodput_table, run_grid
 
 WORKLOADS = (
     ("hadoop poisson", "poisson", {"trace": "hadoop"}),
@@ -79,48 +80,20 @@ def sweep(
     runner: SweepRunner | None = None,
 ) -> dict[tuple[str, str], dict[float, tuple[float | None, float]]]:
     """Run the grid; returns {(system, workload): {load: (fct_ms, goodput)}}."""
-    runner = runner if runner is not None else SweepRunner()
-    grid = load_specs(scale, loads=loads)
-    summaries = runner.run(
-        spec for per_load in grid.values() for spec in per_load.values()
-    )
-    return {
-        key: {
-            load: (
-                fct_ms(summaries[spec.content_hash]),
-                summaries[spec.content_hash].goodput_normalized,
-            )
-            for load, spec in per_load.items()
-        }
-        for key, per_load in grid.items()
-    }
+    return run_grid(load_specs(scale, loads=loads), runner)
 
 
 def build_result(
     scale: ExperimentScale, data, *, loads=None
 ) -> ExperimentResult:
     """Render the sweep as one table with FCT and goodput per system."""
-    loads = loads if loads is not None else scale.loads
-    headers = ["system", "workload"]
-    for load in loads:
-        headers.append(f"FCT@{int(load * 100)}%")
-    for load in loads:
-        headers.append(f"gput@{int(load * 100)}%")
-    result = ExperimentResult(
+    result = fct_goodput_table(
+        data,
+        loads if loads is not None else scale.loads,
+        ["system", "workload"],
         experiment="Fig 9 (rotor baseline)",
         title="NegotiaToR vs oblivious vs rotor: 99p mice FCT (ms) and goodput",
-        headers=headers,
     )
-    for (system, workload), per_load in data.items():
-        row: list = [system, workload]
-        for load in loads:
-            fct, _ = per_load[load]
-            row.append(fct if fct is not None else "n/a")
-        for load in loads:
-            _, goodput = per_load[load]
-            row.append(goodput)
-        result.rows.append(row)
-    result.series = data
     result.notes.append(
         "rotor = RotorNet-style round-robin slices with RotorLB two-hop "
         "relay; oblivious = per-packet rotor with up-front VLB spraying"

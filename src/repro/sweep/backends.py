@@ -57,8 +57,21 @@ def detect_backend_kind(path: str | Path) -> str:
     return "jsonl"
 
 
-def make_backend(path: str | Path) -> ResultStoreBackend:
-    """The backend for a store path (see :func:`detect_backend_kind`)."""
+def make_backend(path: str | Path) -> JsonlBackend | SqliteBackend:
+    """The backend for a store path (see :func:`detect_backend_kind`).
+
+    Both deal in lines, complete canonical-JSON rows with their newline,
+    whose meaning the facade owns.  ``iter_lines`` yields ``(location,
+    line_number, line)``; ``read_new`` returns ``(restarted, [(replaces,
+    line)])`` written since its last call, ``restarted`` when the lines
+    start from the beginning (first call, or the store was replaced or
+    rewritten), ``replaces`` the hash whose row a line took the place of
+    where one row per hash is kept (None where lines only append);
+    ``rewrite`` atomically replaces everything with canonically ordered
+    ``(hash, line)`` pairs; ``stale_order`` says whether an iteration
+    order is not canonical; ``integrity_problems`` lists corruption that
+    row checksums cannot see.
+    """
     if detect_backend_kind(path) == "sqlite":
         return SqliteBackend(path)
     return JsonlBackend(path)
@@ -79,100 +92,75 @@ def sidecar_path(store_path: str | Path, name: str) -> Path:
 
 
 def _append_bytes(path: Path, data: bytes) -> None:
-    """One O_APPEND write(2): concurrent writers append whole lines."""
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    """One O_APPEND write(2): concurrent writers append whole lines.
+
+    A file that does not end in a newline (a crashed writer's torn
+    append) gets one first, so the fragment stays one torn line and
+    ``data`` reads whole.  A short write raises: the line did not land.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
-        os.write(fd, data)
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
+        written = os.write(fd, data)
+        if written != len(data):
+            raise OSError(
+                f"short write to {path}: {written} of {len(data)} bytes"
+            )
     finally:
         os.close(fd)
 
 
 class LineTail:
-    """The whole lines appended to one file since the previous read.
+    """The lines appended to one file since the previous read.
 
     The incremental read of a JSONL store and of the lease log.  A
     trailing fragment without its newline (a torn append, or one still
-    landing) is held back until a newline completes it, so the fragment
-    and what follows read as one torn line, as in a full read.  When the
-    file was replaced (a new inode, as ``os.replace`` makes), shrank, or
-    vanished, the read starts over at byte 0.
+    landing) is returned last but not consumed: the next read returns it
+    again, whole or not, so the lines read equal a full read's.  The file
+    stays open between reads, which pins its inode: when the path names
+    another inode (``os.replace`` by ``compact()``), or the file shrank
+    or vanished, the read starts over at byte 0.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._inode: int | None = None
+        self._handle = None
         self._offset = 0
 
     def read(self) -> tuple[bool, list[str]]:
         """``(restarted, lines)``; restarted when the lines start at byte 0."""
         try:
-            handle = self.path.open("rb")
+            inode = os.stat(self.path).st_ino
+            if self._handle is None or os.fstat(
+                self._handle.fileno()
+            ).st_ino != inode:
+                self._reopen(self.path.open("rb"))
         except FileNotFoundError:
-            self._inode, self._offset = None, 0
+            self._reopen(None)
             return True, []
+        if os.fstat(self._handle.fileno()).st_size < self._offset:
+            self._offset = 0
+        restarted = self._offset == 0
+        self._handle.seek(self._offset)
         lines: list[str] = []
-        with handle:
-            stat = os.fstat(handle.fileno())
-            if stat.st_ino != self._inode or stat.st_size < self._offset:
-                self._inode, self._offset = stat.st_ino, 0
-            restarted = self._offset == 0
-            handle.seek(self._offset)
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break
+        for raw in self._handle:
+            lines.append(raw.decode(errors="replace"))
+            if raw.endswith(b"\n"):
                 self._offset += len(raw)
-                lines.append(raw.decode(errors="replace"))
         return restarted, lines
 
-
-class ResultStoreBackend:
-    """The line-currency protocol every store backend implements.
-
-    Lines are complete canonical-JSON rows including the trailing
-    newline; the facade owns their meaning.  ``iter_lines`` yields
-    ``(location, line_number, line)`` so the facade can report problems
-    as ``location:line``; ``read_new`` is the incremental read behind the
-    facade's summary index; ``rewrite`` atomically replaces the whole
-    store with the given canonically-ordered lines.
-    """
-
-    kind: str
-    path: Path
-
-    def exists(self) -> bool:
-        raise NotImplementedError
-
-    def iter_lines(self) -> Iterator[tuple[str, int, str]]:
-        raise NotImplementedError
-
-    def read_new(self) -> tuple[bool, list[tuple[str | None, str]]]:
-        """``(restarted, [(replaces, line)])`` written since the last call.
-
-        ``restarted`` says the lines start from the beginning of the
-        store (the first call, or the store was replaced or rewritten
-        since): the caller drops what it folded before.  ``replaces`` is
-        the spec hash whose row the line took the place of, on a backend
-        that keeps one row per hash, and None where lines only append.
-        """
-        raise NotImplementedError
-
-    def append_line(self, spec_hash: str, line: str) -> None:
-        raise NotImplementedError
-
-    def stale_order(self, hashes: Sequence[str]) -> bool:
-        """Whether iteration order differs from this backend's canonical order."""
-        raise NotImplementedError
-
-    def rewrite(self, ordered: Sequence[tuple[str, str]]) -> None:
-        """Atomically replace all content with (hash, line) pairs, sorted by hash."""
-        raise NotImplementedError
-
-    def integrity_problems(self) -> list[str]:
-        """Backend-level corruption beyond what row checksums can see."""
-        return []
+    def _reopen(self, handle) -> None:
+        if self._handle is not None:
+            self._handle.close()
+        if handle is not None:
+            weakref.finalize(self, handle.close)
+        self._handle, self._offset = handle, 0
 
 
-class JsonlBackend(ResultStoreBackend):
+class JsonlBackend:
     """The original single-file append-only JSONL store, unchanged on disk."""
 
     kind = "jsonl"
@@ -196,11 +184,13 @@ class JsonlBackend(ResultStoreBackend):
         return restarted, [(None, line) for line in lines]
 
     def append_line(self, spec_hash: str, line: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         _append_bytes(self.path, line.encode())
 
     def stale_order(self, hashes: Sequence[str]) -> bool:
         return list(hashes) != sorted(hashes)
+
+    def integrity_problems(self) -> list[str]:
+        return []
 
     def rewrite(self, ordered: Sequence[tuple[str, str]]) -> None:
         # Temp file + fsync + os.replace: a crash at any instant leaves
@@ -238,7 +228,7 @@ def _enable_wal(conn: sqlite3.Connection) -> None:
         time.sleep(0.005)
 
 
-class SqliteBackend(ResultStoreBackend):
+class SqliteBackend:
     """One row per spec hash in a WAL-mode SQLite file.
 
     A write replaces the hash's row, so "last row per hash wins" is

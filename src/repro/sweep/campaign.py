@@ -10,7 +10,8 @@ without a coordinator (DESIGN.md §17):
 
 * **Leases are advisory and expiring.**  A lease is a row ``(spec_hash,
   owner, expires_at)``; claiming skips specs whose lease is live and
-  held by someone else.  The runner's liveness callbacks renew every
+  held by someone else, and takes no more than an even share of the
+  rest among the live owners.  The runner's liveness callbacks renew every
   lease the worker holds, so a healthy worker never loses one, even
   for a spec still waiting its turn — and a crashed worker's leases
   simply expire, letting a peer take over.
@@ -19,10 +20,11 @@ without a coordinator (DESIGN.md §17):
   case of a lost lease race — two workers executing the same spec — is
   a redundant row, not a divergent store.
 * **The store is the only ground truth.**  Workers re-read
-  ``completed_hashes()`` every round; a spec finished by anyone, ever
-  (including a prior campaign imported via ``cache_from``), is work no
-  one repeats.  Both the store and the lease log are read
-  incrementally, so a round costs what changed since the last one.
+  ``completed_hashes()`` before and after every claim; a spec finished
+  by anyone, ever (including a prior campaign imported via
+  ``cache_from``), is work no one repeats.  Both the store and the
+  lease log are read incrementally, so a claim costs what changed
+  since the last one.
 
 Lease state lives next to the results: in the ``leases`` table of a
 SQLite store, or in a ``leases.jsonl`` sidecar (guarded by an
@@ -38,13 +40,13 @@ import os
 import socket
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .backends import LineTail, SqliteBackend, _append_bytes, sidecar_path
 from .resilience import SweepExecutionError
 from .runner import SweepRunner
 from .spec import RunSpec
-from .store import ResultStore
+from .store import ResultStore, StoreError
 
 try:  # POSIX file locking for the sidecar lease log; absent on some
     import fcntl  # platforms, where lease claims degrade to best-effort.
@@ -62,6 +64,17 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
+def _share(
+    hashes: Sequence[str], live: dict[str, str], owner: str, limit: int
+) -> list[str]:
+    """What one claim takes of ``hashes``, given the live leases ``{hash:
+    owner}``: the first specs no peer holds, at most ``limit`` and at
+    most an even split of them among ``owner`` and every live peer."""
+    free = [h for h in hashes if live.get(h, owner) == owner]
+    owners = len(set(live.values()) | {owner})
+    return free[: min(limit, -(-len(free) // owners))]
+
+
 class SqliteLeases:
     """Leases in the SQLite store itself — one transaction, no lock file."""
 
@@ -74,27 +87,21 @@ class SqliteLeases:
     ) -> list[str]:
         conn = self.backend.connection()
         now = self._clock()
-        claimed: list[str] = []
         # BEGIN IMMEDIATE takes the write lock up front, so two workers
         # claiming concurrently serialize and each sees the other's rows.
         conn.execute("BEGIN IMMEDIATE")
         try:
-            for spec_hash in hashes:
-                if len(claimed) >= limit:
-                    break
-                row = conn.execute(
-                    "SELECT owner, expires_at FROM leases WHERE spec_hash = ?",
-                    (spec_hash,),
-                ).fetchone()
-                if row is not None and row[0] != owner and row[1] > now:
-                    continue  # live lease held by a peer
-                conn.execute(
-                    "INSERT INTO leases (spec_hash, owner, expires_at) "
-                    "VALUES (?, ?, ?) ON CONFLICT(spec_hash) DO UPDATE SET "
-                    "owner = excluded.owner, expires_at = excluded.expires_at",
-                    (spec_hash, owner, now + ttl_s),
-                )
-                claimed.append(spec_hash)
+            live = conn.execute(
+                "SELECT spec_hash, owner FROM leases WHERE expires_at > ?",
+                (now,),
+            )
+            claimed = _share(hashes, dict(live), owner, limit)
+            conn.executemany(
+                "INSERT INTO leases (spec_hash, owner, expires_at) "
+                "VALUES (?, ?, ?) ON CONFLICT(spec_hash) DO UPDATE SET "
+                "owner = excluded.owner, expires_at = excluded.expires_at",
+                [(spec_hash, owner, now + ttl_s) for spec_hash in claimed],
+            )
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -145,8 +152,7 @@ class FileLeases:
     damage at redundant execution.  Each read folds only the lines
     appended since the previous one (:class:`~repro.sweep.backends.
     LineTail`).  A snapshot takes no lock and so writes nothing: the log
-    only grows by whole-line appends, and a torn trailing line is
-    skipped.
+    only grows by whole-line appends, and a torn line is skipped.
     """
 
     def __init__(self, store_path, clock=time.time) -> None:
@@ -194,23 +200,18 @@ class FileLeases:
             for h, owner, expires in rows
         )
         if data:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             _append_bytes(self.path, data.encode())
 
     def claim(
         self, hashes: Sequence[str], owner: str, ttl_s: float, limit: int
     ) -> list[str]:
         with self._locked():
-            table = self._table()
             now = self._clock()
-            claimed: list[str] = []
-            for spec_hash in hashes:
-                if len(claimed) >= limit:
-                    break
-                held = table.get(spec_hash)
-                if held is not None and held[0] != owner and held[1] > now:
-                    continue
-                claimed.append(spec_hash)
+            live = {
+                h: holder for h, (holder, expires) in self._table().items()
+                if expires > now
+            }
+            claimed = _share(hashes, live, owner, limit)
             self._append((h, owner, now + ttl_s) for h in claimed)
             return claimed
 
@@ -258,8 +259,9 @@ class CampaignReport:
     every spec was either simulated here, already complete when this
     worker started (including rows imported from ``cache_from``),
     finished by a peer while this worker ran, or failed everywhere it
-    was tried.  ``runner`` is the closed runner that did the work: its
-    per-spec outcomes and quarantine sidecar, for the caller's report.
+    was tried.  ``rounds`` counts the claims that leased work here.
+    ``runner`` is the closed runner that did the work: its per-spec
+    outcomes and quarantine sidecar, for the caller's report.
     """
 
     worker: str
@@ -274,26 +276,24 @@ class CampaignReport:
     manifest_path: str | None = None
     runner: SweepRunner | None = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        del data["runner"]
-        data["elapsed_s"] = round(self.elapsed_s, 6)
-        return data
 
-
-def _run_round(runner: SweepRunner, specs: list[RunSpec]) -> None:
-    """``runner.run(specs)``, where a spec failing under ``on_error=
-    "fail"`` raises :class:`SweepExecutionError` on the serial path too
-    (where the runner re-raises the spec's own exception)."""
+def _run_round(runner: SweepRunner, specs: list[RunSpec], more) -> None:
+    """``runner.run(specs, more=more)``, where a spec failing under
+    ``on_error="fail"`` raises :class:`SweepExecutionError` on the serial
+    path too (where the runner re-raises the spec's own exception)."""
     try:
-        runner.run(specs)
+        runner.run(specs, more=more)
     except SweepExecutionError:
         raise
     except Exception as exc:
-        for spec in specs:
-            outcome = runner.outcomes.get(spec.content_hash)
-            if outcome is not None and not outcome.ok:
-                raise SweepExecutionError(spec, outcome) from exc
+        if runner.on_error != "fail":
+            raise
+        error = f"{type(exc).__name__}: {exc}"
+        for spec_hash, outcome in runner.outcomes.items():
+            if not outcome.ok and outcome.error == error:
+                raise SweepExecutionError(
+                    runner.specs[spec_hash], outcome
+                ) from exc
         raise
 
 
@@ -319,17 +319,15 @@ def run_campaign(
     new.  ``runner_kwargs`` pass through to :class:`SweepRunner`
     (``jobs``, ``retry``, ``on_error``, ``telemetry``, ...).
 
-    Each round claims ``lease_batch`` pending specs, by default half of
-    them and at least ``jobs``: a lone worker drains the grid in a
-    logarithmic number of rounds, and a worker that joins later still
-    finds unleased specs.  The specs of a round wait their turn behind
-    the one that runs, so every liveness signal of the runner (a pool
-    heartbeat, or a serial attempt starting) renews the round's leases,
-    at most once per quarter TTL.  One runner session spans every
-    round, so the progress line and the campaign-start/-end events
-    cover the whole grid, and every grid spec reaches the runner:
-    executed here, or served from the store when it was complete at
-    the start or was finished by a peer.
+    The runner asks for the next claim whenever a worker would idle, so
+    no claim waits for the slowest spec of the one before.  A claim
+    takes at most ``lease_batch`` specs (default ``4 * jobs``) and at
+    most an even share of the unleased ones among the live lease owners,
+    so a late or slow worker does not hoard the grid.  Every liveness
+    signal of the runner renews the leases this worker holds, at most
+    once per quarter TTL, queued specs included.  One runner session
+    spans the whole call, so the progress line and the campaign events
+    cover the whole grid, and every grid spec reaches the runner.
     """
     if not 0 < lease_ttl_s < math.inf:
         raise ValueError("lease_ttl_s must be positive and finite")
@@ -351,7 +349,7 @@ def run_campaign(
         store.merge(cache_from, only_hashes=set(grid)) if cache_from else 0
     )
     leases = make_lease_store(store)
-    held: list[str] = []  # this round's leases
+    held: list[str] = []  # the leases this worker holds
     renewed_at = 0.0
 
     def keep_alive(_spec_hash: str) -> None:
@@ -367,9 +365,65 @@ def run_campaign(
         on_worker_heartbeat=keep_alive,
         **runner_kwargs,
     )
+    limit = lease_batch or 4 * runner.jobs
+    rewritten: set[str] = set()
+    rounds = 0
+
+    def claim(pending: list[str]) -> list[RunSpec] | None:
+        """The specs to run of a claim on ``pending``; None when live
+        peers hold every one."""
+        nonlocal rounds, renewed_at
+        claimed = leases.claim(pending, worker, lease_ttl_s, limit)
+        if not claimed:
+            return None
+        if not held:
+            renewed_at = time.monotonic()
+        held.extend(claimed)
+        # Re-check completion now that the leases are ours: a peer may
+        # have finished and released one of these specs between our
+        # pending snapshot and the claim.  Workers store a result before
+        # releasing its lease, so anything released-by-completion is
+        # visible here — this is what makes "each spec executes exactly
+        # once" hold under concurrency, not just "the digest converges".
+        completed = store.completed_hashes()
+        todo = []
+        for spec_hash in claimed:
+            if spec_hash in completed:
+                continue
+            if spec_hash in rewritten:
+                raise StoreError(
+                    f"{store.path}: the row of spec {spec_hash[:12]} does "
+                    "not read back after it was written twice"
+                )
+            # A spec this runner already holds lost its row: write it
+            # again rather than run it again or serve it as cached.
+            if runner.restore(grid[spec_hash]):
+                rewritten.add(spec_hash)
+            else:
+                todo.append(grid[spec_hash])
+        rounds += bool(todo)
+        return todo
+
+    def more() -> list[RunSpec]:
+        """The next claim's specs for the runner, or none to end the round."""
+        while True:
+            completed = store.completed_hashes()
+            # A lease goes back once its row reads back, never before:
+            # the rows of the specs that just finished land after this.
+            done = [h for h in held if h in completed]
+            if done:
+                leases.release(done, worker)
+                held[:] = [h for h in held if h not in completed]
+            pending = [
+                h for h in grid
+                if h not in completed and h not in runner.requested
+            ]
+            todo = claim(pending) if pending else None
+            if todo != []:
+                return todo or []
+
     cached: int | None = None
     failed_here: set[str] = set()
-    rounds = 0
     with runner, runner.session(len(grid)):
         while True:
             stored = store.load()
@@ -386,31 +440,18 @@ def run_campaign(
             ]
             if not pending:
                 break
-            limit = lease_batch or max(runner.jobs, -(-len(pending) // 2))
-            claimed = leases.claim(pending, worker, lease_ttl_s, limit)
-            if not claimed:
-                # Everything pending is leased by live peers: wait for
-                # their results to land, or their leases to expire for
-                # takeover.
-                sleep(poll_s)
-                continue
-            held[:], renewed_at = claimed, time.monotonic()
             try:
-                # Re-check completion now that the leases are ours: a
-                # peer may have finished and released one of these specs
-                # between our pending snapshot and the claim.  Workers
-                # store a result before releasing its lease, so anything
-                # released-by-completion is visible here — this is what
-                # makes "each spec executes exactly once" hold under
-                # concurrency, not just "the digest converges".
-                completed = store.completed_hashes()
-                todo = [grid[h] for h in claimed if h not in completed]
-                if todo:
-                    rounds += 1
-                    _run_round(runner, todo)
+                todo = claim(pending)
+                if todo is None:
+                    # Everything pending is leased by live peers: wait
+                    # for their results to land, or their leases to
+                    # expire for takeover.
+                    sleep(poll_s)
+                elif todo:
+                    _run_round(runner, todo, more)
             finally:
+                leases.release(held, worker)
                 held.clear()
-                leases.release(claimed, worker)
             failed_here |= runner.failed_hashes()
 
     manifest_path = None

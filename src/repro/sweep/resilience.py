@@ -43,14 +43,14 @@ import time
 import traceback as traceback_module
 from collections import deque
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
 
-from .backends import sidecar_path
+from .backends import _append_bytes, sidecar_path
 from .spec import RunSpec
 
 OK = "ok"
@@ -208,9 +208,8 @@ class QuarantineLog:
 
     Each row carries the full spec (so a quarantined point can be re-run
     or re-gridded without the original command line), the outcome, and
-    the last error + traceback.  Appends are single O_APPEND writes like
-    the result store's, so a crashing sweep can at worst tear its own
-    last line.
+    the last error + traceback.  Appends go through the result store's
+    appender, so a crashing sweep can at worst tear its own last line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -222,13 +221,8 @@ class QuarantineLog:
             "spec": spec.to_dict(),
             **outcome.to_dict(),
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = (json.dumps(row, sort_keys=True) + "\n").encode()
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        line = json.dumps(row, sort_keys=True) + "\n"
+        _append_bytes(self.path, line.encode())
 
     def rows(self) -> list[dict]:
         """All valid quarantine rows (torn lines skipped, like the store)."""
@@ -652,6 +646,7 @@ def run_with_retries(
     on_exhausted: Callable[[RunSpec, SpecOutcome], None] | None = None,
     outcomes: dict[str, SpecOutcome] | None = None,
     on_heartbeat: Callable[[RunSpec, dict], None] | None = None,
+    more: Callable[[], Sequence[RunSpec]] | None = None,
 ) -> dict[str, SpecOutcome]:
     """Run specs through the caller's :class:`WorkerPool` under a retry policy.
 
@@ -672,7 +667,9 @@ def run_with_retries(
 
     A freed worker is handed its next spec as soon as :meth:`WorkerPool
     .wait` returns, before the callbacks for what it just finished run,
-    so the parent's bookkeeping overlaps with simulation.  Backoff between
+    so the parent's bookkeeping overlaps with simulation.  When no spec
+    is ready for a free worker, ``more()`` is asked for new specs, until
+    it returns none.  Backoff between
     attempts is wall-clock but scheduling never busy-waits: the loop
     sleeps until the earliest of (next per-spec deadline, next retry
     eligibility, next worker message).
@@ -694,10 +691,19 @@ def run_with_retries(
 
     def dispatch() -> None:
         """Promote retries whose backoff has elapsed; fill idle workers."""
+        nonlocal more, unresolved
         now = time.monotonic()
         while waiting and waiting[0][0] <= now:
             _, _, spec, attempt = heappop(waiting)
             ready.append((spec, attempt))
+        while more is not None and not ready and pool.idle_count():
+            fresh = more()
+            if not fresh:
+                more = None
+            for spec in fresh:
+                histories[spec.content_hash] = []
+                ready.append((spec, 1))
+            unresolved += len(fresh)
         while ready and pool.idle_count():
             spec, attempt = ready.popleft()
             pool.assign(spec, attempt, timeout_s)

@@ -597,26 +597,18 @@ class SweepRunner:
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else NO_RETRY
         self.on_error = on_error
-        if on_error == "quarantine":
-            if isinstance(quarantine, QuarantineLog):
-                self.quarantine: QuarantineLog | None = quarantine
-            elif quarantine is not None:
-                self.quarantine = QuarantineLog(quarantine)
-            elif store is not None:
-                self.quarantine = QuarantineLog(
-                    default_quarantine_path(store.path)
-                )
-            else:
+        if on_error == "quarantine" and quarantine is None:
+            if store is None:
                 raise ValueError(
                     "on_error='quarantine' needs a quarantine path "
                     "(or a store to derive one from)"
                 )
-        else:
-            self.quarantine = (
-                QuarantineLog(quarantine)
-                if isinstance(quarantine, str)
-                else quarantine
-            )
+            quarantine = default_quarantine_path(store.path)
+        self.quarantine: QuarantineLog | None = (
+            quarantine
+            if quarantine is None or isinstance(quarantine, QuarantineLog)
+            else QuarantineLog(quarantine)
+        )
         if heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
         if telemetry_cadence_ns <= 0:
@@ -669,13 +661,17 @@ class SweepRunner:
         self,
         specs: Iterable[RunSpec],
         stored: Mapping[str, RunSummary] | None = None,
+        more: Callable[[], list[RunSpec]] | None = None,
     ) -> dict[str, RunSummary]:
         """Run (or fetch) every spec; returns {content_hash: summary}.
 
         Duplicate specs collapse to one run.  Results are keyed by hash so
         callers recover per-spec summaries regardless of execution order.
         ``stored`` serves its specs instead of the resume snapshot: the
-        lease loop passes the store as it last read it.
+        lease loop passes the store as it last read it.  ``more()``, when
+        given, is asked for further specs to execute whenever a worker
+        would idle, until it returns none: the lease loop feeds its claims
+        this way, so no worker waits for the slowest spec of a batch.
         """
         ordered: list[RunSpec] = []
         seen: set[str] = set()
@@ -712,22 +708,45 @@ class SweepRunner:
                 else:
                     pending.append(spec)
 
+            feed = None
+            if more is not None:
+                def feed() -> list[RunSpec]:
+                    batch = more()
+                    for spec in batch:
+                        self.specs.setdefault(spec.content_hash, spec)
+                        self.requested.add(spec.content_hash)
+                    return batch
+
             # A per-spec timeout can only be enforced by killing the worker
             # process, so it forces pool execution even at jobs=1; otherwise
             # a single pending spec (or jobs=1) runs serially in-process, the
             # reference behavior.
             use_pool = bool(pending) and (
                 self.timeout_s is not None
-                or (self.jobs > 1 and len(pending) > 1)
+                or (self.jobs > 1 and (len(pending) > 1 or feed is not None))
             )
             if use_pool:
-                self._run_pool(pending, results)
+                self._run_pool(pending, results, feed)
             else:
-                for spec in pending:
-                    summary = self._run_one(spec)
-                    if summary is not None:
-                        results[spec.content_hash] = summary
+                while pending:
+                    for spec in pending:
+                        summary = self._run_one(spec)
+                        if summary is not None:
+                            results[spec.content_hash] = summary
+                    pending = feed() if feed is not None else []
         return results
+
+    def restore(self, spec: RunSpec) -> bool:
+        """Store again the summary this runner holds for ``spec``, if any.
+
+        The lease loop's answer to a row that did not read back (a torn
+        append, a store deleted under it): the spec is neither run again
+        nor served as cached while the store lacks it.
+        """
+        summary = self._memo.get(spec.content_hash)
+        if summary is not None:
+            self.store.put(spec, summary)
+        return summary is not None
 
     @contextlib.contextmanager
     def session(self, total: int) -> Iterator[None]:
@@ -967,9 +986,13 @@ class SweepRunner:
             return summary
 
     def _run_pool(
-        self, pending: list[RunSpec], results: dict[str, RunSummary]
+        self,
+        pending: list[RunSpec],
+        results: dict[str, RunSummary],
+        more: Callable[[], list[RunSpec]] | None,
     ) -> None:
-        """Fan pending specs out over the crash-safe worker pool."""
+        """Fan pending specs, and any ``more()`` feeds, over the crash-safe
+        worker pool."""
 
         def on_ok(spec: RunSpec, summary_dict: dict, outcome) -> None:
             summary = RunSummary.from_dict(summary_dict)
@@ -1003,7 +1026,8 @@ class SweepRunner:
             or self.on_worker_heartbeat is not None
         )
         pool = self._pool_for(
-            len(pending), self.heartbeat_s if fleet_telemetry else None
+            self.jobs if more is not None else len(pending),
+            self.heartbeat_s if fleet_telemetry else None,
         )
         run_with_retries(
             pending,
@@ -1015,6 +1039,7 @@ class SweepRunner:
             on_exhausted=self._record_failure,
             outcomes=self.outcomes,
             on_heartbeat=on_heartbeat if fleet_telemetry else None,
+            more=more,
         )
 
     def _pool_for(

@@ -8,7 +8,7 @@ One logical row per completed run::
 :class:`ResultStore` owns the row semantics — canonical JSON encoding,
 per-row checksums, torn-line tolerance, last-row-per-hash resolution,
 and the :meth:`~ResultStore.content_digest` convergence contract — while
-a :class:`~repro.sweep.backends.ResultStoreBackend` owns the bytes.
+a backend (:func:`~repro.sweep.backends.make_backend`) owns the bytes.
 The store's path picks one of two backends (DESIGN.md §17):
 
 * ``sqlite`` for ``.db``/``.sqlite``/``.sqlite3`` — one row per hash in
@@ -231,9 +231,8 @@ class ResultStore:
         """The {hash: summary} index, current as of this call.
 
         Each call folds in only the rows written since the previous one,
-        by this store or any other process
-        (:meth:`~repro.sweep.backends.ResultStoreBackend.read_new`), so a
-        loop that polls a growing store decodes and checksum-verifies
+        by this store or any other process (the backend's ``read_new``),
+        so a loop that polls a growing store decodes and checksum-verifies
         every row once.  Bad rows are skipped as :meth:`rows` skips
         them, and a bad row that replaced a hash's only row (SQLite)
         takes the hash out; a replaced, shrunk or rewritten store is

@@ -42,6 +42,7 @@ from repro.sweep.campaign import (
 )
 from repro.sim.metrics import RunSummary
 from repro.sweep.chaos import CHAOS_ENV, ChaosPlan, Fault
+from repro.sweep.store import StoreError
 from repro.telemetry import default_manifest_path
 
 SHORT_NS = 150_000.0
@@ -240,7 +241,10 @@ class TestLeaseStores:
         got_a = leases.claim(hashes, "alice", ttl_s=10.0, limit=2)
         assert got_a == ["aa", "bb"]
         got_b = leases.claim(hashes, "bob", ttl_s=10.0, limit=4)
-        assert got_b == ["cc", "dd"]  # alice's live leases are skipped
+        # Alice's live leases are skipped, and bob takes only his even
+        # share of the two free specs: one for him, one for alice.
+        assert got_b == ["cc"]
+        assert leases.claim(hashes, "carol", 10.0, limit=4) == ["dd"]
 
     def test_expired_lease_is_taken_over(self, tmp_path, kind):
         clock = FakeClock()
@@ -331,10 +335,10 @@ def test_lease_reader_equals_a_fresh_read_after_every_append(tmp_path, kind):
         step()
         clock.now += 1.0
         assert reader.snapshot() == fresh()
-    # A torn fragment swallows the line written after it, for the
-    # long-lived reader as for a fresh one.
+    # A torn fragment stays one torn line: the next append ends it with
+    # a newline first, so the line after it reads whole.
     assert "dd" not in reader.snapshot()
-    assert ("ee" in reader.snapshot()) == (kind == "sqlite")
+    assert "ee" in reader.snapshot()
 
 
 def canned_summary(marker: int = 0) -> RunSummary:
@@ -376,6 +380,14 @@ def test_store_reader_equals_a_fresh_read_after_every_append(
         lambda: writer.put(specs[2], canned_summary(2)),
         lambda: writer.compact(),
         lambda: writer.put(specs[1], canned_summary(11)),
+        # Two replacements between reads: the reader's open file keeps
+        # the first new inode from being reused by the second.
+        lambda: (
+            writer.put(specs[2], canned_summary(12)),
+            writer.compact(),
+            writer.put(specs[3], canned_summary(13)),
+            writer.compact(),
+        ),
     ]
     assert store_view(reader) == store_view(ResultStore(path)) == {}
     for step in steps:
@@ -390,9 +402,14 @@ def test_store_reader_equals_a_fresh_read_after_every_append(
     assert len(reader.completed_hashes()) == 4
 
 
-def test_jsonl_reader_holds_a_torn_fragment_until_its_line_ends(tmp_path):
+def test_jsonl_reader_reads_a_trailing_fragment_as_a_full_read_does(
+    tmp_path,
+):
+    """A torn fragment at the end of the file stays one torn line, and a
+    whole row whose newline never landed counts, for a long-lived reader
+    as for a fresh full read; the next append starts a new line."""
     path = tmp_path / "s.jsonl"
-    specs = grid_specs(2)
+    specs = grid_specs(3)
     reader = ResultStore(path)
     writer = ResultStore(path)
     writer.put(specs[0], canned_summary(0))
@@ -400,16 +417,20 @@ def test_jsonl_reader_holds_a_torn_fragment_until_its_line_ends(tmp_path):
     with path.open("a") as handle:
         handle.write('{"spec_hash": "torn-mid-wr')  # a crashed writer
     assert reader.completed_hashes() == ResultStore(path).completed_hashes()
-    # The next whole line lands after the fragment: both reads see one
-    # torn line, and only a later row counts.
-    writer.put(specs[1], canned_summary(1))
-    assert reader.completed_hashes() == ResultStore(path).completed_hashes()
-    assert reader.completed_hashes() == {specs[0].content_hash}
     writer.put(specs[1], canned_summary(1))
     assert reader.completed_hashes() == ResultStore(path).completed_hashes()
     assert len(reader.completed_hashes()) == 2
+    other = ResultStore(tmp_path / "other.jsonl")
+    other.put(specs[2], canned_summary(2))
+    with path.open("a") as handle:
+        handle.write(other.path.read_text().rstrip("\n"))
+    assert reader.completed_hashes() == ResultStore(path).completed_hashes()
+    assert len(reader.completed_hashes()) == 3
+    writer.put(specs[0], canned_summary(10))
+    assert store_view(reader) == store_view(ResultStore(path))
+    assert ResultStore(path).verify().torn_lines == 1
     # compact() replaces the file: the reader starts over and agrees.
-    assert writer.compact() == 1
+    assert writer.compact() == 2  # the torn line and a superseded row
     assert store_view(reader) == store_view(ResultStore(path))
 
 
@@ -458,7 +479,7 @@ def test_lone_worker_decodes_each_row_a_few_times(
     report = run_campaign(specs, store, worker="solo", lease_ttl_s=30.0)
     monkeypatch.setattr(json, "loads", real_loads)
     assert report.executed == len(specs)
-    assert report.rounds <= 10
+    assert report.rounds == len(specs) // 4  # a claim, and reads, per 4
     lease_log = store.sidecar("leases.jsonl")
     lease_rows = (
         len(lease_log.read_text().splitlines()) if lease_log.exists() else 0
@@ -467,12 +488,12 @@ def test_lone_worker_decodes_each_row_a_few_times(
 
 
 @pytest.mark.parametrize(
-    "lease_batch, rounds", [(None, 4), (3, 3)], ids=["halving", "fixed"]
+    "lease_batch, rounds", [(None, 2), (3, 3)], ids=["default", "fixed"]
 )
 def test_claim_size_per_round(tmp_path, monkeypatch, lease_batch, rounds):
-    """By default a round claims half the pending specs (at least
-    ``jobs``), so 8 specs take rounds of 4, 2, 1 and 1; ``lease_batch``
-    fixes the size instead."""
+    """By default a lone worker claims ``4 * jobs`` specs at a time, so 8
+    specs take two claims at ``jobs=1``; ``lease_batch`` sets the most a
+    claim takes instead."""
     monkeypatch.setattr(
         "repro.sweep.runner.execute_spec", lambda spec: canned_summary()
     )
@@ -482,6 +503,101 @@ def test_claim_size_per_round(tmp_path, monkeypatch, lease_batch, rounds):
         specs, store, lease_ttl_s=30.0, lease_batch=lease_batch
     )
     assert (report.executed, report.rounds) == (8, rounds)
+
+
+def test_a_late_worker_claims_an_even_share(tmp_path, monkeypatch):
+    """A worker that finds a live peer holding leases takes half of the
+    free specs per claim, not its whole batch, and leaves the peer's
+    specs to the peer."""
+    monkeypatch.setattr(
+        "repro.sweep.runner.execute_spec", lambda spec: canned_summary()
+    )
+    specs = [tiny_spec(seed=seed) for seed in range(8)]
+    store = ResultStore(tmp_path / "fleet.db")
+    leases = make_lease_store(store)
+    peer_held = leases.claim(
+        [spec.content_hash for spec in specs], "peer", 300.0, limit=4
+    )
+    assert len(peer_held) == 4
+
+    def peer_finishes(_seconds: float) -> None:
+        for spec in specs:
+            if spec.content_hash in peer_held:
+                store.put(spec, canned_summary())
+        leases.release(peer_held, "peer")
+
+    report = run_campaign(
+        specs, store, worker="late", lease_ttl_s=30.0, lease_batch=8,
+        sleep=peer_finishes,
+    )
+    # Claims of 2, 1 and 1 of the 4 free specs, shared with the peer.
+    assert (report.executed, report.rounds) == (4, 3)
+    assert report.done_elsewhere == 4
+    assert store.completed_hashes() == {spec.content_hash for spec in specs}
+
+
+def _lose_writes(store: ResultStore, spec_hash: str, times: int) -> None:
+    """Make the first ``times`` writes of one spec's row never land."""
+    append = store.backend.append_line
+    lost = []
+
+    def lossy_append(row_hash: str, line: str) -> None:
+        if row_hash == spec_hash and len(lost) < times:
+            lost.append(line)
+            return
+        append(row_hash, line)
+
+    store.backend.append_line = lossy_append
+
+
+def test_a_row_that_does_not_read_back_is_written_again(
+    tmp_path, monkeypatch
+):
+    """The runner holds a spec whose row the store lacks: the lease loop
+    writes the row again instead of serving it as cached forever."""
+    monkeypatch.setattr(
+        "repro.sweep.runner.execute_spec", lambda spec: canned_summary()
+    )
+    specs = grid_specs(3)
+    store = ResultStore(tmp_path / "fleet.jsonl")
+    _lose_writes(store, specs[1].content_hash, times=1)
+    report = run_campaign(specs, store, lease_ttl_s=30.0)
+    assert report.executed == 3  # written again, not run again
+    assert store.completed_hashes() == {spec.content_hash for spec in specs}
+
+
+def test_a_row_lost_twice_ends_the_campaign(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "repro.sweep.runner.execute_spec", lambda spec: canned_summary()
+    )
+    specs = grid_specs(2)
+    store = ResultStore(tmp_path / "fleet.db")
+    _lose_writes(store, specs[0].content_hash, times=2)
+    with pytest.raises(StoreError, match="does not read back"):
+        run_campaign(specs, store, lease_ttl_s=30.0)
+
+
+def test_an_error_after_a_skipped_spec_is_raised_as_is(tmp_path, monkeypatch):
+    """Under on_error="skip" an unrelated error (here a full disk) is not
+    reported as the failure of the spec skipped before it."""
+    specs = grid_specs(2)
+
+    def execute(spec):
+        if spec == specs[0]:
+            raise RuntimeError("bad spec")
+        return canned_summary()
+
+    monkeypatch.setattr("repro.sweep.runner.execute_spec", execute)
+    store = ResultStore(tmp_path / "fleet.jsonl")
+
+    def full_disk(_spec_hash: str, _line: str) -> None:
+        raise OSError("No space left on device")
+
+    store.backend.append_line = full_disk
+    with pytest.raises(OSError, match="No space left"):
+        run_campaign(
+            specs, store, lease_ttl_s=30.0, lease_batch=2, on_error="skip"
+        )
 
 
 def test_waiting_specs_keep_their_leases_alive(tmp_path, monkeypatch):
@@ -624,7 +740,9 @@ def _campaign_worker(
         lease_ttl_s=lease_ttl_s,
         lease_batch=1,
     )
-    Path(out_path).write_text(json.dumps(report.to_dict()))
+    Path(out_path).write_text(
+        json.dumps({"executed": report.executed, "failed": report.failed})
+    )
 
 
 @pytest.mark.parametrize("store_name", ["fleet.db", "fleet.jsonl"])
@@ -741,6 +859,37 @@ def test_sweep_cache_from_imports_and_executes_nothing(tmp_path):
     assert payload["totals"]["rounds"] == 0
     assert payload["content_digest"] == golden
     assert "8 cached (8 imported)" in proc.stderr
+
+
+@pytest.mark.parametrize("end", ["torn", "unterminated"])
+def test_sweep_finishes_over_a_torn_store_end(tmp_path, end):
+    """A crash left the store's last line without its newline: a torn
+    fragment, or a whole row.  The next sweep still ends with every grid
+    spec's row in the store, and a whole row is served, not run again."""
+    store = tmp_path / "s.jsonl"
+    grid = ("--scale", "tiny", "--load", "0.1", "--duration-ms", "0.15")
+    first = subprocess.run(
+        _sweep_cli(*grid, "--seed", "1", "--store", str(store)),
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert first.returncode == 0, first.stderr
+    if end == "torn":
+        with store.open("a") as handle:
+            handle.write('{"spec_hash": "torn-off-mid')
+    else:
+        store.write_text(store.read_text().rstrip("\n"))
+    proc = subprocess.run(
+        _sweep_cli(
+            *grid, "--seed", "1", "--seed", "2", "--store", str(store),
+            "--json",
+        ),
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads(proc.stdout)["totals"]
+    assert (totals["executed"], totals["cached"]) == (1, 1)
+    report = ResultStore(store).verify()
+    assert (report.unique_hashes, report.torn_lines) == (2, end == "torn")
 
 
 FRESH_OPEN_ROUNDS = 120
